@@ -1,12 +1,17 @@
 // Micro-benchmarks (google-benchmark) for SkinnerDB's core mechanisms:
 // UCT selection, progress backup/restore, hash-index probing and the
 // per-slice suspend/resume overhead that makes tens of thousands of join
-// order switches per second possible (paper Section 6.1).
+// order switches per second possible (paper Section 6.1), and Skinner-C's
+// result export (dedup + canonical sort of the emitted tuples).
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "api/database.h"
 #include "benchgen/job.h"
+#include "common/rng.h"
+#include "exec/result_set.h"
 #include "skinner/progress.h"
 #include "skinner/skinner_c.h"
 #include "uct/uct.h"
@@ -115,6 +120,46 @@ void BM_SkinnerSliceSwitching(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SkinnerSliceSwitching)->Arg(50)->Arg(500)->Arg(5000)
+    ->Unit(benchmark::kMillisecond);
+
+/// Skinner-C's result export, ResultSet::MergeSortedUnique: 200k emitted
+/// tuples of the given width (positions uniform in [0, 2^17)) over four
+/// worker buffers, about 3% of them re-emits of earlier tuples. Reports
+/// ns per emitted tuple.
+void BM_ResultExport(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  constexpr size_t kTuples = 200000;
+  constexpr size_t kWorkers = 4;
+  Rng rng(17);
+  std::vector<ResultSet> parts(kWorkers, ResultSet(width));
+  std::vector<PosTuple> emitted;
+  emitted.reserve(kTuples);
+  PosTuple t(static_cast<size_t>(width));
+  for (size_t i = 0; i < kTuples; ++i) {
+    if (!emitted.empty() && rng.Uniform(100) < 3) {
+      t = emitted[rng.Uniform(emitted.size())];
+    } else {
+      for (int32_t& p : t) p = static_cast<int32_t>(rng.Uniform(1 << 17));
+    }
+    emitted.push_back(t);
+    parts[i % kWorkers].Append(t);
+  }
+  std::vector<const ResultSet*> views;
+  for (const ResultSet& p : parts) views.push_back(&p);
+  double ns = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    ResultSet out(width);
+    ResultSet::MergeSortedUnique(views, &out);
+    benchmark::DoNotOptimize(out.size());
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+  }
+  state.counters["ns_per_tuple"] =
+      ns / (static_cast<double>(state.iterations()) * kTuples);
+}
+BENCHMARK(BM_ResultExport)->Arg(4)->Arg(8)->Arg(12)
     ->Unit(benchmark::kMillisecond);
 
 void BM_EndToEndJobQuery(benchmark::State& state) {

@@ -131,6 +131,9 @@ struct ExecutionStats {
 
   // Skinner-C specifics.
   uint64_t slices = 0;
+  /// Join tuples emitted before the export dedup, duplicates included
+  /// (>= join_result_tuples; SkinnerCStats::emitted_tuples).
+  uint64_t emitted_tuples = 0;
   size_t uct_nodes = 0;
   size_t progress_nodes = 0;
   size_t auxiliary_bytes = 0;

@@ -184,6 +184,7 @@ Result<ExecutedStage> QueryPipeline::Execute(const PreparedStage& prep,
       SKINNER_RETURN_IF_ERROR(engine.Run(&join_result));
       const SkinnerCStats& s = engine.stats();
       out.stats.slices = s.slices;
+      out.stats.emitted_tuples = s.emitted_tuples;
       out.stats.intermediate_tuples = s.intermediate_tuples;
       out.stats.uct_nodes = s.uct_nodes;
       out.stats.progress_nodes = s.progress_nodes;

@@ -2,8 +2,6 @@
 #define SKINNER_COMMON_HASH_UTIL_H_
 
 #include <cstdint>
-#include <cstddef>
-#include <vector>
 
 namespace skinner {
 
@@ -20,16 +18,6 @@ inline uint64_t HashMix64(uint64_t x) {
 inline void HashCombine(uint64_t* seed, uint64_t v) {
   *seed ^= HashMix64(v) + 0x9E3779B97F4A7C15ull + (*seed << 6) + (*seed >> 2);
 }
-
-/// Hash functor for vectors of integers (tuple-index vectors in the join
-/// result set).
-struct VectorHash {
-  size_t operator()(const std::vector<int32_t>& v) const {
-    uint64_t seed = v.size();
-    for (int32_t x : v) HashCombine(&seed, static_cast<uint64_t>(static_cast<uint32_t>(x)));
-    return static_cast<size_t>(seed);
-  }
-};
 
 }  // namespace skinner
 

@@ -156,13 +156,15 @@ void Scheduler::WorkerMain() {
     ss->pass += 1.0 / ss->weight;
     lk.unlock();
     job->fn();
-    job->promise.set_value();
     lk.lock();
     SessionState& done_ss = sessions_[job->session];
     --done_ss.inflight;
     ++done_ss.completed;
     --active_;
     ++completed_;
+    // Resolve the ticket only after the bookkeeping, so a caller that
+    // waits on it and then reads stats() sees its job as completed.
+    job->promise.set_value();
     // A freed in-flight slot may make another queued job eligible; Drain
     // may have been waiting for this completion.
     cv_.notify_all();

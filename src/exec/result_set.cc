@@ -3,114 +3,59 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-
-#include "common/hash_util.h"
+#include <limits>
 
 namespace skinner {
 
 namespace {
-constexpr size_t kInitialTableCap = 16;  // slots; power of two
+constexpr int kDigitBits = 11;
+constexpr size_t kBuckets = size_t{1} << kDigitBits;
+constexpr uint64_t kDigitMask = kBuckets - 1;
 
-size_t RoundUpPow2(int n) {
-  size_t p = 1;
-  while (p < static_cast<size_t>(n < 1 ? 1 : n)) p <<= 1;
-  return p;
+int BitWidth(uint32_t v) {
+  int bits = 0;
+  for (; v != 0; v >>= 1) ++bits;
+  return bits;
 }
 
-uint64_t HashTupleOf(const int32_t* tuple, int width) {
-  uint64_t seed = static_cast<uint64_t>(width);
-  for (int i = 0; i < width; ++i) {
-    HashCombine(&seed, static_cast<uint64_t>(static_cast<uint32_t>(tuple[i])));
+/// Digit `d` (key bits [11d, 11d + 11)) of a K-word key whose word 0 is
+/// the least significant.
+uint32_t Digit(const uint64_t* key, size_t kw, int d) {
+  const size_t bit = static_cast<size_t>(d) * kDigitBits;
+  const size_t w = bit / 64;
+  const size_t off = bit % 64;
+  uint64_t v = key[w] >> off;
+  if (off > 64 - kDigitBits && w + 1 < kw) v |= key[w + 1] << (64 - off);
+  return static_cast<uint32_t>(v & kDigitMask);
+}
+
+/// Key moves and compares with the word count known only at run time;
+/// spelled out for short keys so they compile to plain loads and stores
+/// rather than a memcpy/memcmp call per key.
+void CopyKey(const uint64_t* src, size_t kw, uint64_t* dst) {
+  switch (kw) {
+    case 4: dst[3] = src[3]; [[fallthrough]];
+    case 3: dst[2] = src[2]; [[fallthrough]];
+    case 2: dst[1] = src[1]; [[fallthrough]];
+    case 1: dst[0] = src[0]; return;
+    default: std::memcpy(dst, src, kw * sizeof(uint64_t));
   }
-  return seed;
 }
+
+bool KeysEqual(const uint64_t* a, const uint64_t* b, size_t kw) {
+  for (size_t j = 0; j < kw; ++j) {
+    if (a[j] != b[j]) return false;
+  }
+  return true;
+}
+
+/// Where one column lives inside the packed key.
+struct Field {
+  uint32_t min = 0;  // column minimum, as the bits of an int32
+  int bits = 0;      // bit_width(max - min)
+  int shift = 0;     // key bit of the column's least significant bit
+};
 }  // namespace
-
-ResultSet::ResultSet(int width, int num_shards)
-    : width_(width),
-      striped_(num_shards > 1),
-      shards_(RoundUpPow2(num_shards)),
-      shard_mask_(shards_.size() - 1) {}
-
-size_t ResultSet::size() const {
-  size_t n = 0;
-  for (const Shard& s : shards_) n += s.count;
-  return n;
-}
-
-size_t ResultSet::bytes() const {
-  size_t b = 0;
-  for (const Shard& s : shards_) {
-    b += s.buffer.capacity() * sizeof(int32_t) +
-         s.table.capacity() * sizeof(uint32_t);
-  }
-  return b;
-}
-
-void ResultSet::Append(const int32_t* tuple) {
-  Shard& s = shards_[0];
-  // Append bypasses the dedup table and the stripe locks: mixing it with
-  // Insert() on one instance would hide duplicates from later Inserts, and
-  // appending into a striped (concurrent) set is a data race.
-  assert(!striped_ && s.table.empty() &&
-         "ResultSet::Append on a striped or deduplicating instance");
-  s.buffer.insert(s.buffer.end(), tuple, tuple + width_);
-  ++s.count;
-}
-
-uint64_t ResultSet::HashTuple(const int32_t* tuple) const {
-  return HashTupleOf(tuple, width_);
-}
-
-void ResultSet::GrowShardTable(Shard* shard, int width) {
-  size_t cap =
-      shard->table.empty() ? kInitialTableCap : shard->table.size() * 2;
-  std::vector<uint32_t> fresh(cap, 0);
-  const size_t mask = cap - 1;
-  for (uint32_t entry : shard->table) {
-    if (entry == 0) continue;
-    const int32_t* t =
-        shard->buffer.data() + static_cast<size_t>(entry - 1) * width;
-    size_t i = HashTupleOf(t, width) & mask;
-    while (fresh[i] != 0) i = (i + 1) & mask;
-    fresh[i] = entry;
-  }
-  shard->table = std::move(fresh);
-}
-
-bool ResultSet::InsertIntoShard(Shard* shard, const int32_t* tuple,
-                                uint64_t hash) {
-  // Grow at 50% load so probe chains stay short.
-  if (shard->table.empty() || (shard->count + 1) * 2 > shard->table.size()) {
-    GrowShardTable(shard, width_);
-  }
-  const size_t mask = shard->table.size() - 1;
-  size_t i = hash & mask;
-  while (true) {
-    uint32_t entry = shard->table[i];
-    if (entry == 0) {
-      shard->buffer.insert(shard->buffer.end(), tuple, tuple + width_);
-      ++shard->count;
-      shard->table[i] = static_cast<uint32_t>(shard->count);  // index + 1
-      return true;
-    }
-    const int32_t* stored =
-        shard->buffer.data() + static_cast<size_t>(entry - 1) * width_;
-    if (std::memcmp(stored, tuple, sizeof(int32_t) * static_cast<size_t>(
-                                       width_)) == 0) {
-      return false;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-bool ResultSet::Insert(const int32_t* tuple) {
-  uint64_t hash = HashTuple(tuple);
-  Shard& shard = shards_[hash & shard_mask_];
-  if (!striped_) return InsertIntoShard(&shard, tuple, hash);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return InsertIntoShard(&shard, tuple, hash);
-}
 
 std::vector<PosTuple> ResultSet::ToVector() const {
   std::vector<PosTuple> out;
@@ -119,23 +64,112 @@ std::vector<PosTuple> ResultSet::ToVector() const {
   return out;
 }
 
-void ResultSet::ExportSorted(std::vector<PosTuple>* out) const {
-  MergeSortedUnique({this}, out);
-}
-
 void ResultSet::MergeSortedUnique(const std::vector<const ResultSet*>& parts,
-                                  std::vector<PosTuple>* out) {
-  size_t total = 0;
-  for (const ResultSet* p : parts) total += p->size();
-  std::vector<PosTuple> all;
-  all.reserve(total);
+                                  ResultSet* out) {
+  size_t n = 0;
   for (const ResultSet* p : parts) {
-    p->ForEach([&](const int32_t* t) { all.emplace_back(t, t + p->width()); });
+    assert(p->width_ == out->width_ && "MergeSortedUnique: width mismatch");
+    n += p->size();
   }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  out->reserve(out->size() + all.size());
-  for (PosTuple& t : all) out->push_back(std::move(t));
+  if (n == 0) return;
+
+  // Column ranges over the data decide each column's bit width.
+  const size_t cols = static_cast<size_t>(out->width_);
+  std::vector<int32_t> lo(cols, std::numeric_limits<int32_t>::max());
+  std::vector<int32_t> hi(cols, std::numeric_limits<int32_t>::min());
+  for (const ResultSet* p : parts) {
+    p->ForEach([&](const int32_t* t) {
+      for (size_t c = 0; c < cols; ++c) {
+        lo[c] = std::min(lo[c], t[c]);
+        hi[c] = std::max(hi[c], t[c]);
+      }
+    });
+  }
+  // The last column takes the least significant bits, column 0 the most.
+  std::vector<Field> fields(cols);
+  int total_bits = 0;
+  for (size_t c = cols; c-- > 0;) {
+    Field& f = fields[c];
+    f.min = static_cast<uint32_t>(lo[c]);
+    f.bits = BitWidth(static_cast<uint32_t>(hi[c]) - f.min);
+    f.shift = total_bits;
+    total_bits += f.bits;
+  }
+  const size_t kw = std::max(1, (total_bits + 63) / 64);  // key words
+
+  // Pack.
+  std::vector<uint64_t> keys(n * kw, 0);
+  uint64_t* key = keys.data();
+  for (const ResultSet* p : parts) {
+    p->ForEach([&](const int32_t* t) {
+      for (size_t c = 0; c < cols; ++c) {
+        const Field& f = fields[c];
+        if (f.bits == 0) continue;
+        const uint64_t v = static_cast<uint32_t>(t[c]) - f.min;
+        const int w = f.shift / 64;
+        const int off = f.shift % 64;
+        key[w] |= v << off;
+        if (off + f.bits > 64) key[w + 1] |= v >> (64 - off);
+      }
+      key += kw;
+    });
+  }
+
+  // LSD radix sort; one histogram sweep counts every digit position.
+  const int passes = (total_bits + kDigitBits - 1) / kDigitBits;
+  std::vector<size_t> hist(static_cast<size_t>(passes) * kBuckets, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t* kp = keys.data() + i * kw;
+    for (int d = 0; d < passes; ++d) {
+      ++hist[static_cast<size_t>(d) * kBuckets + Digit(kp, kw, d)];
+    }
+  }
+  std::vector<uint64_t> scratch(n * kw);
+  for (int d = 0; d < passes; ++d) {
+    size_t* h = hist.data() + static_cast<size_t>(d) * kBuckets;
+    if (std::find(h, h + kBuckets, n) != h + kBuckets) continue;  // constant
+    size_t sum = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const size_t c = h[b];
+      h[b] = sum;
+      sum += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t* src = keys.data() + i * kw;
+      CopyKey(src, kw, scratch.data() + h[Digit(src, kw, d)]++ * kw);
+    }
+    keys.swap(scratch);
+  }
+
+  // Drop adjacent equal keys and unpack the rest into `out`.
+  size_t distinct = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t* src = keys.data() + i * kw;
+    if (distinct > 0 && KeysEqual(src, keys.data() + (distinct - 1) * kw, kw)) {
+      continue;
+    }
+    if (i != distinct) CopyKey(src, kw, keys.data() + distinct * kw);
+    ++distinct;
+  }
+  const size_t base = out->buffer_.size();
+  out->buffer_.resize(base + distinct * cols);
+  int32_t* t = out->buffer_.data() + base;
+  for (size_t i = 0; i < distinct; ++i, t += cols) {
+    const uint64_t* src = keys.data() + i * kw;
+    for (size_t c = 0; c < cols; ++c) {
+      const Field& f = fields[c];
+      uint64_t v = 0;
+      if (f.bits > 0) {
+        const int w = f.shift / 64;
+        const int off = f.shift % 64;
+        v = src[w] >> off;
+        if (off + f.bits > 64) v |= src[w + 1] << (64 - off);
+        v &= (uint64_t{1} << f.bits) - 1;
+      }
+      t[c] = static_cast<int32_t>(f.min + static_cast<uint32_t>(v));
+    }
+  }
+  out->count_ += distinct;
 }
 
 }  // namespace skinner

@@ -1,8 +1,8 @@
 #ifndef SKINNER_EXEC_RESULT_SET_H_
 #define SKINNER_EXEC_RESULT_SET_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace skinner {
@@ -12,97 +12,64 @@ using PosTuple = std::vector<int32_t>;
 
 /// Compact join-result accumulator shared by every engine (paper Figure 2:
 /// the join phase emits tuple-index vectors). Tuples are fixed-width
-/// int32_t position vectors stored back to back in a flat buffer — no
-/// per-tuple allocation, exact byte accounting, cache-friendly scans.
+/// int32_t position vectors stored back to back in a flat, append-only
+/// buffer — no per-tuple allocation, exact byte accounting, cache-friendly
+/// scans. A ResultSet never deduplicates on its own and is single-threaded.
 ///
-/// Two ingestion modes:
-///  - Append(): plain ordered append (Skinner-G/H commits, baselines,
-///    forced-order engines — each tuple is produced exactly once).
-///  - Insert(): append-if-absent via an open-addressing probe table over
-///    the buffer (Skinner-C, which may re-emit tuples when resuming from a
-///    shared-prefix frontier, paper 4.5).
-///
-/// Concurrency: construct with `num_shards > 1` and Insert() becomes
-/// thread-safe — tuples are routed by hash to one of `num_shards`
-/// sub-stores, each guarded by its own mutex (a striped lock), which is
-/// how parallel Skinner-C workers share one result set (paper 4.4).
-/// Append() and all readers are single-threaded by contract.
+/// Engines that produce each tuple exactly once (Skinner-G/H commits,
+/// baselines, forced-order engines) Append() straight into the output.
+/// Skinner-C may re-emit a tuple when it resumes from a shared-prefix
+/// frontier (paper 4.5) or when two workers cover overlapping work (4.4):
+/// each of its workers appends to a private buffer, duplicates included,
+/// and MergeSortedUnique() drops them once, at export.
 class ResultSet {
  public:
-  /// `width`: ints per tuple (= number of tables). `num_shards` must be a
-  /// power of two; shards beyond 1 enable the striped-lock Insert path.
-  explicit ResultSet(int width, int num_shards = 1);
+  /// `width`: ints per tuple (= number of tables).
+  explicit ResultSet(int width) : width_(width) {}
 
   int width() const { return width_; }
 
-  /// Total tuples stored (distinct tuples under Insert()).
-  size_t size() const;
+  /// Tuples stored, duplicates included.
+  size_t size() const { return count_; }
 
-  /// Exact heap footprint (buffers + probe tables).
-  size_t bytes() const;
+  /// Exact heap footprint of the tuple buffer.
+  size_t bytes() const { return buffer_.capacity() * sizeof(int32_t); }
 
-  /// Appends without dedup. Single-threaded.
-  void Append(const int32_t* tuple);
+  void Append(const int32_t* tuple) {
+    buffer_.insert(buffer_.end(), tuple, tuple + width_);
+    ++count_;
+  }
   void Append(const PosTuple& tuple) { Append(tuple.data()); }
 
-  /// Appends `tuple` unless an equal tuple is already stored; returns true
-  /// if the tuple was new. Thread-safe iff num_shards > 1.
-  bool Insert(const int32_t* tuple);
-  bool Insert(const PosTuple& tuple) { return Insert(tuple.data()); }
-
-  /// Visits every stored tuple as a const int32_t* of `width` ints, in
-  /// shard order (= insertion order for single-shard sets).
+  /// Visits every stored tuple, in append order, as a const int32_t* of
+  /// `width` ints.
   template <class Fn>
   void ForEach(Fn&& fn) const {
-    for (const Shard& s : shards_) {
-      for (size_t off = 0; off + static_cast<size_t>(width_) <= s.buffer.size();
-           off += static_cast<size_t>(width_)) {
-        fn(s.buffer.data() + off);
-      }
-    }
+    const int32_t* t = buffer_.data();
+    for (size_t i = 0; i < count_; ++i, t += width_) fn(t);
   }
 
   /// Materializes all tuples (ForEach order).
   std::vector<PosTuple> ToVector() const;
 
-  /// Appends all tuples to `out` in canonical (lexicographically sorted)
-  /// order — deterministic regardless of shard count or thread schedule.
-  /// Single-set shorthand for MergeSortedUnique, so the canonical-export
-  /// semantics live in exactly one place (duplicates, impossible on the
-  /// Insert-dedup sets this is called on, would be dropped).
-  void ExportSorted(std::vector<PosTuple>* out) const;
-
-  /// Merges several result sets into `out` in canonical sorted order,
-  /// dropping duplicates across (and within) the parts. This is the export
-  /// path for chunk-stealing parallel Skinner-C: each worker owns a private
-  /// unsynchronized result set (no locks on the emit hot path; per-worker
-  /// Insert() dedups locally), and cross-worker duplicates — one worker
-  /// re-emits a tuple another worker produced, e.g. after stealing a chunk
-  /// resumed from a shared-prefix frontier — are dropped here, so the
-  /// merged export is bit-identical for any thread count or schedule.
+  /// Appends the distinct tuples of all `parts` to `out` in canonical
+  /// (lexicographically sorted) order, so the export is the same for any
+  /// split of the tuples into parts and any order within them. Every part
+  /// and `out` must share one width.
+  ///
+  /// Each tuple is packed into a K-word integer key: column c keeps
+  /// bit_width(max_c - min_c) bits of (value - min_c), with column 0 in the
+  /// most significant bits, so integer order on keys is lexicographic
+  /// order on tuples. The keys are LSD-radix-sorted in 11-bit digits
+  /// (passes whose digit is the same for every key are skipped), adjacent
+  /// equal keys are dropped, and the rest are unpacked into `out`.
   static void MergeSortedUnique(const std::vector<const ResultSet*>& parts,
-                                std::vector<PosTuple>* out);
+                                ResultSet* out);
 
  private:
-  struct Shard {
-    std::vector<int32_t> buffer;   // width-strided tuples
-    std::vector<uint32_t> table;   // tuple index + 1; 0 = empty (Insert only)
-    size_t count = 0;
-    std::mutex mu;
-
-    Shard() = default;
-    Shard(const Shard&) = delete;
-    Shard& operator=(const Shard&) = delete;
-  };
-
-  uint64_t HashTuple(const int32_t* tuple) const;
-  bool InsertIntoShard(Shard* shard, const int32_t* tuple, uint64_t hash);
-  static void GrowShardTable(Shard* shard, int width);
-
   int width_;
-  bool striped_;  // lock shards on Insert
-  std::vector<Shard> shards_;
-  size_t shard_mask_;
+  size_t count_ = 0;
+  std::vector<int32_t> buffer_;  // width-strided tuples
 };
 
 }  // namespace skinner

@@ -32,7 +32,8 @@ class ProgressTree {
   /// exact stored state and all shared-prefix frontiers. Returns false if
   /// nothing is stored (fresh start). On a frontier-based resume the
   /// frontier combination itself is re-enumerated (its subtree was in
-  /// progress); the global result set deduplicates any re-emitted tuples.
+  /// progress); the export merge (ResultSet::MergeSortedUnique) drops
+  /// any re-emitted tuples.
   bool Restore(const std::vector<int>& order, JoinState* state) const;
 
   /// Number of trie nodes (paper Figure 8b).

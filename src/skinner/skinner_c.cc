@@ -13,10 +13,6 @@ UctOptions MakeUctOptions(const SkinnerCOptions& opts) {
   return u;
 }
 
-/// Result-set shards for the parallel striped-lock Insert path. More
-/// stripes than typical worker counts keeps contention negligible.
-constexpr int kParallelShards = 16;
-
 ThreadLease MaybeLease(const SkinnerCOptions& opts) {
   if (opts.scheduler == nullptr || opts.num_threads <= 1) return ThreadLease();
   return opts.scheduler->LeaseThreads(opts.num_threads);
@@ -37,8 +33,7 @@ SkinnerCEngine::SkinnerCEngine(const PreparedQuery* pq,
     : pq_(pq),
       lease_(MaybeLease(opts)),
       opts_(ClampToLease(opts, lease_)),
-      uct_(&pq->info(), MakeUctOptions(opts)),
-      result_(pq->num_tables(), opts_.num_threads > 1 ? kParallelShards : 1) {
+      uct_(&pq->info(), MakeUctOptions(opts)) {
   if (opts_.warm_start_order.size() ==
       static_cast<size_t>(pq->num_tables())) {
     uct_.SeedPriors(opts_.warm_start_order, opts_.warm_start_visits,
@@ -185,7 +180,7 @@ void SkinnerCEngine::RunWorkerSlice(Worker* w, const std::vector<int>& order) {
 
   JoinLoopExit exit = MultiwayJoinLoop(
       cursor, order, spec, &state, &w->loop_stats,
-      [&](const PosTuple& tuple) { result_.Insert(tuple); },
+      [&](const PosTuple& tuple) { w->local.Append(tuple); },
       [&](int64_t p) {
         int64_t& off = w->offset[static_cast<size_t>(t0)];
         off = std::max(off, p);
@@ -338,7 +333,7 @@ double SkinnerCEngine::RunChunk(Worker* w, const std::vector<int>& order,
   const uint64_t steps_before = w->loop_stats.steps;
   JoinLoopExit exit = MultiwayJoinLoop(
       cursor, order, spec, &state, &w->loop_stats,
-      [&](const PosTuple& tuple) { w->local.Insert(tuple); },
+      [&](const PosTuple& tuple) { w->local.Append(tuple); },
       [&](int64_t p) { shared_->Publish(t0, chunk_id, p); });
   const uint64_t chunk_steps = w->loop_stats.steps - steps_before;
   *budget_left -= static_cast<int64_t>(chunk_steps);
@@ -396,7 +391,7 @@ size_t SkinnerCEngine::AuxiliaryBytes() const {
   size_t progress_nodes = 0;
   for (const auto& w : workers_) progress_nodes += w->progress.num_nodes();
   if (shared_ != nullptr) progress_nodes += shared_->num_progress_nodes();
-  size_t result_bytes = result_.bytes();
+  size_t result_bytes = 0;
   for (const auto& w : workers_) result_bytes += w->local.bytes();
   return result_bytes +
          progress_nodes * (sizeof(void*) * 4 + sizeof(int64_t) * m / 2) +
@@ -538,22 +533,21 @@ Status SkinnerCEngine::Run(ResultSet* out) {
   }
   stats_.final_order = uct_.BestOrder();
 
-  // Canonical export: sorted position tuples, so the emitted rows are
-  // bit-identical regardless of thread count, parallel mode, shard layout,
-  // or thread schedule. Under stealing each worker owns a private result
-  // set, so cross-worker duplicates are dropped during the merge here.
-  std::vector<PosTuple> sorted;
-  if (stealing()) {
-    std::vector<const ResultSet*> parts;
-    parts.reserve(workers_.size());
-    for (const auto& w : workers_) parts.push_back(&w->local);
-    ResultSet::MergeSortedUnique(parts, &sorted);
-  } else {
-    result_.ExportSorted(&sorted);
+  // Canonical export: the workers' buffers hold every emitted tuple,
+  // re-emits included; the merge drops the duplicates and sorts, so the
+  // rows are bit-identical regardless of thread count, parallel mode, or
+  // thread schedule.
+  std::vector<const ResultSet*> parts;
+  parts.reserve(workers_.size());
+  stats_.emitted_tuples = 0;
+  for (const auto& w : workers_) {
+    parts.push_back(&w->local);
+    stats_.emitted_tuples += w->local.size();
   }
-  stats_.result_tuples = sorted.size();
+  const size_t before = out->size();
+  ResultSet::MergeSortedUnique(parts, out);
+  stats_.result_tuples = out->size() - before;
   stats_.auxiliary_bytes = AuxiliaryBytes();
-  for (const PosTuple& t : sorted) out->Append(t);
   return Status::OK();
 }
 

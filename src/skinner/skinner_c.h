@@ -111,7 +111,12 @@ struct SkinnerCStats {
   uint64_t slices = 0;
   size_t uct_nodes = 0;
   size_t progress_nodes = 0;
+  /// Distinct result tuples exported.
   uint64_t result_tuples = 0;
+  /// Tuples the workers emitted before the export merge, duplicates
+  /// included (re-emits after resuming from a shared-prefix frontier or
+  /// across workers); emitted_tuples - result_tuples were dropped there.
+  uint64_t emitted_tuples = 0;
   /// Accumulated intermediate tuples produced (C_out actually paid),
   /// comparable to the traditional engines' counter (paper Tables 1/2).
   uint64_t intermediate_tuples = 0;
@@ -129,8 +134,9 @@ struct SkinnerCStats {
   std::vector<std::pair<uint64_t, size_t>> tree_growth;
   /// Slice count per distinct join order chosen; trace only.
   std::map<std::vector<int>, uint64_t> order_selections;
-  /// Bytes held in result set (exact — the flat ResultSet tracks its own
-  /// footprint) plus estimated progress-tree and UCT-tree node costs.
+  /// Bytes held in the workers' result buffers (exact — the flat
+  /// ResultSet tracks its own footprint) plus estimated progress-tree and
+  /// UCT-tree node costs.
   size_t auxiliary_bytes = 0;
   /// Per-slice auxiliary_bytes samples (trace only). Monotone
   /// non-decreasing: all three structures are append-only.
@@ -152,9 +158,11 @@ class SkinnerCEngine {
   SkinnerCEngine(const SkinnerCEngine&) = delete;
   SkinnerCEngine& operator=(const SkinnerCEngine&) = delete;
 
-  /// Runs to completion (or deadline); appends result position tuples in
-  /// canonical (lexicographically sorted) order — bit-identical for any
-  /// num_threads, parallel mode, or thread schedule.
+  /// Runs to completion (or deadline); appends the distinct result
+  /// position tuples in canonical (lexicographically sorted) order —
+  /// bit-identical for any num_threads, parallel mode, or thread schedule.
+  /// Workers append every emitted tuple to private buffers without dedup;
+  /// ResultSet::MergeSortedUnique drops the duplicates once, at export.
   Status Run(ResultSet* out);
 
   const SkinnerCStats& stats() const { return stats_; }
@@ -165,7 +173,7 @@ class SkinnerCEngine {
   /// members carry per-worker state for the sequential and static-stripe
   /// paths; under chunk stealing the equivalent state lives per chunk in
   /// the shared board and workers keep only cursors, clock, and the
-  /// private result sink.
+  /// private result buffer.
   struct Worker {
     int id = 0;
     std::vector<int64_t> stripe_lo;  // per table
@@ -178,8 +186,8 @@ class SkinnerCEngine {
     JoinLoopStats loop_stats;
     double slice_reward = 0;
     bool slice_done = false;
-    /// Chunk stealing: worker-private result sink (no locks on the emit
-    /// path); merged sorted-unique across workers at export.
+    /// Worker-private, append-only result buffer (no locks and no dedup on
+    /// the emit path); merged sorted-unique across workers at export.
     ResultSet local;
 
     explicit Worker(int num_tables)
@@ -270,7 +278,6 @@ class SkinnerCEngine {
   ThreadLease lease_;
   SkinnerCOptions opts_;
   JoinOrderUct uct_;
-  ResultSet result_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<int64_t> zero_lower_;  // descend lower bounds when T > 1
   SkinnerCStats stats_;

@@ -3,7 +3,7 @@
 // the canonical (sorted) tuple export is bit-identical and result_tuples
 // agrees — on adversarial torture-generator workloads. Runs under the
 // ThreadSanitizer CI job, which exercises the per-slice barrier, the
-// striped-lock result set, and the per-worker clocks for races.
+// per-worker result buffers, and the per-worker clocks for races.
 
 #include <gtest/gtest.h>
 
