@@ -1,20 +1,18 @@
-// Microbenchmark for the vectorized HashIndex probe path (ROADMAP item 2,
-// paper Section 4.5: the execution core must be "as fast as the hardware
-// allows" for learning overhead to stay negligible):
-//  (a) single-key scalar Find() vs FindBatch() probes/sec on a cache-cold
-//      index over uniform random keys, under both dispatch levels.
-//      The scalar baseline models the join step loop's access pattern —
-//      each probe key is produced from the previous probe's postings, a
-//      dependent chain — while FindBatch probes a candidate window whose
-//      keys are known up front, winning on memory-level parallelism (32
-//      hashed probes prefetched ahead of resolution) plus the AVX2 16-tag
-//      group scan. An independent-key scalar loop (out-of-order execution
+// Microbenchmark for the batched HashIndex probe path (paper Section 4.5:
+// the execution core must be "as fast as the hardware allows" for learning
+// overhead to stay negligible):
+//  (a) single-key Find() vs FindBatch() probes/sec on a cache-cold index
+//      over uniform random keys. The Find() baseline models the join step
+//      loop's access pattern — each probe key is produced from the
+//      previous probe's postings, a dependent chain — while FindBatch
+//      probes a candidate window whose keys are known up front, winning on
+//      memory-level parallelism (32 hashed probes prefetched ahead of
+//      resolution). An independent-key Find() loop (out-of-order execution
 //      overlapping probes on its own) is also reported for transparency;
 //  (b) adaptive chunk splitting on a Zipf-skewed parallel query: the
-//      number of publication-board splits the skew triggers (PR 3 TODO,
-//      completed this PR).
+//      number of publication-board splits the skew triggers.
 //
-// Every path must produce the identical checksum: the SIMD tier is never
+// Every path must produce the identical checksum: batching is never
 // allowed to be observable in results, only in wall time.
 //
 // CI-gated via RESULT metrics (bench/compare_benchmarks.py):
@@ -34,7 +32,6 @@
 
 #include "api/database.h"
 #include "benchgen/runner.h"
-#include "common/simd.h"
 #include "common/str_util.h"
 #include "exec/prepared_query.h"
 
@@ -116,9 +113,7 @@ ProbeRate MeasureScalarIndependent(const HashIndex& idx,
 }
 
 ProbeRate MeasureBatch(const HashIndex& idx,
-                       const std::vector<uint64_t>& probes, int rounds,
-                       SimdLevel level) {
-  ForceSimdLevel(level);
+                       const std::vector<uint64_t>& probes, int rounds) {
   constexpr size_t kChunk = 1024;
   std::vector<HashIndex::Postings> out_buf(kChunk);
   ProbeRate out;
@@ -131,7 +126,6 @@ ProbeRate MeasureBatch(const HashIndex& idx,
     }
   }
   double secs = NowSeconds() - t0;
-  ResetSimdLevel();
   out.mprobes_per_sec =
       static_cast<double>(probes.size()) * rounds / secs / 1e6;
   return out;
@@ -176,10 +170,7 @@ void BuildZipfDb(Database* db, int m, int64_t rows, int64_t domain, double s,
 }  // namespace
 
 int main() {
-  std::printf("bench_probe: vectorized HashIndex probe path\n");
-  std::printf("simd: compiled_avx2=%d cpu_avx2=%d active=%s\n",
-              SKINNER_HAVE_AVX2, Avx2Supported() ? 1 : 0,
-              SimdLevelName(ActiveSimdLevel()));
+  std::printf("bench_probe: batched HashIndex probe path\n");
 
   // (a) Cache-cold probe rates: 1M distinct keys -> a 2M-slot table
   // (~38 MiB of slots+tags+arena), straddling the LLC, probed with
@@ -209,34 +200,29 @@ int main() {
 
   ProbeRate scalar = MeasureScalarChained(idx, probes, kRounds);
   ProbeRate scalar_indep = MeasureScalarIndependent(idx, probes, kRounds);
-  ProbeRate batch_scalar =
-      MeasureBatch(idx, probes, kRounds, SimdLevel::kScalar);
-  ProbeRate batch_simd = MeasureBatch(idx, probes, kRounds, SimdLevel::kAvx2);
+  ProbeRate batch = MeasureBatch(idx, probes, kRounds);
 
-  TablePrinter rates({"Path", "Mprobes/s", "vs scalar Find"});
+  TablePrinter rates({"Path", "Mprobes/s", "vs chained Find"});
   auto row = [&](const char* name, const ProbeRate& r) {
     rates.AddRow({name, StrFormat("%.2f", r.mprobes_per_sec),
                   StrFormat("%.2fx",
                             r.mprobes_per_sec / scalar.mprobes_per_sec)});
   };
-  row("Find (scalar, step-loop chain)", scalar);
-  row("Find (scalar, independent keys)", scalar_indep);
-  row("FindBatch (scalar tier)", batch_scalar);
-  row("FindBatch (active tier)", batch_simd);
+  row("Find (step-loop chain)", scalar);
+  row("Find (independent keys)", scalar_indep);
+  row("FindBatch", batch);
   rates.Print();
 
-  bool checksums_ok = scalar.checksum == batch_scalar.checksum &&
-                      scalar.checksum == batch_simd.checksum &&
+  bool checksums_ok = scalar.checksum == batch.checksum &&
                       scalar.checksum == scalar_indep.checksum;
-  std::printf("checksums: scalar=%llu batch_scalar=%llu batch_simd=%llu %s\n",
+  std::printf("checksums: find=%llu batch=%llu %s\n",
               static_cast<unsigned long long>(scalar.checksum),
-              static_cast<unsigned long long>(batch_scalar.checksum),
-              static_cast<unsigned long long>(batch_simd.checksum),
+              static_cast<unsigned long long>(batch.checksum),
               checksums_ok ? "(identical)" : "(MISMATCH)");
 
-  double batch_ratio = batch_simd.mprobes_per_sec / scalar.mprobes_per_sec;
+  double batch_ratio = batch.mprobes_per_sec / scalar.mprobes_per_sec;
   double batch_vs_independent =
-      batch_simd.mprobes_per_sec / scalar_indep.mprobes_per_sec;
+      batch.mprobes_per_sec / scalar_indep.mprobes_per_sec;
 
   // (b) Adaptive chunk splitting on a skewed 4-worker parallel query.
   Database db;
@@ -245,7 +231,6 @@ int main() {
   ExecOptions opts;
   opts.engine = EngineKind::kSkinnerC;
   opts.skinner_threads = 4;
-  opts.skinner_parallel_mode = ParallelMode::kChunkStealing;
   uint64_t chunk_splits = 0;
   uint64_t skew_cost = 0;
   auto out = db.Query(
@@ -267,11 +252,9 @@ int main() {
               batch_ratio, batch_vs_independent);
   std::printf("RESULT bench_probe scalar_mprobes_per_sec=%.2f "
               "scalar_independent_mprobes_per_sec=%.2f "
-              "batch_scalar_mprobes_per_sec=%.2f "
-              "batch_simd_mprobes_per_sec=%.2f batch_vs_scalar_ratio=%.2f\n",
+              "batch_mprobes_per_sec=%.2f batch_vs_scalar_ratio=%.2f\n",
               scalar.mprobes_per_sec, scalar_indep.mprobes_per_sec,
-              batch_scalar.mprobes_per_sec, batch_simd.mprobes_per_sec,
-              batch_ratio);
+              batch.mprobes_per_sec, batch_ratio);
   std::printf("RESULT bench_probe chunk_splits=%llu\n",
               static_cast<unsigned long long>(chunk_splits));
 

@@ -52,10 +52,6 @@ struct ExecOptions {
   /// pieces of the leftmost table's range executed under one shared UCT
   /// tree. 1 = sequential.
   int skinner_threads = 1;
-  /// Work distribution for skinner_threads > 1: dynamic chunk queue with
-  /// work stealing + shared offset publication (default), or the static
-  /// per-table stripes kept as the regression/benchmark baseline.
-  ParallelMode skinner_parallel_mode = ParallelMode::kChunkStealing;
 
   // Skinner-G / Skinner-H.
   int batches_per_table = 10;

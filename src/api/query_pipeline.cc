@@ -177,7 +177,6 @@ Result<ExecutedStage> QueryPipeline::Execute(const PreparedStage& prep,
       so.deadline = opts.deadline;
       so.collect_trace = opts.collect_trace;
       so.num_threads = opts.skinner_threads;
-      so.parallel_mode = opts.skinner_parallel_mode;
       so.scheduler = EffectiveScheduler(opts);
       so.warm_start_order = prep.warm_order;
       SkinnerCEngine engine(pq, so);

@@ -130,7 +130,9 @@ class JoinCursor {
   /// only ever compared by key, and key -> postings is immutable, so
   /// leftover entries from an earlier window are harmless.
   struct Lookahead {
-    static constexpr size_t kWay = HashIndex::kGroupWidth;
+    /// Candidates batch-probed per window. Must be a power of two: scan
+    /// paths refill the lookahead at window-aligned positions.
+    static constexpr size_t kWay = 16;
     struct Entry {
       uint64_t key;
       HashIndex::Postings postings;
@@ -165,8 +167,7 @@ class JoinCursor {
 /// (skinner/progress.h owns the writable side). The join loop consults
 /// the view on every descend so any worker can skip position ranges that
 /// any worker — itself included — has already exhausted, instead of
-/// rescanning from offset 0 (the T>1 regression of the static-stripe
-/// design).
+/// rescanning from offset 0.
 ///
 /// The view is two position-sorted parallel arrays: `lo[k]` is chunk k's
 /// first position (lo[0] == 0, chunks tile [0, cardinality)), and
@@ -219,7 +220,8 @@ enum class JoinLoopExit {
 /// success, backtrack on exhaustion (paper 4.5, Algorithm 3's inner loop).
 struct MultiwayJoinSpec {
   /// Leftmost table range end: positions of order[0] in [state.pos[0],
-  /// left_to) are processed. Parallel Skinner-C gives each worker a stripe.
+  /// left_to) are processed. Parallel Skinner-C passes the end of the
+  /// worker's claimed chunk.
   int64_t left_to = 0;
   /// Per-table (table-indexed) lower bounds for descend targets: depth d>0
   /// starts at FirstCandidate(d, lower[order[d]]). nullptr = all zeros.
@@ -280,8 +282,8 @@ JoinLoopExit MultiwayJoinLoop(JoinCursor* cursor, const std::vector<int>& order,
   // Bumps a depth-d candidate past published fully-joined ranges: every
   // result tuple using such a position was already emitted when its table
   // ran as a leftmost, so re-enumerating it can only produce duplicates.
-  // No-op at depth 0, where the caller's chunk/stripe claim bounds the
-  // range, and when no publication board is attached.
+  // No-op at depth 0, where the caller's chunk claim bounds the range,
+  // and when no publication board is attached.
   auto skip_published = [&](int d, int64_t cand) -> int64_t {
     if (spec.published == nullptr || d == 0) return cand;
     const PublishedOffsets& pub =

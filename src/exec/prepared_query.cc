@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#if SKINNER_HAVE_AVX2
-#include <immintrin.h>
-#endif
-
 #include "common/hash_util.h"
 #include "common/scheduler.h"
 
@@ -64,7 +60,7 @@ void HashIndex::Build(Scheduler* sched, int max_threads) {
   while (cap < staged_.size() * 2) cap <<= 1;
   mask_ = cap - 1;
   slots_.assign(cap, Slot{});
-  tags_.assign(cap + kGroupWidth, 0);
+  tags_.assign(cap, 0);
 
   // The algorithm is chosen by the data alone: worker count must never
   // leak into the frozen layout (bit-identity across thread counts).
@@ -73,13 +69,6 @@ void HashIndex::Build(Scheduler* sched, int max_threads) {
     BuildPartitioned(cap, parts, sched, max_threads);
   } else {
     BuildSequential();
-  }
-
-  // Mirror the first probe group past the end so an unaligned 16-byte tag
-  // load starting anywhere in [0, cap) never reads uninitialized bytes and
-  // sees exactly the wrapped-around tag sequence.
-  for (size_t i = 0; i < kGroupWidth; ++i) {
-    tags_[cap + i] = tags_[i];
   }
 #ifndef NDEBUG
   // Swiss-table invariants, independent of which build path ran: the load
@@ -320,60 +309,11 @@ uint64_t HashIndex::Fingerprint() const {
   for (const int32_t v : arena_) {
     mix(static_cast<uint64_t>(static_cast<uint32_t>(v)));
   }
-  // Tags are derived from the slots, but hash them anyway: the mirror
-  // bytes and the probe path both read them, so a corrupt tag array must
-  // not fingerprint as identical.
+  // Tags are derived from the slots, but hash them anyway: the probe path
+  // reads them, so a corrupt tag array must not fingerprint as identical.
   for (const uint8_t t : tags_) mix(t);
   return h;
 }
-
-#if SKINNER_HAVE_AVX2
-
-__attribute__((target("avx2"))) HashIndex::Postings HashIndex::FindAvx2(
-    uint64_t key, uint64_t h) const {
-  // Group-of-16 scan over the tag array. Candidates within a group are
-  // resolved in ascending probe order and the scan stops at the first
-  // empty tag, so the visited-candidate sequence is exactly the scalar
-  // linear probe's — the two paths return bit-identical results.
-  const __m128i needle = _mm_set1_epi8(static_cast<char>(TagOf(h)));
-  const __m128i zero = _mm_setzero_si128();
-  size_t i = h & mask_;
-#ifndef NDEBUG
-  size_t probes = 0;
-#endif
-  while (true) {
-    // The mirror bytes past tags_[cap] make this unaligned load safe and
-    // wraparound-correct for any start position in [0, cap).
-    const __m128i group = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(tags_.data() + i));
-    unsigned match = static_cast<unsigned>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(group, needle)));
-    const unsigned empty = static_cast<unsigned>(
-        _mm_movemask_epi8(_mm_cmpeq_epi8(group, zero)));
-    if (empty != 0) {
-      // Only candidates strictly before the first empty tag belong to this
-      // key's probe chain.
-      match &= (empty & (0u - empty)) - 1u;
-    }
-    while (match != 0) {
-      const unsigned j = static_cast<unsigned>(__builtin_ctz(match));
-      const size_t slot = (i + j) & mask_;
-      const Slot& s = slots_[slot];
-      if (s.key == key) return {arena_.data() + s.offset, s.len};
-      match &= match - 1;
-    }
-    if (empty != 0) return {};
-    i = (i + kGroupWidth) & mask_;
-#ifndef NDEBUG
-    probes += kGroupWidth;
-    assert(probes <= slots_.size() + kGroupWidth &&
-           "HashIndex::FindAvx2 probed every slot: load-factor invariant "
-           "broken (table over-full)");
-#endif
-  }
-}
-
-#endif  // SKINNER_HAVE_AVX2
 
 namespace {
 /// Batch-kernel prefetch distance: hashing + tag/slot prefetching runs
@@ -388,14 +328,13 @@ namespace {
 constexpr size_t kPrefetchDist = 32;
 }  // namespace
 
-// NOTE: FindBatchScalar and FindBatchAvx2 are line-for-line twins of one
-// software pipeline, kept textually duplicated because GCC will not
-// inline across target("avx2")/baseline-ISA boundaries — a shared helper
-// would reintroduce a per-key out-of-line call in one kernel or the
-// other. Keep the two loops in sync.
-
-void HashIndex::FindBatchScalar(const uint64_t* keys, size_t n,
-                                Postings* out) const {
+void HashIndex::FindBatch(const uint64_t* keys, size_t n,
+                          Postings* out) const {
+  assert(built_ && "HashIndex::FindBatch before Build() misses every key");
+  if (slots_.empty()) {
+    for (size_t i = 0; i < n; ++i) out[i] = {};
+    return;
+  }
   uint64_t hashes[kPrefetchDist];
   const size_t lead = n < kPrefetchDist ? n : kPrefetchDist;
   for (size_t i = 0; i < lead; ++i) {
@@ -422,57 +361,6 @@ void HashIndex::FindBatchScalar(const uint64_t* keys, size_t n,
     if (p.data != nullptr) __builtin_prefetch(p.data, 0, 1);
     out[i] = p;
   }
-}
-
-#if SKINNER_HAVE_AVX2
-
-__attribute__((target("avx2"))) void HashIndex::FindBatchAvx2(
-    const uint64_t* keys, size_t n, Postings* out) const {
-  uint64_t hashes[kPrefetchDist];
-  const size_t lead = n < kPrefetchDist ? n : kPrefetchDist;
-  for (size_t i = 0; i < lead; ++i) {
-    const uint64_t h = HashMix64(keys[i]);
-    hashes[i] = h;
-    const size_t s = h & mask_;
-    __builtin_prefetch(tags_.data() + s, 0, 1);
-    __builtin_prefetch(slots_.data() + s, 0, 1);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    // Read the current probe's hash BEFORE the ahead-write: slot i of the
-    // ring is exactly the slot probe i + kPrefetchDist re-fills.
-    const uint64_t h = hashes[i & (kPrefetchDist - 1)];
-    const size_t ahead = i + kPrefetchDist;
-    if (ahead < n) {
-      const uint64_t ha = HashMix64(keys[ahead]);
-      hashes[ahead & (kPrefetchDist - 1)] = ha;
-      const size_t s = ha & mask_;
-      __builtin_prefetch(tags_.data() + s, 0, 1);
-      __builtin_prefetch(slots_.data() + s, 0, 1);
-    }
-    // Same target => the compiler inlines the group scan into the loop.
-    const Postings p = FindAvx2(keys[i], h);
-    // Prefetch the postings head for the caller's binary-search jump.
-    if (p.data != nullptr) __builtin_prefetch(p.data, 0, 1);
-    out[i] = p;
-  }
-}
-
-#endif  // SKINNER_HAVE_AVX2
-
-void HashIndex::FindBatch(const uint64_t* keys, size_t n,
-                          Postings* out) const {
-  assert(built_ && "HashIndex::FindBatch before Build() misses every key");
-  if (slots_.empty()) {
-    for (size_t i = 0; i < n; ++i) out[i] = {};
-    return;
-  }
-#if SKINNER_HAVE_AVX2
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    FindBatchAvx2(keys, n, out);
-    return;
-  }
-#endif
-  FindBatchScalar(keys, n, out);
 }
 
 namespace {

@@ -9,7 +9,6 @@
 
 #include "common/clock.h"
 #include "common/hash_util.h"
-#include "common/simd.h"
 #include "common/status.h"
 #include "expr/eval.h"
 #include "query/query_info.h"
@@ -106,11 +105,10 @@ class StagingShard {
 /// len} payload slots, over a single postings arena holding every key's
 /// ascending position run contiguously. The split layout keeps the probe
 /// path touching one dense byte per rejected slot instead of a 16-byte
-/// payload, and lets FindBatch() compare 16 tags per AVX2 step (scalar
-/// fallback selected at runtime; see common/simd.h). Compared to a
-/// node-based map of vectors this is one cache miss per probe,
-/// allocation-free after Build(), and safely shareable read-only across
-/// engines and worker threads.
+/// payload, and FindBatch() pipelines many keys' probes so their cache
+/// misses overlap. Compared to a node-based map of vectors this is one
+/// cache miss per probe, allocation-free after Build(), and safely
+/// shareable read-only across engines and worker threads.
 ///
 /// Load factor: Build() sizes the table to the next power of two holding
 /// the staged pairs at <= kMaxLoadPercent occupancy, so probe chains stay
@@ -119,10 +117,6 @@ class StagingShard {
 /// probe counter never exceeds the capacity).
 class HashIndex {
  public:
-  /// Tags compared per probe group; AVX2 does one group per step. The tag
-  /// array carries kGroupWidth mirrored bytes past the end so unaligned
-  /// group loads never wrap mid-load.
-  static constexpr size_t kGroupWidth = 16;
   /// Maximum occupancy enforced by Build(): capacity is at least twice the
   /// staged pair count (distinct keys <= pairs), i.e. load <= 50%.
   static constexpr size_t kMaxLoadPercent = 50;
@@ -168,22 +162,20 @@ class HashIndex {
   /// runs the same algorithm inline). Output is bit-identical to Build().
   void Build(Scheduler* sched, int max_threads);
 
-  /// The ascending position run for `key` (empty if no match). A thin
-  /// wrapper over the single-key scalar probe — exact pre-vectorization
-  /// semantics; the batch entry point is FindBatch().
+  /// The ascending position run for `key` (empty if no match). The
+  /// single-key probe; the batch entry point is FindBatch().
   Postings Find(uint64_t key) const {
     assert(built_ && "HashIndex::Find before Build() misses every key");
     if (slots_.empty()) return {};
     return FindHashed(key, HashMix64(key));
   }
 
-  /// Batch probe: out[i] = Find(keys[i]) for i in [0, n). Processes keys
-  /// in groups: hashes and prefetches a whole group's tag/slot lines first
-  /// (overlapping the cache misses that bound single-key probe latency),
-  /// then resolves each probe with 16-tag-per-step AVX2 compares when the
-  /// runtime dispatch allows (common/simd.h; scalar fallback otherwise),
-  /// prefetching each hit's postings head for the caller's binary-search
-  /// jump. Results are bit-identical to per-key Find() on either path.
+  /// Batch probe: out[i] = Find(keys[i]) for i in [0, n). A software
+  /// pipeline: hashing and tag/slot prefetching run a fixed distance ahead
+  /// of resolution (overlapping the cache misses that bound single-key
+  /// probe latency), and each hit's postings head is prefetched for the
+  /// caller's binary-search jump. Results are bit-identical to per-key
+  /// Find().
   void FindBatch(const uint64_t* keys, size_t n, Postings* out) const;
 
   size_t num_keys() const { return num_keys_; }
@@ -220,10 +212,9 @@ class HashIndex {
     return static_cast<uint8_t>(0x80u | (h >> 57));
   }
 
-  /// Scalar single-key probe with a precomputed hash. The probe sequence
-  /// (linear from h & mask) is shared by every path — scalar, AVX2 group
-  /// scan, and Build()'s insertion — which is what makes the tag filter a
-  /// pure accelerator with identical results.
+  /// Single-key probe with a precomputed hash. The probe sequence (linear
+  /// from h & mask) is shared with Build()'s insertion, which is what makes
+  /// the tag filter a pure accelerator with identical results.
   Postings FindHashed(uint64_t key, uint64_t h) const {
     const uint8_t tag = TagOf(h);
     size_t i = h & mask_;
@@ -247,19 +238,6 @@ class HashIndex {
     }
   }
 
-#if SKINNER_HAVE_AVX2
-  /// AVX2 group probe: compares kGroupWidth tags per step. Defined in the
-  /// .cc behind a function-level target("avx2") attribute; only called
-  /// when runtime dispatch reports AVX2.
-  Postings FindAvx2(uint64_t key, uint64_t h) const;
-  /// Whole-batch AVX2 kernel (target("avx2") in the .cc): the software
-  /// pipeline of FindBatchScalar with the group scan inlined — one
-  /// dispatch decision per batch, zero per-key call overhead.
-  void FindBatchAvx2(const uint64_t* keys, size_t n, Postings* out) const;
-#endif
-  /// Portable whole-batch kernel (the dispatch fallback).
-  void FindBatchScalar(const uint64_t* keys, size_t n, Postings* out) const;
-
   /// Slots per home-slot partition of the partitioned build; the staged
   /// stream is routed by home slot / kPartitionSlots. Chosen so one
   /// partition's slot+tag region (~64 KiB slots + 4 KiB tags) stays
@@ -281,7 +259,7 @@ class HashIndex {
 
   StagingShard staged_;  // released by Build()
   std::vector<Slot> slots_;
-  std::vector<uint8_t> tags_;  // num_slots + kGroupWidth mirrored bytes
+  std::vector<uint8_t> tags_;  // one per slot
   std::vector<int32_t> arena_;
   size_t mask_ = 0;
   size_t num_keys_ = 0;

@@ -101,10 +101,18 @@ void TcpServer::ClientLoop(int fd) {
     return;
   }
   std::string buffer;
+  size_t scanned = 0;  // prefix of `buffer` known to hold no '\n'
   char chunk[4096];
   while (true) {
-    size_t nl = buffer.find('\n');
+    const size_t nl = buffer.find('\n', scanned);
+    const size_t line_len = nl == std::string::npos ? buffer.size() : nl;
+    if (line_len > kMaxLineBytes) {
+      WriteAll(fd, "ERR INVALID line exceeds " +
+                       std::to_string(kMaxLineBytes) + " bytes\n");
+      break;
+    }
     if (nl == std::string::npos) {
+      scanned = buffer.size();
       ssize_t n = ::read(fd, chunk, sizeof(chunk));
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;  // disconnect or shutdown
@@ -113,6 +121,7 @@ void TcpServer::ClientLoop(int fd) {
     }
     std::string line = buffer.substr(0, nl);
     buffer.erase(0, nl + 1);
+    scanned = 0;
     ServerResponse resp = conn.value()->HandleLine(line);
     if (!WriteAll(fd, resp.text)) break;
     if (resp.shutdown) {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -24,6 +25,12 @@ namespace skinner {
 /// Shutdown().
 class TcpServer {
  public:
+  /// Longest request line accepted, newline excluded. A connection that
+  /// sends more without a newline gets `ERR INVALID line exceeds <N>
+  /// bytes` and is closed, so one client cannot grow the server's memory
+  /// without bound.
+  static constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
   explicit TcpServer(ServerCore* core);
   ~TcpServer();
   TcpServer(const TcpServer&) = delete;

@@ -59,12 +59,11 @@ class ProgressTree {
 };
 
 /// Shared work-distribution and offset-publication board for parallel
-/// Skinner-C (replaces PR 2's static stripes). Every table's filtered
-/// position range [0, cardinality) is cut into chunks — the units of
-/// leftmost-table work that workers claim and steal. The layout is ragged:
-/// chunks start uniform, but SplitChunk() subdivides a skew-dominated
-/// chunk's remaining range in place, so one hot chunk stops serializing
-/// the endgame of a query. Per chunk it tracks:
+/// Skinner-C. Every table's filtered position range [0, cardinality) is cut
+/// into chunks — the units of leftmost-table work that workers claim and
+/// steal. The layout is ragged: chunks start uniform, but SplitChunk()
+/// subdivides a skew-dominated chunk's remaining range in place, so one hot
+/// chunk stops serializing the endgame of a query. Per chunk it tracks:
 ///  - an atomic completed offset ("first position not yet fully joined"),
 ///    published by whichever worker ran the chunk and exported read-only to
 ///    the join loop through engine PublishedOffsets views, so ANY worker's

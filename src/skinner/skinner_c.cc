@@ -5,6 +5,29 @@
 namespace skinner {
 
 namespace {
+/// Chunk granularity for T>1: each table is cut into about
+/// kChunksPerThread * num_threads chunks...
+constexpr int kChunksPerThread = 8;
+/// ...but never into chunks smaller than this many positions, so claim
+/// and publication overhead stays negligible per chunk.
+constexpr int64_t kMinChunkRows = 16;
+/// Claim window: each slice serves at most kClaimWindowPerWorker *
+/// num_threads incomplete chunks, taken in position order from the table's
+/// completion frontier. Serving from the frontier keeps the published
+/// completed prefix contiguous (so other orders' descents skip it) and
+/// preserves the sequential engine's learning signal: a freshly explored
+/// leftmost table must grind its frontier — on skew, the expensive front —
+/// instead of harvesting easy rewards from cheap chunks anywhere in the
+/// table, which made UCT flip between leftmost tables and re-derive every
+/// table's expensive region.
+constexpr size_t kClaimWindowPerWorker = 2;
+/// Warm-start prior strength: the hinted order behaves like
+/// kWarmStartVisits slices of reward kWarmStartReward already run. The
+/// reward is deliberately tiny (the scale of real per-slice progress
+/// rewards) so genuine rewards dominate quickly.
+constexpr int64_t kWarmStartVisits = 2;
+constexpr double kWarmStartReward = 1e-3;
+
 UctOptions MakeUctOptions(const SkinnerCOptions& opts) {
   UctOptions u;
   u.explore_weight = opts.uct_weight;
@@ -36,8 +59,8 @@ SkinnerCEngine::SkinnerCEngine(const PreparedQuery* pq,
       uct_(&pq->info(), MakeUctOptions(opts)) {
   if (opts_.warm_start_order.size() ==
       static_cast<size_t>(pq->num_tables())) {
-    uct_.SeedPriors(opts_.warm_start_order, opts_.warm_start_visits,
-                    opts_.warm_start_reward);
+    uct_.SeedPriors(opts_.warm_start_order, kWarmStartVisits,
+                    kWarmStartReward);
   }
 }
 
@@ -46,42 +69,25 @@ SkinnerCEngine::~SkinnerCEngine() { StopThreads(); }
 void SkinnerCEngine::InitWorkers() {
   const int m = pq_->num_tables();
   const int T = std::max(1, opts_.num_threads);
-  zero_lower_.assign(static_cast<size_t>(m), 0);
   workers_.reserve(static_cast<size_t>(T));
   for (int j = 0; j < T; ++j) {
     auto w = std::make_unique<Worker>(m);
     w->id = j;
-    w->stripe_lo.resize(static_cast<size_t>(m));
-    w->stripe_hi.resize(static_cast<size_t>(m));
-    w->offset.resize(static_cast<size_t>(m));
-    for (int t = 0; t < m; ++t) {
-      int64_t card = pq_->cardinality(t);
-      w->stripe_lo[static_cast<size_t>(t)] = card * j / T;
-      w->stripe_hi[static_cast<size_t>(t)] = card * (j + 1) / T;
-      w->offset[static_cast<size_t>(t)] = w->stripe_lo[static_cast<size_t>(t)];
-    }
     workers_.push_back(std::move(w));
   }
-  if (stealing()) {
-    std::vector<int64_t> cards(static_cast<size_t>(m));
-    for (int t = 0; t < m; ++t) {
-      cards[static_cast<size_t>(t)] = pq_->cardinality(t);
-    }
-    shared_ = std::make_unique<SharedProgress>(
-        cards, m, std::max(1, opts_.chunks_per_thread) * T,
-        opts_.min_chunk_rows);
-    work_next_ = std::make_unique<std::atomic<size_t>[]>(
-        static_cast<size_t>(T));
-    work_end_.assign(static_cast<size_t>(T), 0);
+  if (T == 1) {
+    workers_[0]->offset.assign(static_cast<size_t>(m), 0);
+    return;
   }
-}
-
-VirtualClock* SkinnerCEngine::WorkerClock(Worker* w) {
-  // Sequential execution charges the shared clock directly; parallel
-  // workers tick private clocks that the coordinator merges per slice
-  // under the wall-clock model (max across workers), mirroring how the
-  // paper reports parallel speedups.
-  return workers_.size() > 1 ? &w->clock : pq_->clock();
+  std::vector<int64_t> cards(static_cast<size_t>(m));
+  for (int t = 0; t < m; ++t) {
+    cards[static_cast<size_t>(t)] = pq_->cardinality(t);
+  }
+  shared_ = std::make_unique<SharedProgress>(cards, m, kChunksPerThread * T,
+                                             kMinChunkRows);
+  work_next_ =
+      std::make_unique<std::atomic<size_t>[]>(static_cast<size_t>(T));
+  work_end_.assign(static_cast<size_t>(T), 0);
 }
 
 JoinCursor* SkinnerCEngine::CursorFor(Worker* w,
@@ -99,27 +105,19 @@ JoinState SkinnerCEngine::RestoreState(Worker* w, const std::vector<int>& order,
                                        JoinCursor* cursor) {
   JoinState state;
   state.pos.assign(order.size(), -1);
-  bool restored = w->progress.Restore(order, &state);
   const int t0 = order[0];
-  if (!restored) {
+  if (!w->progress.Restore(order, &state)) {
     state.depth = 0;
     state.pos[0] = w->offset[static_cast<size_t>(t0)];
-    if (state.pos[0] >= w->stripe_hi[static_cast<size_t>(t0)]) {
-      state.pos[0] = -1;
-    }
+    if (state.pos[0] >= pq_->cardinality(t0)) state.pos[0] = -1;
     return state;
   }
   // Fast-forward past offsets: tuples below offset[t] are fully joined
   // already. Walk depths in order; at the first position that fell behind
   // an advanced offset, re-derive the candidate and truncate the state.
-  // With multiple workers only the leftmost depth may fast-forward: a
-  // worker's offsets cover its own stripes, while deeper descends scan the
-  // full range, so positions below another worker's stripe are not known
-  // to be complete.
-  const bool single = workers_.size() == 1;
   for (int d = 0; d <= state.depth; ++d) {
-    int t = order[static_cast<size_t>(d)];
-    int64_t off = (d == 0 || single) ? w->offset[static_cast<size_t>(t)] : 0;
+    const int t = order[static_cast<size_t>(d)];
+    const int64_t off = w->offset[static_cast<size_t>(t)];
     if (state.pos[static_cast<size_t>(d)] < off) {
       state.pos[static_cast<size_t>(d)] = cursor->FirstCandidate(d, off);
       state.depth = d;
@@ -130,10 +128,8 @@ JoinState SkinnerCEngine::RestoreState(Worker* w, const std::vector<int>& order,
   return state;
 }
 
-double SkinnerCEngine::ProgressValue(const Worker& w,
-                                     const std::vector<int>& order,
+double SkinnerCEngine::ProgressValue(const std::vector<int>& order,
                                      const JoinState& state) const {
-  (void)w;
   // Paper 4.5: sum of tuple index deltas, each scaled down by the product
   // of the cardinalities of its table and all preceding tables. Computed
   // here as an absolute potential; the reward is the per-slice increase.
@@ -150,11 +146,10 @@ double SkinnerCEngine::ProgressValue(const Worker& w,
   return value;
 }
 
-double SkinnerCEngine::RewardPotential(const Worker& w,
-                                       const std::vector<int>& order,
+double SkinnerCEngine::RewardPotential(const std::vector<int>& order,
                                        const JoinState& state) const {
   if (opts_.reward == RewardKind::kWeightedProgress) {
-    return ProgressValue(w, order, state);
+    return ProgressValue(order, state);
   }
   return state.pos[0] < 0
              ? 1.0
@@ -168,15 +163,14 @@ void SkinnerCEngine::RunWorkerSlice(Worker* w, const std::vector<int>& order) {
   JoinCursor* cursor = CursorFor(w, order);
   JoinState state = RestoreState(w, order, cursor);
 
-  double before = RewardPotential(*w, order, state);
+  double before = RewardPotential(order, state);
 
   MultiwayJoinSpec spec;
-  spec.left_to = w->stripe_hi[static_cast<size_t>(t0)];
-  spec.lower =
-      workers_.size() == 1 ? w->offset.data() : zero_lower_.data();
+  spec.left_to = pq_->cardinality(t0);
+  spec.lower = w->offset.data();
   spec.budget = opts_.slice_budget;
   spec.charge_backtrack = true;
-  spec.clock = WorkerClock(w);
+  spec.clock = pq_->clock();
 
   JoinLoopExit exit = MultiwayJoinLoop(
       cursor, order, spec, &state, &w->loop_stats,
@@ -186,7 +180,7 @@ void SkinnerCEngine::RunWorkerSlice(Worker* w, const std::vector<int>& order) {
         off = std::max(off, p);
       });
   bool done = exit == JoinLoopExit::kCompleted;
-  double after = done ? 1.0 : RewardPotential(*w, order, state);
+  double after = done ? 1.0 : RewardPotential(order, state);
   w->slice_reward = std::clamp(after - before, 0.0, 1.0);
   w->slice_done = done;
   if (!done) w->progress.Backup(order, state);
@@ -239,17 +233,14 @@ void SkinnerCEngine::BuildSliceWork(int leftmost_table) {
     if (!shared_->ChunkComplete(leftmost_table, c)) work_ids_.push_back(c);
   }
   // Serve from the completion frontier: position order, windowed (see
-  // SkinnerCOptions::claim_window_per_worker). Chunk ids are
-  // append-ordered (splits push children at the end), so sort by range.
-  if (opts_.claim_window_per_worker > 0) {
-    std::sort(work_ids_.begin(), work_ids_.end(), [&](int a, int b) {
-      return shared_->chunk_lo(leftmost_table, a) <
-             shared_->chunk_lo(leftmost_table, b);
-    });
-    const size_t window = static_cast<size_t>(opts_.claim_window_per_worker) *
-                          workers_.size();
-    if (work_ids_.size() > window) work_ids_.resize(window);
-  }
+  // kClaimWindowPerWorker). Chunk ids are append-ordered (splits push
+  // children at the end), so sort by range.
+  std::sort(work_ids_.begin(), work_ids_.end(), [&](int a, int b) {
+    return shared_->chunk_lo(leftmost_table, a) <
+           shared_->chunk_lo(leftmost_table, b);
+  });
+  const size_t window = kClaimWindowPerWorker * workers_.size();
+  if (work_ids_.size() > window) work_ids_.resize(window);
   // Contiguous per-worker blocks (chunk locality for the common case);
   // the remainder chunks go to the first blocks.
   const size_t T = workers_.size();
@@ -320,15 +311,14 @@ double SkinnerCEngine::RunChunk(Worker* w, const std::vector<int>& order,
   const int t0 = order[0];
   JoinCursor* cursor = CursorFor(w, order);
   JoinState state = RestoreChunkState(chunk_id, order, cursor);
-  const double before = RewardPotential(*w, order, state);
+  const double before = RewardPotential(order, state);
 
   MultiwayJoinSpec spec;
   spec.left_to = shared_->chunk_hi(t0, chunk_id);
-  spec.lower = zero_lower_.data();
   spec.published = shared_->views();
   spec.budget = *budget_left;
   spec.charge_backtrack = true;
-  spec.clock = WorkerClock(w);
+  spec.clock = &w->clock;
 
   const uint64_t steps_before = w->loop_stats.steps;
   JoinLoopExit exit = MultiwayJoinLoop(
@@ -346,9 +336,9 @@ double SkinnerCEngine::RunChunk(Worker* w, const std::vector<int>& order,
     end_state.depth = 0;
     end_state.pos.assign(order.size(), -1);
     end_state.pos[0] = spec.left_to;
-    after = RewardPotential(*w, order, end_state);
+    after = RewardPotential(order, end_state);
   } else {
-    after = RewardPotential(*w, order, state);
+    after = RewardPotential(order, state);
     shared_->chunk_progress(t0, chunk_id)->Backup(order, state);
   }
   return std::max(0.0, after - before);
@@ -371,17 +361,9 @@ void SkinnerCEngine::RunWorkerSliceStealing(Worker* w,
 
 bool SkinnerCEngine::CompletedTable() const {
   if (shared_ != nullptr) return shared_->AnyTableComplete();
-  const int m = pq_->num_tables();
-  for (int t = 0; t < m; ++t) {
-    bool all = true;
-    for (const auto& w : workers_) {
-      if (w->offset[static_cast<size_t>(t)] <
-          w->stripe_hi[static_cast<size_t>(t)]) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return true;
+  const Worker& w = *workers_[0];
+  for (int t = 0; t < pq_->num_tables(); ++t) {
+    if (w.offset[static_cast<size_t>(t)] >= pq_->cardinality(t)) return true;
   }
   return false;
 }
@@ -420,10 +402,8 @@ void SkinnerCEngine::StopThreads() {
 void SkinnerCEngine::DispatchSlice(const std::vector<int>& order) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stealing()) {
-      AdaptiveSplit(order[0]);
-      BuildSliceWork(order[0]);
-    }
+    AdaptiveSplit(order[0]);
+    BuildSliceWork(order[0]);
     slice_order_ = &order;
     pending_ = static_cast<int>(workers_.size());
     ++generation_;
@@ -445,11 +425,7 @@ void SkinnerCEngine::WorkerMain(Worker* w) {
       seen = generation_;
       order = *slice_order_;
     }
-    if (stealing()) {
-      RunWorkerSliceStealing(w, order);
-    } else {
-      RunWorkerSlice(w, order);
-    }
+    RunWorkerSliceStealing(w, order);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (--pending_ == 0) done_cv_.notify_all();
@@ -495,7 +471,7 @@ Status SkinnerCEngine::Run(ResultSet* out) {
     }
 
     // Merge rewards into the one shared UCT tree (paper 4.4): the slice's
-    // reward is the mean of the per-stripe rewards, accumulated in worker
+    // reward is the mean of the per-worker rewards, accumulated in worker
     // order so learning stays deterministic.
     double reward = 0;
     bool all_done = true;
@@ -535,8 +511,7 @@ Status SkinnerCEngine::Run(ResultSet* out) {
 
   // Canonical export: the workers' buffers hold every emitted tuple,
   // re-emits included; the merge drops the duplicates and sorts, so the
-  // rows are bit-identical regardless of thread count, parallel mode, or
-  // thread schedule.
+  // rows are bit-identical regardless of thread count or thread schedule.
   std::vector<const ResultSet*> parts;
   parts.reserve(workers_.size());
   stats_.emitted_tuples = 0;

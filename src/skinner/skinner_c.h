@@ -29,21 +29,6 @@ enum class RewardKind {
   kLeftmostFraction,
 };
 
-/// Work distribution across search workers when num_threads > 1.
-enum class ParallelMode {
-  /// Dynamic chunk queue with work stealing plus shared offset publication
-  /// (default): each table's leftmost range is cut into many small chunks;
-  /// workers claim chunks from their own block and steal from laggards'
-  /// blocks when it drains, and per-chunk completed offsets are published
-  /// through SharedProgress so any worker's descend skips ranges any
-  /// worker already exhausted.
-  kChunkStealing,
-  /// PR-2 static per-table stripes. Kept as the regression baseline the
-  /// benchmarks compare against: skew idles workers late in a query and
-  /// T>1 descends rescan from offset 0.
-  kStaticStripe,
-};
-
 struct SkinnerCOptions {
   /// Time slice budget b: outer-loop iterations of the multiway join per
   /// slice (paper default 500).
@@ -63,27 +48,9 @@ struct SkinnerCOptions {
   /// threads execute the same UCT-selected order on disjoint pieces of the
   /// leftmost table, rewards are merged (averaged) into the one shared
   /// tree, and the exported result is exact and identical (in canonical
-  /// order) for any thread count. 1 = sequential.
+  /// order) for any thread count. 1 = sequential; more workers share the
+  /// leftmost table through a stealable chunk queue (see SkinnerCEngine).
   int num_threads = 1;
-  /// How leftmost work is split across workers (ignored for 1 thread).
-  ParallelMode parallel_mode = ParallelMode::kChunkStealing;
-  /// Chunk-stealing granularity: each table is cut into about
-  /// chunks_per_thread * num_threads chunks...
-  int chunks_per_thread = 8;
-  /// ...but never into chunks smaller than this many positions, so claim
-  /// and publication overhead stays negligible per chunk.
-  int64_t min_chunk_rows = 16;
-  /// Chunk-stealing claim window: each slice serves at most
-  /// claim_window_per_worker * num_threads incomplete chunks, taken in
-  /// position order from the table's completion frontier. Serving from
-  /// the frontier keeps the published completed prefix contiguous (so
-  /// other orders' descents skip it) and preserves the sequential
-  /// engine's learning signal: a freshly explored leftmost table must
-  /// grind its frontier — on skew, the expensive front — instead of
-  /// harvesting easy rewards from cheap chunks anywhere in the table,
-  /// which made UCT flip between leftmost tables and re-derive every
-  /// table's expensive region. <= 0 serves every incomplete chunk.
-  int claim_window_per_worker = 2;
   /// Warm start (PreparedCache): seed the UCT tree's priors along this
   /// join order — typically the final order the signature's last execution
   /// converged to — before the first slice. The hinted path starts as the
@@ -91,12 +58,6 @@ struct SkinnerCOptions {
   /// JoinOrderUct::SeedPriors). Empty = cold start. Learning remains
   /// per-execution, consistent with the paper.
   std::vector<int> warm_start_order;
-  /// Prior strength: the hint behaves like warm_start_visits slices of
-  /// reward warm_start_reward already run. The reward is deliberately tiny
-  /// (the scale of real per-slice progress rewards) so genuine rewards
-  /// dominate quickly.
-  int64_t warm_start_visits = 2;
-  double warm_start_reward = 1e-3;
   /// Global thread arbitration: with a scheduler and num_threads > 1, the
   /// engine leases its worker count from the scheduler's engine-thread
   /// budget and runs with the granted number (>= 1) — under concurrent
@@ -121,9 +82,9 @@ struct SkinnerCStats {
   /// comparable to the traditional engines' counter (paper Tables 1/2).
   uint64_t intermediate_tuples = 0;
   bool timed_out = false;
-  /// Adaptive chunk splits performed on the shared progress board (chunk
-  /// stealing only): skew-dominated leftmost chunks subdivided so the
-  /// endgame keeps every worker busy.
+  /// Adaptive chunk splits performed on the shared progress board (T>1
+  /// only): skew-dominated leftmost chunks subdivided so the endgame keeps
+  /// every worker busy.
   uint64_t chunk_splits = 0;
   /// Sum of every worker's private clock (T>1; equals the join cost at
   /// T=1). busy / (T * join cost) is parallel efficiency: the gap to 1 is
@@ -149,8 +110,12 @@ struct SkinnerCStats {
 /// join order per slice; per-table tuple offsets plus a shared-prefix
 /// progress tree preserve and share progress across orders; rewards
 /// measure per-slice progress. With num_threads > 1 the leftmost table's
-/// range is partitioned across search workers (paper 4.4), by default
-/// through a stealable chunk queue with shared offset publication.
+/// range is partitioned across search workers (paper 4.4) through a
+/// stealable chunk queue with shared offset publication: each table is cut
+/// into chunks, workers claim chunks from their own block of the slice's
+/// work list and steal from other blocks once it drains, and per-chunk
+/// completed offsets are published so any worker's descend skips ranges
+/// any worker already exhausted.
 class SkinnerCEngine {
  public:
   SkinnerCEngine(const PreparedQuery* pq, const SkinnerCOptions& opts);
@@ -160,7 +125,7 @@ class SkinnerCEngine {
 
   /// Runs to completion (or deadline); appends the distinct result
   /// position tuples in canonical (lexicographically sorted) order —
-  /// bit-identical for any num_threads, parallel mode, or thread schedule.
+  /// bit-identical for any num_threads or thread schedule.
   /// Workers append every emitted tuple to private buffers without dedup;
   /// ResultSet::MergeSortedUnique drops the duplicates once, at export.
   Status Run(ResultSet* out);
@@ -168,18 +133,14 @@ class SkinnerCEngine {
   const SkinnerCStats& stats() const { return stats_; }
 
  private:
-  /// One search worker. Sequential execution is the T=1 special case whose
-  /// single worker owns every full range. The stripe/offset/progress
-  /// members carry per-worker state for the sequential and static-stripe
-  /// paths; under chunk stealing the equivalent state lives per chunk in
-  /// the shared board and workers keep only cursors, clock, and the
-  /// private result buffer.
+  /// One search worker. Sequential execution (T=1) is a single worker
+  /// owning every table's full range, with its offsets and progress tree
+  /// here; with T>1 that state lives per chunk in the shared board and
+  /// workers keep only cursors, clock, and the private result buffer.
   struct Worker {
     int id = 0;
-    std::vector<int64_t> stripe_lo;  // per table
-    std::vector<int64_t> stripe_hi;  // per table
-    std::vector<int64_t> offset;     // per table: first not-fully-joined pos
-    ProgressTree progress;
+    std::vector<int64_t> offset;  // T=1, per table: first not-fully-joined
+    ProgressTree progress;        // T=1
     std::map<std::vector<int>, std::unique_ptr<JoinCursor>> cursors;
     VirtualClock clock;         // local; merged into the shared clock
     uint64_t merged_clock = 0;  // portion of `clock` already merged
@@ -194,26 +155,20 @@ class SkinnerCEngine {
         : progress(num_tables), local(num_tables) {}
   };
 
-  bool stealing() const {
-    return workers_.size() > 1 &&
-           opts_.parallel_mode == ParallelMode::kChunkStealing;
-  }
-
   void InitWorkers();
   JoinCursor* CursorFor(Worker* w, const std::vector<int>& order);
-  VirtualClock* WorkerClock(Worker* w);
 
-  /// Resume state for `order` on `w`'s stripe: stored progress
-  /// fast-forwarded past the worker's offsets, or a fresh start.
+  /// Resume state for `order` on the sequential worker: stored progress
+  /// fast-forwarded past its offsets, or a fresh start.
   JoinState RestoreState(Worker* w, const std::vector<int>& order,
                          JoinCursor* cursor);
 
-  /// Executes one budgeted slice of `order` on `w`'s stripe via the shared
-  /// multiway-join loop; records the slice reward and completion flag.
-  /// Sequential (T=1) and static-stripe path.
+  /// Executes one budgeted slice of `order` on the sequential worker (T=1)
+  /// via the shared multiway-join loop; records the slice reward and
+  /// completion flag.
   void RunWorkerSlice(Worker* w, const std::vector<int>& order);
 
-  // ---- Chunk-stealing path (default for T > 1) ----
+  // ---- Chunk-stealing path (T > 1) ----
 
   /// Adaptive chunk splitting (the skew endgame): when the slice's
   /// leftmost table has fewer incomplete chunks than workers, repeatedly
@@ -251,16 +206,17 @@ class SkinnerCEngine {
   /// until the slice budget is spent or no work remains.
   void RunWorkerSliceStealing(Worker* w, const std::vector<int>& order);
 
-  double ProgressValue(const Worker& w, const std::vector<int>& order,
+  double ProgressValue(const std::vector<int>& order,
                        const JoinState& state) const;
 
   /// The slice reward potential of `state` under opts_.reward; the reward
   /// is the clamped increase of this potential over the slice.
-  double RewardPotential(const Worker& w, const std::vector<int>& order,
+  double RewardPotential(const std::vector<int>& order,
                          const JoinState& state) const;
 
   /// True once some table is fully joined as a leftmost table (=> result
-  /// complete): all stripes consumed, or all chunks published complete.
+  /// complete): the sequential worker's offset reached its cardinality, or
+  /// all its chunks are published complete.
   bool CompletedTable() const;
 
   size_t AuxiliaryBytes() const;
@@ -279,7 +235,6 @@ class SkinnerCEngine {
   SkinnerCOptions opts_;
   JoinOrderUct uct_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<int64_t> zero_lower_;  // descend lower bounds when T > 1
   SkinnerCStats stats_;
   bool finished_ = false;
 

@@ -28,8 +28,7 @@ struct RunOutput {
 };
 
 RunOutput RunSkinnerC(Database* db, const std::string& sql, int num_threads,
-                      int64_t slice_budget,
-                      ParallelMode mode = ParallelMode::kChunkStealing) {
+                      int64_t slice_budget) {
   RunOutput out;
   auto bound = db->Bind(sql);
   EXPECT_TRUE(bound.ok()) << bound.status().ToString();
@@ -45,7 +44,6 @@ RunOutput RunSkinnerC(Database* db, const std::string& sql, int num_threads,
   SkinnerCOptions opts;
   opts.num_threads = num_threads;
   opts.slice_budget = slice_budget;
-  opts.parallel_mode = mode;
   SkinnerCEngine engine(pq.value().get(), opts);
   ResultSet rs(pq.value()->num_tables());
   EXPECT_TRUE(engine.Run(&rs).ok());
@@ -97,11 +95,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Skewed-leftmost-table torture workload for chunk stealing: the first
 // `hot_keys * hot_fanout` positions of every table carry explosive-fanout
-// keys (clustered, so they land in the first chunks / the first static
-// stripe), the tail is unique keys with fanout <= 1. Under static stripes
-// worker 0 owns all the expensive rows; under stealing its chunks get
-// redistributed — either way the bit-identical result contract must hold
-// for any thread count, budget, and mode.
+// keys (clustered, so they land in the first chunks), the tail is unique
+// keys with fanout <= 1. Stealing and adaptive splitting redistribute the
+// expensive chunks; the bit-identical result contract must hold for any
+// thread count and budget.
 void BuildSkewedDb(Database* db, int num_tables, int hot_keys,
                    int64_t hot_fanout, int64_t tail_rows) {
   for (int t = 0; t < num_tables; ++t) {
@@ -139,7 +136,7 @@ std::string SkewedChainSql(int num_tables) {
   return sql;
 }
 
-TEST(SkewedStealingTest, ThreadCountsAndModesAgreeBitIdentical) {
+TEST(SkewedStealingTest, ThreadCountsAgreeBitIdentical) {
   Database db;
   BuildSkewedDb(&db, 4, /*hot_keys=*/4, /*hot_fanout=*/4, /*tail_rows=*/70);
   const std::string sql = SkewedChainSql(4);
@@ -151,18 +148,12 @@ TEST(SkewedStealingTest, ThreadCountsAndModesAgreeBitIdentical) {
     ASSERT_FALSE(base.timed_out);
     ASSERT_GT(base.result_tuples, 0u);
     for (int threads : {2, 8}) {
-      RunOutput steal = RunSkinnerC(&db, sql, threads, budget,
-                                    ParallelMode::kChunkStealing);
+      RunOutput steal = RunSkinnerC(&db, sql, threads, budget);
       ASSERT_FALSE(steal.timed_out);
       EXPECT_EQ(base.result_tuples, steal.result_tuples)
-          << "steal threads=" << threads << " budget=" << budget;
+          << "threads=" << threads << " budget=" << budget;
       EXPECT_EQ(base.tuples, steal.tuples)
-          << "steal threads=" << threads << " budget=" << budget;
-      RunOutput stripe = RunSkinnerC(&db, sql, threads, budget,
-                                     ParallelMode::kStaticStripe);
-      ASSERT_FALSE(stripe.timed_out);
-      EXPECT_EQ(base.tuples, stripe.tuples)
-          << "stripe threads=" << threads << " budget=" << budget;
+          << "threads=" << threads << " budget=" << budget;
     }
   }
 }
@@ -182,64 +173,20 @@ TEST(SkewedStealingTest, RepeatedRunsStayBitIdentical) {
   }
 }
 
-// The SIMD tier must never be observable in results: {scalar, vector
-// batch probing} x {1, 4 threads} all export the identical canonical
-// tuple set. (On machines without AVX2 the forced-kAvx2 leg degrades to
-// scalar and the comparison is trivially true — still worth running, it
-// pins the dispatch override path.)
-TEST(SkewedStealingTest, SimdOnAndOffStayBitIdentical) {
-  Database db;
-  BuildSkewedDb(&db, 4, /*hot_keys=*/4, /*hot_fanout=*/4, /*tail_rows=*/70);
-  const std::string sql = SkewedChainSql(4);
-
-  ForceSimdLevel(SimdLevel::kScalar);
-  RunOutput scalar_base = RunSkinnerC(&db, sql, 1, 7);
-  ASSERT_GT(scalar_base.result_tuples, 0u);
-  RunOutput scalar_par = RunSkinnerC(&db, sql, 4, 7);
-
-  ForceSimdLevel(SimdLevel::kAvx2);
-  RunOutput simd_base = RunSkinnerC(&db, sql, 1, 7);
-  RunOutput simd_par = RunSkinnerC(&db, sql, 4, 7);
-  ResetSimdLevel();
-
-  EXPECT_EQ(scalar_base.tuples, scalar_par.tuples);
-  EXPECT_EQ(scalar_base.tuples, simd_base.tuples);
-  EXPECT_EQ(scalar_base.tuples, simd_par.tuples);
-  EXPECT_EQ(scalar_base.result_tuples, simd_par.result_tuples);
-}
-
-// The frontier claim window is a scheduling policy, never a correctness
-// lever: any window size (including 0 = serve every incomplete chunk)
-// must export the identical canonical tuple set.
+// The frontier claim window caps each slice's work list at two chunks per
+// worker, so the window's size changes with the thread count; the
+// exported canonical tuple set must not.
 TEST(SkewedStealingTest, ClaimWindowSizesAgreeBitIdentical) {
   Database db;
   BuildSkewedDb(&db, 4, /*hot_keys=*/4, /*hot_fanout=*/4, /*tail_rows=*/70);
   const std::string sql = SkewedChainSql(4);
 
-  auto run = [&](int threads, int window) {
-    auto bound = db.Bind(sql);
-    EXPECT_TRUE(bound.ok());
-    auto info = QueryInfo::Analyze(*bound.value());
-    VirtualClock clock;
-    auto pq = PreparedQuery::Prepare(bound.value().get(), &info.value(),
-                                     db.catalog()->string_pool(), &clock, {});
-    EXPECT_TRUE(pq.ok());
-    SkinnerCOptions opts;
-    opts.num_threads = threads;
-    opts.slice_budget = 9;
-    opts.parallel_mode = ParallelMode::kChunkStealing;
-    opts.claim_window_per_worker = window;
-    SkinnerCEngine engine(pq.value().get(), opts);
-    ResultSet rs(pq.value()->num_tables());
-    EXPECT_TRUE(engine.Run(&rs).ok());
-    return rs.ToVector();
-  };
-
-  const std::vector<PosTuple> base = run(1, 2);
-  ASSERT_GT(base.size(), 0u);
-  for (int window : {0, 1, 2, 8}) {
-    EXPECT_EQ(base, run(4, window)) << "window=" << window;
-    EXPECT_EQ(base, run(2, window)) << "window=" << window;
+  RunOutput base = RunSkinnerC(&db, sql, 1, 9);
+  ASSERT_GT(base.result_tuples, 0u);
+  for (int threads : {2, 4, 8}) {
+    RunOutput par = RunSkinnerC(&db, sql, threads, 9);
+    ASSERT_FALSE(par.timed_out);
+    EXPECT_EQ(base.tuples, par.tuples) << "threads=" << threads;
   }
 }
 

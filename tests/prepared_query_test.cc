@@ -154,14 +154,13 @@ TEST(HashIndexBytesTest, BuildReleasesTheStagingBlocksExactly) {
 
   idx.Build();
   // Frozen layout: a power-of-two slot table at <= 50% load over the
-  // staged pair count, one tag byte per slot plus the wraparound mirror,
-  // plus one arena int per staged pair — and zero staging bytes.
+  // staged pair count, one tag byte per slot, plus one arena int per
+  // staged pair — and zero staging bytes.
   // Slot = {uint64 key, uint32 offset, uint32 len}.
   size_t cap = 16;
   while (cap < kPairs * 2) cap <<= 1;
   constexpr size_t kSlotBytes = sizeof(uint64_t) + 2 * sizeof(uint32_t);
-  EXPECT_EQ(idx.bytes(), cap * kSlotBytes +
-                             (cap + HashIndex::kGroupWidth) * sizeof(uint8_t) +
+  EXPECT_EQ(idx.bytes(), cap * kSlotBytes + cap * sizeof(uint8_t) +
                              kPairs * sizeof(int32_t));
   EXPECT_EQ(idx.num_keys(), 100u);
   EXPECT_EQ(idx.num_slots(), cap);

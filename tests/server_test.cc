@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -13,6 +17,7 @@
 #include <vector>
 
 #include "api/database.h"
+#include "server/tcp_server.h"
 
 namespace skinner {
 namespace {
@@ -469,6 +474,109 @@ TEST(ServerConcurrencyTest, DdlInterleavedWithQueriesIsClean) {
   });
   ddl.join();
   query.join();
+}
+
+/// A blocking loopback client of TcpServer.
+class LoopbackClient {
+ public:
+  explicit LoopbackClient(int port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof(addr)) == 0;
+    // A server that never answers fails the test instead of hanging it.
+    timeval timeout{};
+    timeout.tv_sec = 30;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  }
+  ~LoopbackClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  bool connected() const { return connected_; }
+
+  bool Send(const std::string& data) {
+    size_t off = 0;
+    while (off < data.size()) {
+      ssize_t n = ::write(fd_, data.data() + off, data.size() - off);
+      if (n <= 0) return false;
+      off += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  /// Reads until a terminal OK/ERR line or end of stream; returns
+  /// everything read. `*eof` reports whether the server closed the socket.
+  std::string ReadResponse(bool* eof) {
+    std::string text;
+    *eof = false;
+    char chunk[4096];
+    while (true) {
+      if (!text.empty() && text.back() == '\n') {
+        const std::string last = Lines(text).back();
+        if (last.rfind("OK", 0) == 0 || last.rfind("ERR", 0) == 0) {
+          return text;
+        }
+      }
+      ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+      if (n <= 0) {
+        *eof = true;
+        return text;
+      }
+      text.append(chunk, static_cast<size_t>(n));
+    }
+  }
+
+  /// True once the server has closed the connection (read returns 0).
+  bool ServerClosed() {
+    char c;
+    return ::read(fd_, &c, 1) == 0;
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+};
+
+// The transport bounds the request line: one client sending an oversized
+// line gets ERR INVALID and a closed socket, while other clients keep
+// being served.
+TEST(TcpServerTest, OversizedLineIsRejectedAndOthersStillServed) {
+  Database db;
+  SetupTinyDb(&db);
+  ServerCore core(&db);
+  TcpServer tcp(&core);
+  ASSERT_TRUE(tcp.Start(0).ok());
+
+  LoopbackClient good(tcp.port());
+  ASSERT_TRUE(good.connected());
+  {
+    LoopbackClient bad(tcp.port());
+    ASSERT_TRUE(bad.connected());
+    // Exactly one byte over the limit and no newline: the server reads all
+    // of it before rejecting, so it closes with nothing left unread.
+    ASSERT_TRUE(bad.Send("Q " + std::string(TcpServer::kMaxLineBytes - 1,
+                                            'x')));
+    bool eof = false;
+    const std::string text = bad.ReadResponse(&eof);
+    EXPECT_EQ(text, "ERR INVALID line exceeds " +
+                        std::to_string(TcpServer::kMaxLineBytes) +
+                        " bytes\n");
+    EXPECT_FALSE(eof);
+    EXPECT_TRUE(bad.ServerClosed());
+  }
+
+  ASSERT_TRUE(good.Send("Q SELECT COUNT(*) FROM t\n"));
+  bool eof = false;
+  const std::vector<std::string> lines = Lines(good.ReadResponse(&eof));
+  EXPECT_FALSE(eof);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], "ROW 3");
+  EXPECT_EQ(lines[1].rfind("OK rows=1", 0), 0u);
+  tcp.Shutdown();
 }
 
 }  // namespace

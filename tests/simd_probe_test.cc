@@ -1,14 +1,12 @@
-// Property tests for the vectorized HashIndex probe path: FindBatch()
-// must be exactly equivalent to the scalar Find() — same Postings view
-// (identical arena pointer and count) for every key — under BOTH dispatch
-// levels. The AVX2 group scan and the scalar probe walk the same linear
-// probe sequence and stop at the same first-empty tag, so equivalence is
-// by construction; these tests pin that construction against regressions,
-// including the adversarial layouts: forced bucket collisions (long probe
-// chains), absent keys that share a chain with present ones, near-full
-// tables at the maximum load factor, and batch tails (n % 16 != 0).
-
-#include "common/simd.h"
+// Property tests for the batched HashIndex probe path: FindBatch() must
+// be exactly equivalent to the single-key Find() — same Postings view
+// (identical arena pointer and count) for every key. Both walk the same
+// linear probe sequence and stop at the same first-empty tag, so
+// equivalence is by construction; these tests pin that construction
+// against regressions, including the adversarial layouts: forced bucket
+// collisions (long probe chains), absent keys that share a chain with
+// present ones, near-full tables at the maximum load factor, and batch
+// sizes around and below the prefetch pipeline's depth.
 
 #include <gtest/gtest.h>
 
@@ -23,63 +21,20 @@
 namespace skinner {
 namespace {
 
-/// Restores SIMD autodetection when a test scope ends, even on failure.
-struct ScopedSimdLevel {
-  explicit ScopedSimdLevel(SimdLevel level) { ForceSimdLevel(level); }
-  ~ScopedSimdLevel() { ResetSimdLevel(); }
-};
-
-/// The dispatch levels worth testing on this machine. kAvx2 is included
-/// even when unsupported: ForceSimdLevel(kAvx2) then degrades to the
-/// scalar path, so the test still runs (and trivially passes).
-std::vector<SimdLevel> LevelsUnderTest() {
-  return {SimdLevel::kScalar, SimdLevel::kAvx2};
-}
-
-/// FindBatch(probes) must return, slot for slot, what Find returns —
-/// checked under one forced dispatch level.
-void ExpectBatchEqualsScalar(const HashIndex& idx,
-                             const std::vector<uint64_t>& probes,
-                             SimdLevel level) {
-  ScopedSimdLevel scoped(level);
+/// FindBatch(probes) must return, slot for slot, what Find returns.
+void ExpectBatchEqualsFind(const HashIndex& idx,
+                           const std::vector<uint64_t>& probes) {
   std::vector<HashIndex::Postings> out(probes.size());
   idx.FindBatch(probes.data(), probes.size(), out.data());
   for (size_t i = 0; i < probes.size(); ++i) {
     HashIndex::Postings expect = idx.Find(probes[i]);
-    EXPECT_EQ(out[i].data, expect.data)
-        << "level=" << SimdLevelName(level) << " probe[" << i
-        << "]=" << probes[i];
+    EXPECT_EQ(out[i].data, expect.data) << "probe[" << i << "]=" << probes[i];
     EXPECT_EQ(out[i].count, expect.count)
-        << "level=" << SimdLevelName(level) << " probe[" << i
-        << "]=" << probes[i];
+        << "probe[" << i << "]=" << probes[i];
   }
 }
 
-void ExpectBatchEqualsScalarAllLevels(const HashIndex& idx,
-                                      const std::vector<uint64_t>& probes) {
-  for (SimdLevel level : LevelsUnderTest()) {
-    ExpectBatchEqualsScalar(idx, probes, level);
-  }
-}
-
-TEST(SimdDispatchTest, ForceAndResetAreHonored) {
-  ForceSimdLevel(SimdLevel::kScalar);
-  EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
-  ForceSimdLevel(SimdLevel::kAvx2);
-  if (Avx2Supported()) {
-    EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kAvx2);
-  } else {
-    // Forcing an unavailable tier keeps the scalar path instead of
-    // dispatching into instructions the CPU cannot execute.
-    EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
-  }
-  ResetSimdLevel();
-  // After reset the autodetected level is one of the two tiers.
-  SimdLevel detected = ActiveSimdLevel();
-  EXPECT_TRUE(detected == SimdLevel::kScalar || detected == SimdLevel::kAvx2);
-}
-
-TEST(SimdProbeTest, RandomizedKeysWithDuplicatesAndAbsentProbes) {
+TEST(BatchProbeTest, RandomizedKeysWithDuplicatesAndAbsentProbes) {
   std::mt19937_64 rng(20260808);
   HashIndex idx;
   std::vector<uint64_t> present;
@@ -94,15 +49,15 @@ TEST(SimdProbeTest, RandomizedKeysWithDuplicatesAndAbsentProbes) {
   std::vector<uint64_t> probes = present;
   for (int i = 0; i < 1000; ++i) probes.push_back(rng());  // almost surely absent
   std::shuffle(probes.begin(), probes.end(), rng);
-  probes.resize(4097);  // odd size: exercises the final partial group
-  ExpectBatchEqualsScalarAllLevels(idx, probes);
+  probes.resize(4097);  // odd size: the pipeline's tail drains unevenly
+  ExpectBatchEqualsFind(idx, probes);
 }
 
-TEST(SimdProbeTest, ForcedBucketCollisionsBuildLongProbeChains) {
+TEST(BatchProbeTest, ForcedBucketCollisionsBuildLongProbeChains) {
   // 24 distinct keys staged twice each -> 48 pairs -> capacity 128 (the
   // next power of two >= 2x48). Pick every key so its hash lands in ONE
   // bucket of that table: insertion builds a 24-slot linear probe chain,
-  // and each probe must walk it across multiple 16-tag groups.
+  // and each probe must walk it past many rejected tags.
   constexpr size_t kCap = 128;
   constexpr uint64_t kBucket = 5;
   std::vector<uint64_t> colliders;
@@ -129,12 +84,12 @@ TEST(SimdProbeTest, ForcedBucketCollisionsBuildLongProbeChains) {
   std::vector<uint64_t> probes = colliders;
   probes.insert(probes.end(), absent_same_bucket.begin(),
                 absent_same_bucket.end());
-  ExpectBatchEqualsScalarAllLevels(idx, probes);
+  ExpectBatchEqualsFind(idx, probes);
   for (uint64_t k : colliders) EXPECT_EQ(idx.Find(k).size(), 2u);
   for (uint64_t k : absent_same_bucket) EXPECT_TRUE(idx.Find(k).empty());
 }
 
-TEST(SimdProbeTest, NearFullTableAtMaxLoadFactor) {
+TEST(BatchProbeTest, NearFullTableAtMaxLoadFactor) {
   // 1024 distinct keys -> capacity exactly 2048: the table sits at the
   // kMaxLoadPercent ceiling, the worst case for chain lengths.
   constexpr int32_t kKeys = 1024;
@@ -150,22 +105,19 @@ TEST(SimdProbeTest, NearFullTableAtMaxLoadFactor) {
   ASSERT_EQ(idx.num_slots(), 2048u);
   ASSERT_EQ(idx.num_keys(), static_cast<size_t>(kKeys));
   EXPECT_LE(idx.num_keys() * 100, idx.num_slots() * HashIndex::kMaxLoadPercent);
-  ExpectBatchEqualsScalarAllLevels(idx, probes);
+  ExpectBatchEqualsFind(idx, probes);
 }
 
-TEST(SimdProbeTest, EmptyIndexAndDegenerateBatchSizes) {
+TEST(BatchProbeTest, EmptyIndexAndDegenerateBatchSizes) {
   HashIndex empty;
   empty.Build();
   std::vector<uint64_t> keys = {0, 1, 0xFFFFFFFFFFFFFFFFull};
   std::vector<HashIndex::Postings> out(keys.size(),
                                        HashIndex::Postings{nullptr, 99});
-  for (SimdLevel level : LevelsUnderTest()) {
-    ScopedSimdLevel scoped(level);
-    empty.FindBatch(keys.data(), keys.size(), out.data());
-    for (const auto& p : out) {
-      EXPECT_EQ(p.data, nullptr);
-      EXPECT_EQ(p.count, 0u);
-    }
+  empty.FindBatch(keys.data(), keys.size(), out.data());
+  for (const auto& p : out) {
+    EXPECT_EQ(p.data, nullptr);
+    EXPECT_EQ(p.count, 0u);
   }
 
   HashIndex idx;
@@ -173,23 +125,21 @@ TEST(SimdProbeTest, EmptyIndexAndDegenerateBatchSizes) {
   idx.Build();
   std::vector<uint64_t> probes;
   for (uint64_t i = 0; i < 33; ++i) probes.push_back(i * 7 % 120);
-  // Every n around the group width, including zero.
+  // Degenerate and short batches, including zero and sizes around the
+  // prefetch distance (32).
   for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16}, size_t{17},
                    size_t{33}}) {
-    for (SimdLevel level : LevelsUnderTest()) {
-      ScopedSimdLevel scoped(level);
-      std::vector<HashIndex::Postings> got(n);
-      idx.FindBatch(probes.data(), n, got.data());
-      for (size_t i = 0; i < n; ++i) {
-        HashIndex::Postings expect = idx.Find(probes[i]);
-        EXPECT_EQ(got[i].data, expect.data);
-        EXPECT_EQ(got[i].count, expect.count);
-      }
+    std::vector<HashIndex::Postings> got(n);
+    idx.FindBatch(probes.data(), n, got.data());
+    for (size_t i = 0; i < n; ++i) {
+      HashIndex::Postings expect = idx.Find(probes[i]);
+      EXPECT_EQ(got[i].data, expect.data) << "n=" << n << " i=" << i;
+      EXPECT_EQ(got[i].count, expect.count) << "n=" << n << " i=" << i;
     }
   }
 }
 
-TEST(SimdProbeTest, PostingsStayAscendingThroughBatchPath) {
+TEST(BatchProbeTest, PostingsStayAscendingThroughBatchPath) {
   HashIndex idx;
   for (int32_t pos = 0; pos < 300; ++pos) {
     idx.Add(static_cast<uint64_t>(pos % 7), pos);
@@ -197,13 +147,10 @@ TEST(SimdProbeTest, PostingsStayAscendingThroughBatchPath) {
   idx.Build();
   std::vector<uint64_t> probes = {0, 1, 2, 3, 4, 5, 6};
   std::vector<HashIndex::Postings> out(probes.size());
-  for (SimdLevel level : LevelsUnderTest()) {
-    ScopedSimdLevel scoped(level);
-    idx.FindBatch(probes.data(), probes.size(), out.data());
-    for (const auto& p : out) {
-      ASSERT_FALSE(p.empty());
-      for (size_t i = 1; i < p.size(); ++i) EXPECT_LT(p[i - 1], p[i]);
-    }
+  idx.FindBatch(probes.data(), probes.size(), out.data());
+  for (const auto& p : out) {
+    ASSERT_FALSE(p.empty());
+    for (size_t i = 1; i < p.size(); ++i) EXPECT_LT(p[i - 1], p[i]);
   }
 }
 
