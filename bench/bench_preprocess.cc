@@ -111,7 +111,7 @@ Run PrepareAt(Database* db, bool parallel, int width) {
     std::exit(1);
   }
   Run run;
-  run.cost = stage.value().preprocess_cost;
+  run.cost = stage.value().pq->preprocess_cost();
   run.fingerprint = BundleFingerprint(*stage.value().pq->shared_data());
   run.wall_s = t1 - t0;
   return run;

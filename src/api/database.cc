@@ -2,17 +2,14 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
+#include <iterator>
 #include <cerrno>
 #include <cstring>
-#include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "api/query_pipeline.h"
 #include "api/session.h"
 #include "common/clock.h"
-#include "common/hash_util.h"
 #include "common/scheduler.h"
 #include "common/str_util.h"
 #include "optimizer/dp_optimizer.h"
@@ -324,10 +321,11 @@ Result<PlanResult> Database::OptimizerOrder(const BoundQuery& query) {
 Result<QueryOutput> Database::RunSelect(const BoundQuery& query,
                                         const ExecOptions& opts) {
   std::shared_lock<std::shared_mutex> ddl_lock(ddl_mu_);
-  QueryPipeline pipeline(&catalog_, &udfs_, &stats_, &cache_,
+  // The caller keeps its query; a private copy runs uncached.
+  QueryPipeline pipeline(&catalog_, &udfs_, &stats_, /*cache=*/nullptr,
                          scheduler_.get());
   SKINNER_ASSIGN_OR_RETURN(PreparedStage prep,
-                           pipeline.PrepareExternal(&query, opts));
+                           pipeline.PrepareCore(query.Clone(), {}, opts));
   SKINNER_ASSIGN_OR_RETURN(ExecutedStage exec, pipeline.Execute(prep, opts));
   return pipeline.PostProcess(prep, std::move(exec));
 }
@@ -339,131 +337,37 @@ std::vector<Result<QueryOutput>> Database::QueryBatch(
 
 std::vector<Result<QueryOutput>> Database::QueryBatchInternal(
     const std::vector<BatchItem>& items, const BatchOptions& bopts) {
-  const size_t n = items.size();
-  // Prepared-state sharing scope: the database's cross-query cache, or a
-  // cache that lives exactly as long as this batch. (Capacity never gates
-  // within-batch sharing either way: template-group members bind to the
-  // owner's handle directly in stage C.)
+  // Sharing scope: the database's cross-query cache, or a cache that lives
+  // exactly as long as this batch.
   PreparedCache local_cache;
   PreparedCache* cache = bopts.use_prepared_cache ? &cache_ : &local_cache;
   Scheduler* sched =
       bopts.scheduler != nullptr ? bopts.scheduler : scheduler_.get();
   QueryPipeline pipeline(&catalog_, &udfs_, &stats_, cache, sched);
 
-  std::vector<std::optional<Result<QueryOutput>>> results(n);
-  std::vector<std::optional<BoundStage>> bound(n);
-  std::vector<ExecOptions> eopts(n);
-
-  // One template group per distinct (signature, prepare variant): the
-  // first item owns the group and pays the one pre-processing build;
-  // every other member executes over the owner's shared artifact.
-  struct Group {
-    size_t owner;
-    std::string signature;
-    std::vector<int> warm_order;  // snapshot, pre-batch (deterministic)
-    PreparedHandle handle;        // set by stage B
-  };
-  std::unordered_map<std::string, Group> groups;  // key -> group
-  std::vector<std::string> item_key(n);
-  std::vector<const std::string*> owner_keys;  // first-seen order
-
-  // Stage A (sequential): parse + bind every item. Binding interns string
-  // literals into the shared pool, which is append-only but not
-  // thread-safe — and it is orders of magnitude cheaper than
-  // prepare/execute, which do run concurrently below. Grouping (and the
-  // warm-start snapshot) happens here, before anything executes, so which
-  // item pays the build and which UCT hint every item sees are fixed
-  // deterministically — independent of worker count and schedule.
-  for (size_t i = 0; i < n; ++i) {
-    eopts[i] = items[i].opts;
-    eopts[i].use_prepared_cache = true;  // within-batch sharing is the point
-    if (bopts.derive_item_seeds) {
-      eopts[i].seed = HashMix64(bopts.seed + 0x9e3779b97f4a7c15ULL * (i + 1));
-    }
+  // Parse + bind every item in order: binding interns string literals
+  // into the shared pool, which is append-only but not thread-safe — and
+  // it is orders of magnitude cheaper than the prepare/execute work the
+  // batch core runs next.
+  std::vector<PipelineItem> bound(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    PipelineItem& item = bound[i];
+    item.opts = items[i].opts;
+    item.opts.use_prepared_cache = true;  // within-batch sharing is the point
+    if (bopts.derive_item_seeds) item.opts.seed = bopts.ItemSeed(i);
     auto stmt = pipeline.Parse(items[i].sql);
     if (!stmt.ok()) {
-      results[i] = stmt.status();
+      item.status = stmt.status();
       continue;
     }
     auto b = pipeline.Bind(stmt.MoveValue());
     if (!b.ok()) {
-      results[i] = b.status();
+      item.status = b.status();
       continue;
     }
-    std::string signature = ComputeQuerySignature(*b.value().query);
-    item_key[i] = PreparedCacheKey(signature, eopts[i].build_hash_indexes);
-    auto [it, inserted] = groups.emplace(item_key[i], Group{});
-    if (inserted) {
-      it->second.owner = i;
-      it->second.warm_order = cache->WarmOrder(signature);
-      it->second.signature = std::move(signature);
-      owner_keys.push_back(&it->first);
-    }
-    bound[i] = b.MoveValue();
+    item.query = b.MoveValue().query;
   }
-
-  const int workers =
-      static_cast<int>(std::min<size_t>(std::max(bopts.num_workers, 1), n));
-
-  // Stage B (parallel): one prepare per group, run by the owner. Groups
-  // are distinct map entries, so concurrent writes to their fields are
-  // race-free (the map's structure is frozen after stage A). Workers are
-  // participation slots on the database's shared pool — nothing is spun up
-  // per call, and concurrent batches share one set of threads.
-  std::vector<std::optional<PreparedStage>> prepared(n);
-  SchedParallelFor(sched, owner_keys.size(), workers, [&](size_t g) {
-    Group& group = groups.find(*owner_keys[g])->second;
-    const size_t i = group.owner;
-    auto prep = pipeline.Prepare(std::move(*bound[i]), eopts[i]);
-    if (!prep.ok()) {
-      results[i] = prep.status();
-      return;
-    }
-    group.handle = prep.value().shared;
-    prepared[i] = prep.MoveValue();
-  });
-
-  // Stage C (parallel): execute + post-process every item. Members bind
-  // directly to their owner's artifact handle — no cache round-trip, so
-  // sharing cannot be broken by LRU eviction inside large batches.
-  SchedParallelFor(sched, n, workers, [&](size_t i) {
-    if (results[i].has_value()) return;  // parse/bind/prepare error
-    if (!prepared[i].has_value()) {
-      const Group& group = groups.find(item_key[i])->second;
-      if (group.handle == nullptr) {
-        // The owner's prepare failed; every member fails identically.
-        results[i] = results[group.owner].has_value() &&
-                             !results[group.owner]->ok()
-                         ? Result<QueryOutput>(results[group.owner]->status())
-                         : Result<QueryOutput>(
-                               Status::Internal("group prepare failed"));
-        return;
-      }
-      prepared[i] = pipeline.RebindStage(group.handle, group.signature);
-    }
-    if (eopts[i].warm_start) {
-      prepared[i]->warm_order = groups.find(item_key[i])->second.warm_order;
-    } else {
-      prepared[i]->warm_order.clear();
-    }
-    auto exec = pipeline.Execute(*prepared[i], eopts[i]);
-    if (!exec.ok()) {
-      results[i] = exec.status();
-      return;
-    }
-    results[i] = pipeline.PostProcess(*prepared[i], exec.MoveValue());
-    prepared[i].reset();  // release the artifact handle promptly
-  });
-
-  std::vector<Result<QueryOutput>> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    out.push_back(results[i].has_value()
-                      ? std::move(*results[i])
-                      : Result<QueryOutput>(
-                            Status::Internal("batch item not executed")));
-  }
-  return out;
+  return pipeline.ExecuteMany(std::move(bound), bopts.num_workers);
 }
 
 }  // namespace skinner

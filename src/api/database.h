@@ -10,6 +10,7 @@
 
 #include "baselines/eddy.h"
 #include "baselines/reopt.h"
+#include "common/hash_util.h"
 #include "exec/prepared_cache.h"
 #include "post/post_processor.h"
 #include "exec/mutation.h"
@@ -64,16 +65,17 @@ struct ExecOptions {
   bool parallel_preprocess = false;
   int num_threads = 4;
 
-  /// Serve pre-processing (filtering + index builds) from the database's
-  /// cross-query PreparedCache when an identical (normalized signature +
-  /// table data versions) SELECT was prepared before; a hit reports
-  /// preprocess_cost 0 and returns bit-identical results. Off by default:
-  /// the paper-reproduction benchmarks charge pre-processing per query.
-  /// QueryBatch() always shares prepared state across its items.
+  /// Serve each table's pre-processing artifact (filtered rows + hash
+  /// indexes) from the database's cross-query PreparedCache when an
+  /// earlier query filtered and indexed the same table the same way and
+  /// the table is unchanged since; fresh artifacts are published for
+  /// reuse. A query whose tables all hit reports preprocess_cost 0 (plus
+  /// any constant-predicate evaluation) and returns bit-identical results.
+  /// Also seeds Skinner-C's UCT priors from the query signature's last
+  /// final join order (see SkinnerCOptions). Off by default: the
+  /// paper-reproduction benchmarks charge pre-processing per query.
+  /// QueryBatch() and PreparedStatement executions always use the cache.
   bool use_prepared_cache = false;
-  /// On cache interaction, seed Skinner-C's UCT priors from the
-  /// signature's last final join order (see SkinnerCOptions).
-  bool warm_start = true;
 
   // Traditional engines: force this join order instead of optimizing
   // (used to replay Skinner/optimal orders, paper Tables 3/4).
@@ -88,9 +90,9 @@ struct ExecOptions {
   /// scheduler — the right choice for everything but tests that need an
   /// isolated pool. Results never depend on the pool used.
   Scheduler* scheduler = nullptr;
-  /// Serve reads from the PreparedCache but never publish new artifacts or
-  /// bundles into it (warm-start orders are still recorded — they are a
-  /// few ints). The server flips this once a session exhausts its cache
+  /// Serve reads from the PreparedCache but never publish new artifacts
+  /// into it (warm-start orders are still recorded — they are a few
+  /// ints). The server flips this once a session exhausts its cache
   /// byte-share quota, so one greedy session cannot evict everyone else's
   /// artifacts; results are unchanged, repeated work just stays unshared.
   bool cache_read_only = false;
@@ -101,17 +103,16 @@ struct ExecutionStats {
   double wall_ms = 0;
   uint64_t total_cost = 0;       // virtual units: preprocessing + join
   uint64_t preprocess_cost = 0;  // 0 when served from the PreparedCache
-  /// True when pre-processing was served entirely from the PreparedCache
-  /// (whole-bundle hit, or a PreparedStatement execution where every
-  /// table's artifact was cached).
+  /// True when every FROM table's artifact was served from the
+  /// PreparedCache.
   bool prepared_from_cache = false;
   /// True when a warm-start join order keyed by this query's (parameter-
   /// abstracted) template signature was found in the cache — i.e. this is
   /// execution >= 2 of the template and UCT was (or could be) seeded.
   bool template_signature_hit = false;
-  /// Per-table artifact provenance (PreparedStatement path; the Query()
-  /// bundle path reports all-or-nothing): how many FROM tables reused a
-  /// cached artifact vs were re-prepared for this execution.
+  /// Per-table artifact provenance when the PreparedCache is in use (both
+  /// 0 otherwise): how many FROM tables reused a cached artifact vs were
+  /// built for this execution on a miss.
   int tables_prepared_from_cache = 0;
   int tables_reprepared = 0;
   /// Bytes of freshly built artifacts this execution published into the
@@ -162,18 +163,20 @@ struct QueryOutput {
 struct BatchItem {
   std::string sql;
   /// Engine + knobs for this item. The seed is overridden when the batch
-  /// derives per-item seeds; prepared-state sharing is always on within a
-  /// batch (BatchOptions::use_prepared_cache picks the scope).
+  /// derives per-item seeds; the prepared-artifact cache is always on
+  /// within a batch (BatchOptions::use_prepared_cache picks which cache).
   ExecOptions opts;
 };
 
-/// Options of one Database::QueryBatch call.
+/// Options of one Database::QueryBatch / Session::ExecuteBatch call.
 struct BatchOptions {
   /// Worker threads executing items concurrently (1 = sequential).
   int num_workers = 4;
-  /// Share prepared state through the database's cross-query
-  /// PreparedCache. When false, items still share pre-processing within
-  /// this batch via a batch-local cache, but nothing persists afterwards.
+  /// Share per-table artifacts through the database's cross-query
+  /// PreparedCache. When false, items share them through a cache that
+  /// lives exactly as long as the batch, so nothing persists afterwards.
+  /// Either way sharing within a batch goes through a cache: an artifact
+  /// larger than the cache's byte budget is rebuilt by every item.
   bool use_prepared_cache = true;
   /// Derive each item's execution seed deterministically from (seed, item
   /// index), so per-item results and statistics are a pure function of the
@@ -185,6 +188,11 @@ struct BatchOptions {
   /// database's scheduler. Batch workers are pool participation slots, not
   /// dedicated threads — no per-call pool is ever spun up.
   Scheduler* scheduler = nullptr;
+
+  /// The derived seed of item `i` (see derive_item_seeds).
+  uint64_t ItemSeed(size_t i) const {
+    return HashMix64(seed + 0x9e3779b97f4a7c15ULL * (i + 1));
+  }
 };
 
 class Session;
@@ -246,10 +254,11 @@ class Database {
   Catalog* catalog() { return &catalog_; }
   UdfRegistry* udfs() { return &udfs_; }
   StatsManager* stats_manager() { return &stats_; }
-  /// The cross-query cache of pre-processing artifacts (hit/miss stats,
-  /// manual Clear()); populated by Query()/QueryBatch() when
-  /// ExecOptions::use_prepared_cache / BatchOptions ask for it, and always
-  /// by PreparedStatement executions (per-table artifacts).
+  /// The cross-query cache of per-table pre-processing artifacts
+  /// (hit/miss stats, manual Clear()); populated by Query() when
+  /// ExecOptions::use_prepared_cache asks for it, by QueryBatch() when
+  /// BatchOptions::use_prepared_cache does, and always by
+  /// PreparedStatement executions.
   PreparedCache* prepared_cache() { return &cache_; }
 
   /// The database's global worker pool (common/scheduler.h): every piece
@@ -277,13 +286,16 @@ class Database {
   Result<QueryOutput> Query(const std::string& sql,
                             const ExecOptions& opts = {});
 
-  /// Executes many SELECTs, `opts.num_workers` at a time, sharing cached
-  /// pre-processing artifacts across items (an artifact is built once per
-  /// distinct query template and reused by every item — and, with
-  /// use_prepared_cache, by later queries too). Results are per item, in
-  /// item order, and bit-identical for any worker count. Items must be
-  /// SELECTs; running DML concurrently with a batch is outside the API
-  /// contract (as for Query()).
+  /// Executes many SELECTs, `opts.num_workers` at a time: binds every item
+  /// in order, then runs the batch core (QueryPipeline::ExecuteMany) that
+  /// PreparedStatement batches use too. Per-table artifacts are shared
+  /// through the PreparedCache — built by the first item that needs one
+  /// and reused by every later item that filters the table the same way
+  /// (and, with use_prepared_cache, by later queries too), as long as the
+  /// artifact fits the cache's byte budget. Results are per item, in item
+  /// order, and bit-identical for any worker count. Items must be SELECTs;
+  /// running DML concurrently with a batch is outside the API contract (as
+  /// for Query()).
   std::vector<Result<QueryOutput>> QueryBatch(
       const std::vector<BatchItem>& items, const BatchOptions& opts = {});
 
@@ -291,8 +303,8 @@ class Database {
   /// re-execute one query under many engines).
   Result<std::unique_ptr<BoundQuery>> Bind(const std::string& sql);
 
-  /// Runs an already-bound SELECT. Never touches the PreparedCache (the
-  /// cache must own its bundles; here the caller owns the query).
+  /// Runs an already-bound SELECT (on a private copy). Never touches the
+  /// PreparedCache.
   Result<QueryOutput> RunSelect(const BoundQuery& query,
                                 const ExecOptions& opts = {});
 

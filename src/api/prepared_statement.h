@@ -10,8 +10,6 @@
 
 namespace skinner {
 
-struct PreparedStage;
-
 /// A `?`-parameterized SELECT template, parsed and bound once by
 /// Session::Prepare and executed many times with concrete values — the
 /// driver-style surface that makes SkinnerDB's template-level learning an
@@ -21,13 +19,14 @@ struct PreparedStage;
 ///    into typed slots, so execution #2 with *different* constants still
 ///    seeds its UCT priors from execution #1's final join order (paper
 ///    4.2/4.5: learned order quality transfers across the template).
-///  - Per-table artifact sharing: each execution keys every FROM table's
-///    pre-processing artifact by exactly the parameter values reaching
-///    that table's unary filters. Tables whose filters mention no `?`
-///    share one filtered+indexed artifact across all parameter sets;
-///    param-filtered tables re-prepare just themselves. The per-table
-///    provenance is reported in ExecutionStats
-///    (tables_prepared_from_cache / tables_reprepared).
+///  - Per-table artifact sharing: each execution splices its values in
+///    and prepares through the one prepare core (QueryPipeline::
+///    PrepareCore), which keys every FROM table's artifact by that table's
+///    own filters. Tables whose filters mention no `?` share one
+///    filtered+indexed artifact across all parameter sets (and with any
+///    other query filtering them the same way); param-filtered tables
+///    re-prepare just themselves. The per-table provenance is reported in
+///    ExecutionStats (tables_prepared_from_cache / tables_reprepared).
 ///
 /// Execution semantics are value-substitution: Execute({v0, v1, ...})
 /// returns rows bit-identical to Query() on the SQL text with the values
@@ -77,8 +76,8 @@ class PreparedStatement {
   PreparedStatement(Session* session, std::string sql,
                     std::unique_ptr<BoundMutation> mutation);
 
-  /// Post-bind analysis: template signature, per-table parameter sets,
-  /// table identities for staleness checks.
+  /// Post-bind analysis: template signature and table identities for
+  /// staleness checks.
   Status Init();
 
   /// Arity + inferred-type-class validation of one parameter set.
@@ -88,14 +87,15 @@ class PreparedStatement {
   /// re-CREATE since Prepare leaves dangling Table pointers otherwise).
   Status CheckFreshness() const;
 
-  /// Builds the per-execution stage: substitutes params into a clone of
-  /// the template, acquires/builds per-table artifacts through the cache,
-  /// and assembles a PreparedStage for the pipeline's execute stage.
-  Result<PreparedStage> PrepareStage(const std::vector<Value>& params,
-                                     const ExecOptions& opts) const;
+  /// The executable query for one parameter set: validates the values,
+  /// substitutes them into a clone of the template as literals and
+  /// re-typechecks it. Interns string values (serialize calls).
+  Result<std::unique_ptr<BoundQuery>> Instantiate(
+      const std::vector<Value>& params) const;
 
-  /// Batch core used by Session::ExecuteBatch: sequential prepare (string
-  /// interning + artifact builds), concurrent execute/post-process.
+  /// Used by Session::ExecuteBatch: instantiates every parameter set in
+  /// order, then runs QueryPipeline::ExecuteMany (sequential prepare,
+  /// concurrent execute/post-process).
   std::vector<Result<QueryOutput>> ExecuteMany(
       const std::vector<std::vector<Value>>& param_sets,
       const BatchOptions& bopts, const ExecOptions& base_opts);
@@ -111,9 +111,6 @@ class PreparedStatement {
   std::unique_ptr<BoundQuery> template_;
   std::unique_ptr<BoundMutation> mutation_;
   std::string template_sig_;
-  /// Per FROM table: the sorted ordinals of parameters appearing in that
-  /// table's unary predicates (the values that key its artifact).
-  std::vector<std::vector<int>> table_params_;
   /// Table identities at prepare time, for staleness detection.
   std::vector<std::string> table_names_;
   std::vector<const Table*> table_ptrs_;

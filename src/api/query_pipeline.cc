@@ -1,6 +1,7 @@
 #include "api/query_pipeline.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/scheduler.h"
@@ -36,123 +37,46 @@ Result<BoundStage> QueryPipeline::Bind(Statement stmt) const {
   return stage;
 }
 
-Result<PreparedStage> QueryPipeline::PrepareFresh(
-    std::unique_ptr<BoundQuery> owned_query, const BoundQuery* query,
-    const ExecOptions& opts) const {
-  // The bundle is allocated first and filled in place so that every
-  // pointer the PreparedQuery view captures (query, info) is already at
-  // its final, stable address.
-  auto bundle = std::make_shared<PreparedBundle>();
-  bundle->bound = std::move(owned_query);
-  if (bundle->bound != nullptr) query = bundle->bound.get();
+Result<PreparedStage> QueryPipeline::Prepare(BoundStage bound,
+                                             const ExecOptions& opts) const {
+  return PrepareCore(std::move(bound.query), /*signature=*/{}, opts);
+}
 
+Result<PreparedStage> QueryPipeline::PrepareCore(
+    std::unique_ptr<BoundQuery> query, std::string signature,
+    const ExecOptions& opts) const {
   if (query->num_params > 0) {
     return Status::InvalidArgument(
         "query contains ? parameters; prepare it with Session::Prepare and "
         "execute it with bound values");
   }
-
   PreparedStage stage;
+  stage.query = std::move(query);
   stage.clock = std::make_unique<VirtualClock>();
+  SKINNER_ASSIGN_OR_RETURN(QueryInfo info, QueryInfo::Analyze(*stage.query));
+  stage.info = std::make_unique<QueryInfo>(std::move(info));
 
-  SKINNER_ASSIGN_OR_RETURN(QueryInfo info, QueryInfo::Analyze(*query));
-  bundle->info = std::make_unique<QueryInfo>(std::move(info));
-
+  const bool caching = opts.use_prepared_cache && cache_ != nullptr;
   PrepareOptions popts;
   popts.build_hash_indexes = opts.build_hash_indexes;
   popts.parallel = opts.parallel_preprocess;
   popts.num_threads = opts.num_threads;
   popts.scheduler = EffectiveScheduler(opts);
+  popts.cache = caching ? cache_ : nullptr;
+  popts.cache_read_only = opts.cache_read_only;
   SKINNER_ASSIGN_OR_RETURN(
       stage.pq,
-      PreparedQuery::Prepare(query, bundle->info.get(),
+      PreparedQuery::Prepare(stage.query.get(), stage.info.get(),
                              catalog_->string_pool(), stage.clock.get(),
                              popts));
-  bundle->data = stage.pq->shared_data();
-  stage.shared = std::move(bundle);
-  stage.preprocess_cost = stage.pq->preprocess_cost();
+  if (caching) {
+    stage.signature = signature.empty() ? ComputeQuerySignature(*stage.query)
+                                        : std::move(signature);
+    // A previous execution of the template (even one since invalidated)
+    // may have left a useful join order behind.
+    stage.warm_order = cache_->WarmOrder(stage.signature);
+  }
   return stage;
-}
-
-PreparedStage QueryPipeline::RebindStage(PreparedHandle handle,
-                                         std::string signature) const {
-  PreparedStage stage;
-  stage.clock = std::make_unique<VirtualClock>();
-  stage.signature = std::move(signature);
-  stage.cache_hit = true;
-  stage.preprocess_cost = 0;  // the artifact is already built
-  stage.tables_from_cache =
-      static_cast<int>(handle->data != nullptr ? handle->data->tables.size() : 0);
-  stage.pq = PreparedQuery::Rebind(handle->bound.get(), handle->info.get(),
-                                   catalog_->string_pool(),
-                                   stage.clock.get(), handle->data);
-  stage.shared = std::move(handle);
-  return stage;
-}
-
-Result<PreparedStage> QueryPipeline::Prepare(BoundStage bound,
-                                             const ExecOptions& opts) const {
-  const bool caching = opts.use_prepared_cache && cache_ != nullptr;
-  if (!caching) {
-    return PrepareFresh(std::move(bound.query), /*query=*/nullptr, opts);
-  }
-  std::string signature = ComputeQuerySignature(*bound.query);
-  std::string key = PreparedCacheKey(signature, opts.build_hash_indexes);
-  std::vector<TableStamp> stamps = ComputeTableStamps(*bound.query);
-  if (opts.cache_read_only) {
-    // Quota-throttled sessions: serve hits, but a miss prepares privately
-    // — no claim, no publish, no bytes charged to the shared budget.
-    PreparedHandle hit = cache_->Lookup(key, stamps);
-    if (hit != nullptr) {
-      PreparedStage stage = RebindStage(std::move(hit), signature);
-      std::vector<int> warm = cache_->WarmOrder(stage.signature);
-      stage.template_hit = !warm.empty();
-      if (opts.warm_start) stage.warm_order = std::move(warm);
-      return stage;
-    }
-    auto prep = PrepareFresh(std::move(bound.query), /*query=*/nullptr, opts);
-    if (!prep.ok()) return prep.status();
-    PreparedStage stage = prep.MoveValue();
-    stage.signature = std::move(signature);
-    stage.tables_reprepared = stage.pq->num_tables();
-    std::vector<int> warm = cache_->WarmOrder(stage.signature);
-    stage.template_hit = !warm.empty();
-    if (opts.warm_start) stage.warm_order = std::move(warm);
-    return stage;
-  }
-  PreparedCache::BundleClaim claim = cache_->Acquire(key, stamps);
-  if (claim.handle != nullptr) {
-    PreparedStage stage = RebindStage(std::move(claim.handle), signature);
-    std::vector<int> warm = cache_->WarmOrder(signature);
-    stage.template_hit = !warm.empty();
-    if (opts.warm_start) stage.warm_order = std::move(warm);
-    return stage;
-  }
-  // This call owns the build: every concurrent Prepare of the same key is
-  // now blocked in Acquire until we Publish (or Abandon on failure).
-  auto prep = PrepareFresh(std::move(bound.query), /*query=*/nullptr, opts);
-  if (!prep.ok()) {
-    cache_->Abandon(key);
-    return prep.status();
-  }
-  PreparedStage stage = prep.MoveValue();
-  stage.signature = std::move(signature);
-  stage.tables_reprepared = stage.pq->num_tables();
-  if (stage.shared->data != nullptr) {
-    stage.cache_bytes_published = stage.shared->data->bytes();
-  }
-  cache_->Publish(key, std::move(stamps), stage.shared);
-  // A previous (since invalidated) execution of the template may still
-  // have left a useful join order behind.
-  std::vector<int> warm = cache_->WarmOrder(stage.signature);
-  stage.template_hit = !warm.empty();
-  if (opts.warm_start) stage.warm_order = std::move(warm);
-  return stage;
-}
-
-Result<PreparedStage> QueryPipeline::PrepareExternal(
-    const BoundQuery* query, const ExecOptions& opts) const {
-  return PrepareFresh(nullptr, query, opts);
 }
 
 Result<ExecutedStage> QueryPipeline::Execute(const PreparedStage& prep,
@@ -286,14 +210,17 @@ Result<ExecutedStage> QueryPipeline::Execute(const PreparedStage& prep,
 
 Result<QueryOutput> QueryPipeline::PostProcess(const PreparedStage& prep,
                                                ExecutedStage exec) const {
+  const PreparedQuery::Data& data = *prep.pq->shared_data();
   QueryOutput out;
   out.stats = std::move(exec.stats);
-  out.stats.preprocess_cost = prep.preprocess_cost;
-  out.stats.prepared_from_cache = prep.cache_hit;
-  out.stats.template_signature_hit = prep.template_hit;
-  out.stats.tables_prepared_from_cache = prep.tables_from_cache;
-  out.stats.tables_reprepared = prep.tables_reprepared;
-  out.stats.cache_bytes_published = prep.cache_bytes_published;
+  out.stats.preprocess_cost = data.preprocess_cost;
+  out.stats.prepared_from_cache =
+      !data.tables.empty() &&
+      data.tables_from_cache == static_cast<int>(data.tables.size());
+  out.stats.template_signature_hit = !prep.warm_order.empty();
+  out.stats.tables_prepared_from_cache = data.tables_from_cache;
+  out.stats.tables_reprepared = data.tables_reprepared;
+  out.stats.cache_bytes_published = data.bytes_published;
   out.stats.join_result_tuples = exec.join_result->size();
   SKINNER_ASSIGN_OR_RETURN(out.result,
                            skinner::PostProcess(*prep.pq, *exec.join_result));
@@ -310,6 +237,57 @@ Result<QueryOutput> QueryPipeline::Run(const std::string& sql,
                            Prepare(std::move(bound), opts));
   SKINNER_ASSIGN_OR_RETURN(ExecutedStage exec, Execute(prep, opts));
   return PostProcess(prep, std::move(exec));
+}
+
+std::vector<Result<QueryOutput>> QueryPipeline::ExecuteMany(
+    std::vector<PipelineItem> items, int num_workers) const {
+  const size_t n = items.size();
+  std::vector<std::optional<Result<QueryOutput>>> results(n);
+  std::vector<std::optional<PreparedStage>> stages(n);
+
+  // Stage A (sequential): prepare every item in order. Artifact builds
+  // deduplicate through the cache (the first item touching a table key
+  // pays; later ones hit), so stage B only ever sees immutable shared
+  // state, and no item has executed yet when any warm-start hint is read.
+  for (size_t i = 0; i < n; ++i) {
+    if (!items[i].status.ok()) {
+      results[i] = items[i].status;
+      continue;
+    }
+    auto stage = PrepareCore(std::move(items[i].query),
+                             std::move(items[i].signature), items[i].opts);
+    if (!stage.ok()) {
+      results[i] = stage.status();
+      continue;
+    }
+    stages[i] = stage.MoveValue();
+  }
+
+  // Stage B (parallel): execute + post-process every item. Workers are
+  // participation slots on the shared pool — nothing is spun up per call,
+  // and concurrent batches share one set of threads.
+  const int workers = static_cast<int>(std::min<size_t>(
+      static_cast<size_t>(std::max(num_workers, 1)), std::max<size_t>(n, 1)));
+  SchedParallelFor(scheduler_, n, workers, [&](size_t i) {
+    if (results[i].has_value()) return;  // failed before execution
+    auto exec = Execute(*stages[i], items[i].opts);
+    if (!exec.ok()) {
+      results[i] = exec.status();
+      return;
+    }
+    results[i] = PostProcess(*stages[i], exec.MoveValue());
+    stages[i].reset();  // release artifact handles promptly
+  });
+
+  std::vector<Result<QueryOutput>> out;
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    out.push_back(results[i].has_value()
+                      ? std::move(*results[i])
+                      : Result<QueryOutput>(
+                            Status::Internal("batch item not executed")));
+  }
+  return out;
 }
 
 }  // namespace skinner

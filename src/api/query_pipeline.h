@@ -11,37 +11,29 @@
 
 namespace skinner {
 
-/// Output of the bind stage: the fully resolved query. The cache identity
-/// (normalized signature + per-table data-version stamps) is derived from
-/// it on demand — by Prepare() when caching is on, and by QueryBatch for
-/// grouping — so the default uncached path pays no serialization.
+/// Output of the bind stage: the fully resolved query.
 struct BoundStage {
   std::unique_ptr<BoundQuery> query;
 };
 
-/// Output of the prepare stage: the shared pre-processing artifact bundle
-/// plus everything per-execution — the virtual clock this execution ticks,
-/// the wall-clock stopwatch, and the warm-start hint. Movable; `pq` points
-/// at `clock`, which lives on the heap exactly so moves keep it stable.
+/// Output of the prepare stage: the executed query and its analysis, the
+/// per-table pre-processing artifacts (inside `pq`), and everything
+/// per-execution — the virtual clock this execution ticks, the wall-clock
+/// stopwatch, and the warm-start hint. Movable; `pq` points into `query`,
+/// `info` and `clock`, which live on the heap exactly so moves keep them
+/// stable.
 struct PreparedStage {
-  PreparedHandle shared;               // keeps bound/info/data alive
-  std::unique_ptr<PreparedQuery> pq;   // per-execution view
+  std::unique_ptr<BoundQuery> query;  // every `?` already substituted
+  std::unique_ptr<QueryInfo> info;
+  std::unique_ptr<PreparedQuery> pq;  // per-execution view
   std::unique_ptr<VirtualClock> clock;
   Stopwatch watch;
-  std::string signature;               // empty: not cacheable (external query)
-  bool cache_hit = false;
-  uint64_t preprocess_cost = 0;        // 0 on a cache hit
-  std::vector<int> warm_order;         // UCT warm-start hint (may be empty)
-  /// A warm-start order keyed by the template signature existed in the
-  /// cache (reported even when opts.warm_start leaves it unused).
-  bool template_hit = false;
-  /// Per-table artifact provenance (filled by the PreparedStatement path;
-  /// the bundle path reports all-or-nothing).
-  int tables_from_cache = 0;
-  int tables_reprepared = 0;
-  /// Artifact bytes this prepare published into the cross-query cache
-  /// (0 on hits and when ExecOptions::cache_read_only withheld publishes).
-  uint64_t cache_bytes_published = 0;
+  /// Warm-start key: the (parameter-abstracted) template signature; empty
+  /// when the execution does not use the PreparedCache.
+  std::string signature;
+  /// UCT warm-start hint: the last final join order recorded under
+  /// `signature` (empty if none).
+  std::vector<int> warm_order;
 };
 
 /// Output of the execute stage: the join result in position space plus the
@@ -51,16 +43,27 @@ struct ExecutedStage {
   ExecutionStats stats;
 };
 
+/// One item of QueryPipeline::ExecuteMany: the arguments of PrepareCore,
+/// or the error that stopped the item before prepare.
+struct PipelineItem {
+  Status status;
+  std::unique_ptr<BoundQuery> query;
+  std::string signature;
+  ExecOptions opts;
+};
+
 /// The staged SELECT pipeline (paper Figure 2, plus parse/bind):
 ///
 ///   parse -> bind -> prepare -> execute -> post-process
 ///
 /// Each stage consumes the previous stage's context object, so callers can
 /// run the stages back to back (Run(), which is what Database::Query does)
-/// or interleave the stages of many queries: Database::QueryBatch binds
-/// all items sequentially (string-literal interning mutates the shared
-/// pool), then prepares one artifact per distinct signature and executes
-/// all items concurrently against the shared artifacts.
+/// or interleave the stages of many queries (ExecuteMany, which is what
+/// QueryBatch and PreparedStatement::ExecuteMany do).
+///
+/// There is one prepare core, PrepareCore(), for every entry point: a
+/// literal SELECT is a template with zero parameters, and a prepared
+/// statement splices its values in before calling it.
 ///
 /// The pipeline object itself is stateless apart from the injected
 /// components and is cheap to construct; Execute/PostProcess only touch
@@ -83,28 +86,24 @@ class QueryPipeline {
   /// the catalog's pool (not thread-safe; serialize bind stages).
   Result<BoundStage> Bind(Statement stmt) const;
 
-  /// Stage 3: bound query -> prepared stage. With opts.use_prepared_cache,
-  /// serves repeated signatures from the PreparedCache (preprocess_cost 0)
-  /// and registers fresh artifacts for reuse; invalidation is by table
-  /// data-version stamps. Concurrent Prepares of one signature coordinate
-  /// through the cache's in-flight build registry: one caller builds, the
-  /// rest block and share its artifact. Thread-safe. Parameterized
-  /// templates (num_params > 0) are rejected — only
-  /// PreparedStatement::Execute may run those.
+  /// Stage 3: bound literal SELECT -> prepared stage (PrepareCore with
+  /// the query's own signature).
   Result<PreparedStage> Prepare(BoundStage bound, const ExecOptions& opts) const;
 
-  /// Stage 3 for an externally owned BoundQuery (Database::RunSelect):
-  /// always prepares fresh, never caches (the cache must own its bundles).
-  Result<PreparedStage> PrepareExternal(const BoundQuery* query,
-                                        const ExecOptions& opts) const;
-
-  /// Stage 3 from an already shared bundle: a hit-style stage (no
-  /// filtering, preprocess_cost 0) over `handle`'s artifact. QueryBatch
-  /// hands every template-group member its owner's bundle this way, so
-  /// sharing inside a batch never depends on cache capacity or eviction
-  /// order. The handle must own its query (it came from Prepare).
-  PreparedStage RebindStage(PreparedHandle handle,
-                            std::string signature) const;
+  /// The one prepare core. Analyzes `query` and runs PreparedQuery::Prepare
+  /// over it. With opts.use_prepared_cache (and a cache), every table's
+  /// artifact comes from the PreparedCache when one with the same table,
+  /// filters and index columns is fresh there, and fresh builds are
+  /// published for reuse; concurrent prepares coordinate through the
+  /// cache's claim-all protocol, so each artifact is built once. The
+  /// warm-start hint is read under `signature` (empty: the query's own
+  /// signature). Without the cache no key or signature is computed and no
+  /// cache lock taken. A query with `?` parameters left is rejected — only
+  /// PreparedStatement may run those, after substituting its values.
+  /// Thread-safe.
+  Result<PreparedStage> PrepareCore(std::unique_ptr<BoundQuery> query,
+                                    std::string signature,
+                                    const ExecOptions& opts) const;
 
   /// Stage 4: runs the chosen engine over the prepared artifact; fills the
   /// engine counters. Records Skinner-C's final order as the signature's
@@ -121,11 +120,18 @@ class QueryPipeline {
   Result<QueryOutput> Run(const std::string& sql,
                           const ExecOptions& opts) const;
 
- private:
-  Result<PreparedStage> PrepareFresh(std::unique_ptr<BoundQuery> owned_query,
-                                     const BoundQuery* query,
-                                     const ExecOptions& opts) const;
+  /// The batch core: prepares every item in item order through
+  /// PrepareCore, then executes and post-processes the items concurrently
+  /// on up to `num_workers` participation slots of the scheduler.
+  /// Preparing sequentially is what makes a batch deterministic: the first
+  /// item that needs a table's artifact builds it and later items are
+  /// served by the cache, and every warm-start hint is read before any
+  /// item executes. Results are in item order and bit-identical for any
+  /// worker count.
+  std::vector<Result<QueryOutput>> ExecuteMany(std::vector<PipelineItem> items,
+                                               int num_workers) const;
 
+ private:
   Scheduler* EffectiveScheduler(const ExecOptions& opts) const {
     return opts.scheduler != nullptr ? opts.scheduler : scheduler_;
   }

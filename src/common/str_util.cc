@@ -1,7 +1,10 @@
 #include "common/str_util.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace skinner {
 
@@ -90,6 +93,32 @@ bool LikeMatchImpl(std::string_view v, size_t vi, std::string_view p, size_t pi)
 
 bool LikeMatch(std::string_view value, std::string_view pattern) {
   return LikeMatchImpl(value, 0, pattern, 0);
+}
+
+Result<int64_t> ParseInt64(const std::string& s) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s.c_str(), &end, 10);
+  if (end == s.c_str() || *end != '\0') {
+    return Status::ParseError("not an integer: '" + s + "'");
+  }
+  if (errno == ERANGE) {
+    return Status::ParseError("integer out of range: '" + s + "'");
+  }
+  return static_cast<int64_t>(v);
+}
+
+Result<double> ParseDouble(const std::string& s) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0') {
+    return Status::ParseError("not a number: '" + s + "'");
+  }
+  if (errno == ERANGE && std::fabs(v) == HUGE_VAL) {
+    return Status::ParseError("number out of range: '" + s + "'");
+  }
+  return v;
 }
 
 }  // namespace skinner

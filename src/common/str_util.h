@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
+
 namespace skinner {
 
 /// Splits `s` on `sep`, keeping empty fields.
@@ -28,6 +30,15 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 
 /// True if `s` starts with `prefix` (case sensitive).
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Parses all of `s` as a base-10 int64. A value outside int64 is a
+/// ParseError naming `s`, never a silent clamp to the nearest bound.
+Result<int64_t> ParseInt64(const std::string& s);
+
+/// Parses all of `s` as a double. Overflow to +-HUGE_VAL is a ParseError
+/// naming `s`; underflow (a magnitude too small to represent, rounded
+/// toward zero) is accepted.
+Result<double> ParseDouble(const std::string& s);
 
 /// SQL LIKE pattern matching with % and _ wildcards.
 bool LikeMatch(std::string_view value, std::string_view pattern);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <utility>
 
 #include "common/str_util.h"
@@ -15,14 +14,46 @@ namespace {
 /// own, fixed-size FIFO ring independent of the byte budget.
 constexpr size_t kMaxWarmOrders = 512;
 
+/// Serializes one concrete value unambiguously (typed, length-prefixed
+/// strings, doubles by bit pattern).
+void AppendValueSignature(const Value& v, std::string* out) {
+  if (v.is_null()) {
+    out->append("ln");
+    return;
+  }
+  switch (v.type()) {
+    case DataType::kInt64:
+      out->append(StrFormat("li%lld", static_cast<long long>(v.AsInt())));
+      break;
+    case DataType::kDouble: {
+      uint64_t bits;
+      double d = v.AsDouble();
+      std::memcpy(&bits, &d, sizeof(d));
+      out->append(StrFormat("ld%llx", static_cast<unsigned long long>(bits)));
+      break;
+    }
+    case DataType::kString:
+      out->append(StrFormat("ls%zu:", v.AsString().size()));
+      out->append(v.AsString());
+      break;
+  }
+}
+
 /// Serializes one bound expression unambiguously: every node contributes a
 /// kind tag, its operator/index payload, and parenthesized children, so no
 /// two distinct trees share a rendering (strings are length-prefixed; a
 /// double's bit pattern distinguishes values ToString would collapse).
-void AppendExprSignature(const Expr& e, std::string* out) {
+/// `table_relative` drops the FROM position from column references — for
+/// a single table's predicates, whose references all name that table.
+void AppendExprSignature(const Expr& e, bool table_relative,
+                         std::string* out) {
   switch (e.kind) {
     case ExprKind::kColumnRef:
-      out->append(StrFormat("c%d.%d", e.table_idx, e.column_idx));
+      if (table_relative) {
+        out->append(StrFormat("c.%d", e.column_idx));
+      } else {
+        out->append(StrFormat("c%d.%d", e.table_idx, e.column_idx));
+      }
       break;
     case ExprKind::kLiteral:
       AppendValueSignature(e.literal, out);
@@ -51,36 +82,13 @@ void AppendExprSignature(const Expr& e, std::string* out) {
     out->push_back('(');
     for (size_t i = 0; i < e.children.size(); ++i) {
       if (i > 0) out->push_back(',');
-      AppendExprSignature(*e.children[i], out);
+      AppendExprSignature(*e.children[i], table_relative, out);
     }
     out->push_back(')');
   }
 }
 
 }  // namespace
-
-void AppendValueSignature(const Value& v, std::string* out) {
-  if (v.is_null()) {
-    out->append("ln");
-    return;
-  }
-  switch (v.type()) {
-    case DataType::kInt64:
-      out->append(StrFormat("li%lld", static_cast<long long>(v.AsInt())));
-      break;
-    case DataType::kDouble: {
-      uint64_t bits;
-      double d = v.AsDouble();
-      std::memcpy(&bits, &d, sizeof(d));
-      out->append(StrFormat("ld%llx", static_cast<unsigned long long>(bits)));
-      break;
-    }
-    case DataType::kString:
-      out->append(StrFormat("ls%zu:", v.AsString().size()));
-      out->append(v.AsString());
-      break;
-  }
-}
 
 std::string ComputeQuerySignature(const BoundQuery& query) {
   std::string sig;
@@ -93,21 +101,21 @@ std::string ComputeQuerySignature(const BoundQuery& query) {
   }
   sig.append("|S:");
   for (const BoundSelectItem& item : query.select) {
-    AppendExprSignature(*item.expr, &sig);
+    AppendExprSignature(*item.expr, false, &sig);
     sig.append(StrFormat(" as %zu:", item.name.size()));
     sig.append(item.name);
     sig.push_back(';');
   }
   sig.append("|W:");
-  if (query.where != nullptr) AppendExprSignature(*query.where, &sig);
+  if (query.where != nullptr) AppendExprSignature(*query.where, false, &sig);
   sig.append("|G:");
   for (const auto& g : query.group_by) {
-    AppendExprSignature(*g, &sig);
+    AppendExprSignature(*g, false, &sig);
     sig.push_back(';');
   }
   sig.append("|O:");
   for (const BoundOrderItem& o : query.order_by) {
-    AppendExprSignature(*o.expr, &sig);
+    AppendExprSignature(*o.expr, false, &sig);
     sig.append(o.desc ? "D;" : "A;");
   }
   sig.append(StrFormat("|d%d|L%lld", query.distinct ? 1 : 0,
@@ -115,26 +123,21 @@ std::string ComputeQuerySignature(const BoundQuery& query) {
   return sig;
 }
 
-std::vector<TableStamp> ComputeTableStamps(const BoundQuery& query) {
-  std::vector<TableStamp> stamps;
-  stamps.reserve(query.tables.size());
-  for (const BoundTable& t : query.tables) {
-    stamps.push_back({t.table->id(), t.table->data_version()});
-  }
-  return stamps;
-}
-
-std::string PreparedCacheKey(const std::string& signature,
+std::string TableArtifactKey(const Table& table,
+                             const std::vector<const Expr*>& unary_preds,
+                             const std::vector<int>& index_cols,
                              bool build_hash_indexes) {
-  return signature + (build_hash_indexes ? "|P:i1" : "|P:i0");
-}
-
-std::string TableArtifactKey(const std::string& template_signature,
-                             int table_idx, bool build_hash_indexes,
-                             const std::string& param_values_sig) {
-  return StrFormat("%s|T%d|i%d|V:", template_signature.c_str(), table_idx,
-                   build_hash_indexes ? 1 : 0) +
-         param_values_sig;
+  std::string key = StrFormat("T%llu|W:",
+                              static_cast<unsigned long long>(table.id()));
+  for (const Expr* p : unary_preds) {
+    AppendExprSignature(*p, /*table_relative=*/true, &key);
+    key.push_back(';');
+  }
+  key.append(build_hash_indexes ? "|i1:" : "|i0");
+  if (build_hash_indexes) {
+    for (int col : index_cols) key.append(StrFormat("%d,", col));
+  }
+  return key;
 }
 
 PreparedCache::PreparedCache(size_t max_bytes)
@@ -148,154 +151,45 @@ void PreparedCache::EvictLocked(const std::string& key) {
   entries_.erase(it);
 }
 
-void PreparedCache::EvictTableLocked(const std::string& key) {
-  auto it = table_entries_.find(key);
-  if (it == table_entries_.end()) return;
-  bytes_used_ -= it->second.bytes;
-  lru_.erase(it->second.lru_it);
-  table_entries_.erase(it);
-}
-
-void PreparedCache::EvictLruLocked(LruList::iterator it) {
-  if (it->table) {
-    EvictTableLocked(it->key);
-  } else {
-    EvictLocked(it->key);
-  }
-}
-
 bool PreparedCache::ReserveLocked(size_t bytes) {
   if (bytes > max_bytes_) return false;
   while (bytes_used_ + bytes > max_bytes_ && !lru_.empty()) {
     ++size_evictions_;
-    EvictLruLocked(std::prev(lru_.end()));
+    const std::string victim = lru_.back();  // EvictLocked erases the node
+    EvictLocked(victim);
   }
   return bytes_used_ + bytes <= max_bytes_;
 }
 
-// ---- whole-query bundles ---------------------------------------------
-
-PreparedHandle PreparedCache::Lookup(const std::string& key,
-                                     const std::vector<TableStamp>& stamps) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  if (it->second.stamps != stamps) {
-    // Same template, different data (or a re-created table): the artifact
-    // is stale — drop it so the re-prepare can take its slot.
-    ++invalidations_;
-    ++misses_;
-    EvictLocked(key);
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return it->second.bundle;
-}
-
 void PreparedCache::InsertLocked(const std::string& key,
-                                 std::vector<TableStamp> stamps,
-                                 PreparedHandle bundle) {
-  if (bundle == nullptr) return;
+                                 const TableStamp& stamp,
+                                 TableArtifactPtr artifact) {
+  if (artifact == nullptr) return;
   EvictLocked(key);
-  const size_t bytes =
-      kEntryOverheadBytes + (bundle->data != nullptr ? bundle->data->bytes() : 0);
+  const size_t bytes = kEntryOverheadBytes + artifact->bytes();
   if (!ReserveLocked(bytes)) {
     ++admission_rejected_;
     return;
   }
-  lru_.push_front(LruKey{false, key});
+  lru_.push_front(key);
   Entry e;
-  e.stamps = std::move(stamps);
-  e.bundle = std::move(bundle);
+  e.stamp = stamp;
+  e.artifact = std::move(artifact);
   e.bytes = bytes;
   e.lru_it = lru_.begin();
   bytes_used_ += bytes;
   entries_.emplace(key, std::move(e));
 }
 
-void PreparedCache::Insert(const std::string& key,
-                           std::vector<TableStamp> stamps,
-                           PreparedHandle bundle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  InsertLocked(key, std::move(stamps), std::move(bundle));
-}
-
-PreparedCache::BundleClaim PreparedCache::Acquire(
-    const std::string& key, const std::vector<TableStamp>& stamps) {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      if (it->second.stamps == stamps) {
-        ++hits_;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        return BundleClaim{it->second.bundle, false};
-      }
-      ++invalidations_;
-      EvictLocked(key);
-    }
-    auto inf = inflight_.find(key);
-    if (inf == inflight_.end()) {
-      ++misses_;
-      inflight_.emplace(key, std::make_shared<Inflight>());
-      return BundleClaim{nullptr, true};
-    }
-    // Block on the owner's build instead of re-preparing. The payload
-    // travels through the token so an eviction racing between Publish and
-    // this wake-up cannot strand us.
-    std::shared_ptr<Inflight> token = inf->second;
-    ++inflight_waits_;
-    token->cv.wait(lock, [&] { return token->done; });
-    if (token->bundle != nullptr && token->stamps == stamps) {
-      return BundleClaim{token->bundle, false};
-    }
-    // Abandoned, or built against different stamps: retry (and possibly
-    // become the builder ourselves).
-  }
-}
-
-void PreparedCache::Publish(const std::string& key,
-                           std::vector<TableStamp> stamps,
-                           PreparedHandle bundle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto inf = inflight_.find(key);
-  if (inf != inflight_.end()) {
-    inf->second->done = true;
-    inf->second->bundle = bundle;
-    inf->second->stamps = stamps;
-    inf->second->cv.notify_all();
-    inflight_.erase(inf);
-  }
-  InsertLocked(key, std::move(stamps), std::move(bundle));
-}
-
-void PreparedCache::Abandon(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto inf = inflight_.find(key);
-  if (inf == inflight_.end()) return;
-  inf->second->done = true;
-  inf->second->cv.notify_all();
-  inflight_.erase(inf);
-}
-
-// ---- per-table artifacts ---------------------------------------------
-
-PreparedCache::TableArtifactPtr PreparedCache::LookupTable(
+PreparedCache::TableArtifactPtr PreparedCache::HitLocked(
     const std::string& key, const TableStamp& stamp) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = table_entries_.find(key);
-  if (it == table_entries_.end()) {
-    ++table_misses_;
-    return nullptr;
-  }
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return nullptr;
   if (it->second.stamp != stamp) {
+    // Same filter, different data (DML since the build): the artifact is
+    // stale — drop it so the re-prepare can take its slot.
     ++table_invalidations_;
-    ++table_misses_;
-    EvictTableLocked(key);
+    EvictLocked(key);
     return nullptr;
   }
   ++table_hits_;
@@ -303,78 +197,49 @@ PreparedCache::TableArtifactPtr PreparedCache::LookupTable(
   return it->second.artifact;
 }
 
-void PreparedCache::InsertTableLocked(const std::string& key,
-                                      const TableStamp& stamp,
-                                      TableArtifactPtr artifact) {
-  if (artifact == nullptr) return;
-  EvictTableLocked(key);
-  const size_t bytes = kEntryOverheadBytes + artifact->bytes();
-  if (!ReserveLocked(bytes)) {
-    ++admission_rejected_;
-    return;
-  }
-  lru_.push_front(LruKey{true, key});
-  TableEntry e;
-  e.stamp = stamp;
-  e.artifact = std::move(artifact);
-  e.bytes = bytes;
-  e.lru_it = lru_.begin();
-  bytes_used_ += bytes;
-  table_entries_.emplace(key, std::move(e));
-}
-
-void PreparedCache::InsertTable(const std::string& key, const TableStamp& stamp,
-                                TableArtifactPtr artifact) {
+PreparedCache::TableArtifactPtr PreparedCache::LookupTable(
+    const std::string& key, const TableStamp& stamp) {
   std::lock_guard<std::mutex> lock(mu_);
-  InsertTableLocked(key, stamp, std::move(artifact));
+  TableArtifactPtr hit = HitLocked(key, stamp);
+  if (hit == nullptr) ++table_misses_;
+  return hit;
 }
 
 PreparedCache::TableClaim PreparedCache::AcquireTable(const std::string& key,
                                                       const TableStamp& stamp) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    auto it = table_entries_.find(key);
-    if (it != table_entries_.end()) {
-      if (it->second.stamp == stamp) {
-        ++table_hits_;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        return TableClaim{it->second.artifact, false};
-      }
-      ++table_invalidations_;
-      EvictTableLocked(key);
-    }
-    auto inf = table_inflight_.find(key);
-    if (inf == table_inflight_.end()) {
+    TableArtifactPtr hit = HitLocked(key, stamp);
+    if (hit != nullptr) return TableClaim{std::move(hit), false};
+    auto inf = inflight_.find(key);
+    if (inf == inflight_.end()) {
       ++table_misses_;
-      table_inflight_.emplace(key, std::make_shared<Inflight>());
+      inflight_.emplace(key, std::make_shared<Inflight>());
       return TableClaim{nullptr, true};
     }
+    // Block on the owner's build instead of re-preparing. The payload
+    // travels through the token so an eviction racing between Publish and
+    // this wake-up cannot strand us.
     std::shared_ptr<Inflight> token = inf->second;
     ++inflight_waits_;
     token->cv.wait(lock, [&] { return token->done; });
     if (token->artifact != nullptr && token->stamp == stamp) {
       return TableClaim{token->artifact, false};
     }
+    // Abandoned, or built against a different stamp: retry (and possibly
+    // become the builder ourselves).
   }
 }
 
 PreparedCache::TableTryClaim PreparedCache::TryAcquireTable(
     const std::string& key, const TableStamp& stamp) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = table_entries_.find(key);
-  if (it != table_entries_.end()) {
-    if (it->second.stamp == stamp) {
-      ++table_hits_;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return TableTryClaim{it->second.artifact, false, nullptr};
-    }
-    ++table_invalidations_;
-    EvictTableLocked(key);
-  }
-  auto inf = table_inflight_.find(key);
-  if (inf == table_inflight_.end()) {
+  TableArtifactPtr hit = HitLocked(key, stamp);
+  if (hit != nullptr) return TableTryClaim{std::move(hit), false, nullptr};
+  auto inf = inflight_.find(key);
+  if (inf == inflight_.end()) {
     ++table_misses_;
-    table_inflight_.emplace(key, std::make_shared<Inflight>());
+    inflight_.emplace(key, std::make_shared<Inflight>());
     return TableTryClaim{nullptr, true, nullptr};
   }
   // Someone else is building: hand out their token WITHOUT blocking — the
@@ -395,7 +260,7 @@ PreparedCache::TableClaim PreparedCache::WaitTable(
       return TableClaim{token->artifact, false};
     }
   }
-  // Abandoned, or published under different stamps: fall back to the
+  // Abandoned, or published under a different stamp: fall back to the
   // blocking acquire loop — we may become the builder ourselves.
   return AcquireTable(key, stamp);
 }
@@ -404,24 +269,24 @@ void PreparedCache::PublishTable(const std::string& key,
                                  const TableStamp& stamp,
                                  TableArtifactPtr artifact) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto inf = table_inflight_.find(key);
-  if (inf != table_inflight_.end()) {
+  auto inf = inflight_.find(key);
+  if (inf != inflight_.end()) {
     inf->second->done = true;
     inf->second->artifact = artifact;
     inf->second->stamp = stamp;
     inf->second->cv.notify_all();
-    table_inflight_.erase(inf);
+    inflight_.erase(inf);
   }
-  InsertTableLocked(key, stamp, std::move(artifact));
+  InsertLocked(key, stamp, std::move(artifact));
 }
 
 void PreparedCache::AbandonTable(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto inf = table_inflight_.find(key);
-  if (inf == table_inflight_.end()) return;
+  auto inf = inflight_.find(key);
+  if (inf == inflight_.end()) return;
   inf->second->done = true;
   inf->second->cv.notify_all();
-  table_inflight_.erase(inf);
+  inflight_.erase(inf);
 }
 
 // ---- warm-start join orders ------------------------------------------
@@ -454,17 +319,13 @@ std::vector<int> PreparedCache::WarmOrder(const std::string& signature) const {
 PreparedCache::Stats PreparedCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.invalidations = invalidations_;
   s.table_hits = table_hits_;
   s.table_misses = table_misses_;
   s.table_invalidations = table_invalidations_;
   s.inflight_waits = inflight_waits_;
   s.admission_rejected = admission_rejected_;
   s.size_evictions = size_evictions_;
-  s.entries = entries_.size();
-  s.table_entries = table_entries_.size();
+  s.table_entries = entries_.size();
   s.bytes_used = bytes_used_;
   s.max_bytes = max_bytes_;
   return s;
@@ -473,7 +334,6 @@ PreparedCache::Stats PreparedCache::stats() const {
 void PreparedCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
-  table_entries_.clear();
   lru_.clear();
   bytes_used_ = 0;
   orders_.clear();

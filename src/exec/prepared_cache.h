@@ -13,10 +13,10 @@
 
 namespace skinner {
 
-/// Identity + data-version stamp of one FROM-list table at bind time. Two
-/// executions may share prepared state only if every referenced table has
-/// the same id (same CREATE, not a same-name re-creation) and the same
-/// data version (no INSERT since the artifact was built).
+/// Identity + data-version stamp of one table at prepare time. A cached
+/// artifact may serve an execution only if its table has the same id (same
+/// CREATE, not a same-name re-creation) and the same data version (no DML
+/// since the artifact was built).
 struct TableStamp {
   uint64_t table_id = 0;
   uint64_t data_version = 0;
@@ -27,26 +27,13 @@ struct TableStamp {
   bool operator!=(const TableStamp& o) const { return !(*this == o); }
 };
 
-/// Everything a shared PreparedQuery::Data points into, bundled under one
-/// shared_ptr so a cache hit keeps the expression trees and query analysis
-/// alive for as long as any execution uses them. `bound` may be null when
-/// the caller owns the BoundQuery (Database::RunSelect path — such bundles
-/// are never cached).
-struct PreparedBundle {
-  std::unique_ptr<BoundQuery> bound;
-  std::unique_ptr<QueryInfo> info;  // points into *bound (or the caller's query)
-  std::shared_ptr<const PreparedQuery::Data> data;
-};
-
-using PreparedHandle = std::shared_ptr<const PreparedBundle>;
-
 /// Canonical signature of a bound SELECT: an unambiguous serialization of
 /// the FROM list (table names), every bound expression (by table/column
 /// index, operator codes and literal values — string literals are
 /// length-prefixed, doubles serialized by bit pattern), DISTINCT, GROUP
 /// BY, ORDER BY and LIMIT. Template-identical queries — same normalized
 /// structure regardless of the original SQL text — map to the same
-/// signature and can share one pre-processing artifact.
+/// signature.
 ///
 /// `?` parameters serialize as typed slots (ordinal + inferred type), NOT
 /// as values: the signature of a parameterized template is therefore
@@ -57,138 +44,90 @@ using PreparedHandle = std::shared_ptr<const PreparedBundle>;
 /// join template, not of the constants).
 std::string ComputeQuerySignature(const BoundQuery& query);
 
-/// The (id, data version) stamps of the query's FROM tables, in FROM order.
-std::vector<TableStamp> ComputeTableStamps(const BoundQuery& query);
-
-/// The key actually used for whole-bundle cache entries: the query
-/// signature plus the pre-processing variant. An artifact built without
-/// hash indexes must not serve a query that wants them (engines would
-/// silently fall back to full scans), and vice versa — so the variant is
-/// part of the entry identity. Warm-start orders stay keyed by the plain
-/// signature: a good join order is a property of the query template, not
-/// of the index variant.
-std::string PreparedCacheKey(const std::string& signature,
+/// The key of ONE table's pre-processing artifact. Pre-processing is per
+/// table (paper 4.5, Figure 2): a table's artifact depends only on the
+/// table, its own unary predicates and the columns it is indexed on, so
+/// the key is exactly
+///   - the table id,
+///   - `unary_preds` in evaluation order, column references normalized to
+///     the table (parameters must already be substituted),
+///   - the sorted equi-join `index_cols` and the `build_hash_indexes`
+///     variant (no columns are recorded when no index is built).
+/// Two queries that filter a table the same way share one artifact,
+/// whatever else they join with.
+std::string TableArtifactKey(const Table& table,
+                             const std::vector<const Expr*>& unary_preds,
+                             const std::vector<int>& index_cols,
                              bool build_hash_indexes);
 
-/// Serializes one concrete parameter value unambiguously (typed, length-
-/// prefixed strings, doubles by bit pattern) for per-table artifact keys.
-void AppendValueSignature(const Value& v, std::string* out);
-
-/// The concrete key of ONE table's pre-processing artifact inside a
-/// parameterized template: the parameter-abstracted template signature,
-/// the table's FROM position, the index variant, and the concrete values
-/// of exactly the parameters that reach this table's unary predicates.
-/// Tables whose filters mention no parameter get the same key for every
-/// parameter set — one shared artifact — while param-filtered tables get
-/// one artifact per distinct bound value.
-std::string TableArtifactKey(const std::string& template_signature,
-                             int table_idx, bool build_hash_indexes,
-                             const std::string& param_values_sig);
-
-/// Cross-query cache of pre-processing artifacts (paper Figure 2 / 4.5:
-/// per-query filtering and hash-index builds). Two granularities share one
-/// byte budget and one LRU ring:
+/// Cross-query cache of per-table pre-processing artifacts (paper Figure 2
+/// / 4.5: per-table filtering and hash-index builds), keyed by
+/// TableArtifactKey and validated by the table's TableStamp.
 ///
-///  - Whole-query bundles keyed by (signature, table stamps): the
-///    Query()/QueryBatch repeat-the-same-SQL path. A hit skips filtering
-///    and index builds entirely and reports preprocess_cost 0.
-///  - Per-table artifacts keyed by TableArtifactKey + per-table stamp: the
-///    PreparedStatement path, where only the tables actually filtered by a
-///    `?` re-prepare when the bound values change.
-///
-/// A key match with stale stamps (DML since the build) evicts the entry
+/// A key match with a stale stamp (DML since the build) evicts the entry
 /// and counts as an invalidation; entries for dropped tables become
-/// unreachable the same way (the stamps of a re-created table carry a new
-/// table id) and age out of the LRU ring.
+/// unreachable (a re-created table has a new id, hence new keys) and age
+/// out of the LRU ring.
 ///
 /// Admission/eviction is size-aware: every entry is charged its artifact
-/// bytes (PreparedQuery::Data::bytes / TableArtifact::bytes plus a fixed
-/// per-entry overhead), and the least recently used entries — of either
-/// granularity — are evicted until the total fits `max_bytes`. An entry
-/// larger than the whole budget is not admitted at all (counted in
-/// stats().admission_rejected); the caller still gets its handle.
+/// bytes (TableArtifact::bytes plus a fixed per-entry overhead), and the
+/// least recently used entries are evicted until the total fits
+/// `max_bytes`. An entry larger than the whole budget is not admitted at
+/// all (counted in stats().admission_rejected); the caller still keeps
+/// its artifact.
 ///
-/// In-flight build coordination: Acquire/AcquireTable return either a
-/// ready artifact or builder=true for exactly one caller per key; every
-/// other concurrent caller blocks until the builder Publishes (getting the
-/// freshly built artifact even if an eviction races in between) or
-/// Abandons (waking waiters to build for themselves). This removes the
-/// duplicated pre-processing a Lookup/Insert race allows.
+/// In-flight build coordination: a miss hands exactly one caller per key
+/// a builder claim; every other concurrent caller waits until the builder
+/// publishes (getting the freshly built artifact even if an eviction races
+/// in between) or abandons (waking waiters to build for themselves). This
+/// removes the duplicated pre-processing a lookup/insert race allows.
 ///
-/// The cache additionally remembers, per signature, the last join order
-/// Skinner-C converged to, surviving data invalidation: the order quality
-/// depends on the data distribution, which DML rarely changes drastically,
-/// so a re-prepared template can still warm-start its UCT tree from it
-/// (learning itself stays per-execution, consistent with the paper).
+/// The cache additionally remembers, per query signature, the last join
+/// order Skinner-C converged to, surviving data invalidation: the order
+/// quality depends on the data distribution, which DML rarely changes
+/// drastically, so a re-prepared template can still warm-start its UCT
+/// tree from it (learning itself stays per-execution, consistent with the
+/// paper).
 ///
-/// All methods are thread-safe; handles returned from Lookup stay valid
-/// after eviction (shared ownership).
+/// All methods are thread-safe; returned artifacts stay valid after
+/// eviction (shared ownership).
 class PreparedCache {
  public:
   static constexpr size_t kDefaultMaxBytes = size_t{64} << 20;  // 64 MiB
-  /// Charged per entry on top of the artifact bytes (map/list bookkeeping,
-  /// bundle analysis objects); also what makes zero-byte entries evictable.
+  /// Charged per entry on top of the artifact bytes (map/list
+  /// bookkeeping); also what makes zero-byte entries evictable.
   static constexpr size_t kEntryOverheadBytes = 256;
+
+  using TableArtifactPtr = std::shared_ptr<const TableArtifact>;
 
   explicit PreparedCache(size_t max_bytes = kDefaultMaxBytes);
   PreparedCache(const PreparedCache&) = delete;
   PreparedCache& operator=(const PreparedCache&) = delete;
 
-  // ---- whole-query bundles -------------------------------------------
-
-  /// Returns the bundle for (key, stamps), or null on miss. A stale entry
-  /// under the same key is evicted (counted as invalidation). Never
-  /// blocks on in-flight builds (see Acquire for that).
-  PreparedHandle Lookup(const std::string& key,
-                        const std::vector<TableStamp>& stamps);
-
-  /// Registers a freshly prepared bundle. An existing entry under the same
-  /// key is replaced; least recently used entries are evicted until the
-  /// byte budget holds.
-  void Insert(const std::string& key, std::vector<TableStamp> stamps,
-              PreparedHandle bundle);
-
-  struct BundleClaim {
-    PreparedHandle handle;  // set on a hit (ready or just-published)
-    bool builder = false;   // true: the caller must Publish or Abandon
-  };
-  /// Lookup with build coordination: a hit returns the handle; the first
-  /// caller to miss becomes the builder (builder=true) and MUST later call
-  /// Publish (success) or Abandon (failure) for this key; concurrent
-  /// callers block until then and receive the published handle.
-  BundleClaim Acquire(const std::string& key,
-                      const std::vector<TableStamp>& stamps);
-  /// Inserts the bundle and hands it to every waiter of Acquire(key).
-  void Publish(const std::string& key, std::vector<TableStamp> stamps,
-               PreparedHandle bundle);
-  /// Releases the builder claim without a result; one waiter (or the next
-  /// caller) becomes the builder instead.
-  void Abandon(const std::string& key);
-
-  // ---- per-table artifacts -------------------------------------------
-
-  using TableArtifactPtr = std::shared_ptr<const TableArtifact>;
-
+  /// The artifact for (key, stamp), or null on a miss. Never blocks on
+  /// in-flight builds and never claims one (the read-only path).
   TableArtifactPtr LookupTable(const std::string& key, const TableStamp& stamp);
-  void InsertTable(const std::string& key, const TableStamp& stamp,
-                   TableArtifactPtr artifact);
 
   struct TableClaim {
     TableArtifactPtr artifact;
     bool builder = false;  // true: the caller must PublishTable/AbandonTable
   };
-  /// AcquireTable/PublishTable/AbandonTable: as Acquire/Publish/Abandon,
-  /// at per-table granularity. A caller holding builder claims on several
-  /// keys at once MUST follow the claim-all protocol (below); a caller
-  /// that only ever holds one claim at a time may simply publish (or
-  /// abandon) it before acquiring the next.
+  /// Returns a ready artifact, or makes the first caller to miss the
+  /// builder (builder=true), who MUST later PublishTable (success) or
+  /// AbandonTable (failure); concurrent callers block until then. A caller
+  /// holding builder claims on several keys at once MUST follow the
+  /// claim-all protocol (below) instead.
   TableClaim AcquireTable(const std::string& key, const TableStamp& stamp);
+  /// Inserts the artifact (replacing any entry under `key`) and hands it
+  /// to every waiter of the key's in-flight build.
   void PublishTable(const std::string& key, const TableStamp& stamp,
                     TableArtifactPtr artifact);
+  /// Releases the builder claim without a result; one waiter (or the next
+  /// caller) becomes the builder instead.
   void AbandonTable(const std::string& key);
 
   /// Claim-all protocol for building SEVERAL tables' artifacts
-  /// concurrently (PreparedStatement's pre-processing of an m-table join):
+  /// concurrently (PreparedQuery::Prepare over an m-table join):
   ///
   ///   1. TryAcquireTable every key up front — never blocks; each call
   ///      yields a ready artifact, a builder claim, or another caller's
@@ -213,7 +152,7 @@ class PreparedCache {
                                 const TableStamp& stamp);
   /// Blocks on `pending` (from TryAcquireTable) until its builder
   /// publishes or abandons. Returns the published artifact, or — after an
-  /// abandon, or a publish under different stamps — falls back to the
+  /// abandon, or a publish under a different stamp — falls back to the
   /// blocking AcquireTable loop, so the result may be builder=true and the
   /// caller must then build-and-publish (or abandon) itself.
   TableClaim WaitTable(const std::string& key, const TableStamp& stamp,
@@ -229,12 +168,14 @@ class PreparedCache {
   std::vector<int> WarmOrder(const std::string& signature) const;
 
   struct Stats {
+    /// Always 0: the whole-query bundle entries these counted are gone.
+    /// Kept declared because the end-to-end benchmark sums them with
+    /// table_hits/table_misses; a benchmark-scoped change drops them.
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t invalidations = 0;  // key hits discarded on stale stamps
     uint64_t table_hits = 0;
     uint64_t table_misses = 0;
-    uint64_t table_invalidations = 0;
+    uint64_t table_invalidations = 0;  // key hits discarded on stale stamps
     /// Lookups served by blocking on another caller's in-flight build
     /// instead of re-preparing.
     uint64_t inflight_waits = 0;
@@ -243,9 +184,8 @@ class PreparedCache {
     /// Entries evicted to fit the byte budget (not replacements or
     /// stamp invalidations).
     uint64_t size_evictions = 0;
-    size_t entries = 0;        // whole-query bundles
-    size_t table_entries = 0;  // per-table artifacts
-    size_t bytes_used = 0;     // charged bytes across both kinds
+    size_t table_entries = 0;  // resident artifacts
+    size_t bytes_used = 0;     // charged bytes of the resident artifacts
     size_t max_bytes = 0;      // the configured budget
   };
   Stats stats() const;
@@ -255,19 +195,9 @@ class PreparedCache {
   void Clear();
 
  private:
-  struct LruKey {
-    bool table;  // discriminates the two entry kinds
-    std::string key;
-  };
-  using LruList = std::list<LruKey>;
+  using LruList = std::list<std::string>;
 
   struct Entry {
-    std::vector<TableStamp> stamps;
-    PreparedHandle bundle;
-    size_t bytes = 0;
-    LruList::iterator lru_it;
-  };
-  struct TableEntry {
     TableStamp stamp;
     TableArtifactPtr artifact;
     size_t bytes = 0;
@@ -278,37 +208,28 @@ class PreparedCache {
   /// the waiters; Abandon leaves it empty).
   struct Inflight {
     bool done = false;
-    PreparedHandle bundle;
     TableArtifactPtr artifact;
-    std::vector<TableStamp> stamps;
     TableStamp stamp;
     std::condition_variable cv;
   };
 
+  /// Serves a fresh hit (LRU bump) or evicts a stale entry; null on miss.
+  TableArtifactPtr HitLocked(const std::string& key, const TableStamp& stamp);
   void EvictLocked(const std::string& key);
-  void EvictTableLocked(const std::string& key);
-  void EvictLruLocked(LruList::iterator it);
-  /// Evicts LRU entries (of either kind) until `bytes` more fit the
-  /// budget; returns false (admission rejected) if they never can.
+  /// Evicts LRU entries until `bytes` more fit the budget; returns false
+  /// (admission rejected) if they never can.
   bool ReserveLocked(size_t bytes);
-  void InsertLocked(const std::string& key, std::vector<TableStamp> stamps,
-                    PreparedHandle bundle);
-  void InsertTableLocked(const std::string& key, const TableStamp& stamp,
-                         TableArtifactPtr artifact);
+  void InsertLocked(const std::string& key, const TableStamp& stamp,
+                    TableArtifactPtr artifact);
 
   const size_t max_bytes_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, Entry> entries_;
-  std::unordered_map<std::string, TableEntry> table_entries_;
-  LruList lru_;  // front = most recently used; both entry kinds
+  LruList lru_;  // front = most recently used
   size_t bytes_used_ = 0;
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_;
-  std::unordered_map<std::string, std::shared_ptr<Inflight>> table_inflight_;
   std::unordered_map<std::string, std::vector<int>> orders_;
   std::list<std::string> order_fifo_;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t invalidations_ = 0;
   uint64_t table_hits_ = 0;
   uint64_t table_misses_ = 0;
   uint64_t table_invalidations_ = 0;

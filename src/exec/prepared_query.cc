@@ -5,6 +5,7 @@
 
 #include "common/hash_util.h"
 #include "common/scheduler.h"
+#include "exec/prepared_cache.h"
 
 namespace skinner {
 
@@ -448,26 +449,10 @@ std::pair<std::unique_ptr<HashIndex>, uint64_t> BuildColumnIndex(
   return {std::move(index), cost};
 }
 
-}  // namespace
-
-size_t TableArtifact::bytes() const {
-  size_t b = sizeof(TableArtifact) + filtered.capacity() * sizeof(int32_t);
-  for (const auto& [col, index] : indexes) {
-    (void)col;
-    b += sizeof(HashIndex) + index->bytes();
-  }
-  return b;
-}
-
-size_t PreparedQuery::Data::bytes() const {
-  size_t b = sizeof(Data) + tables.capacity() * sizeof(const Table*);
-  for (const auto& a : artifacts) {
-    if (a != nullptr) b += a->bytes();
-  }
-  return b;
-}
-
-std::shared_ptr<const TableArtifact> BuildTableArtifact(
+/// Builds table `t`'s artifact sequentially: filters by
+/// info.unary_preds(t), then (optionally) builds a hash index on each of
+/// t's equality-join columns over the survivors.
+std::shared_ptr<TableArtifact> BuildTableArtifact(
     const std::vector<const Table*>& tables, const StringPool* pool,
     const QueryInfo& info, int t, bool build_hash_indexes) {
   auto artifact = std::make_shared<TableArtifact>();
@@ -486,6 +471,144 @@ std::shared_ptr<const TableArtifact> BuildTableArtifact(
     }
   }
   return artifact;
+}
+
+/// Builds the artifacts of the tables in `fresh` into (*out)[t] and returns
+/// the virtual cost charged for them (see PreparedQuery::Prepare for the
+/// cost model). Sequential, or morsel-parallel with opts.parallel; the
+/// artifacts are bit-identical either way.
+uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
+                        const StringPool* pool, const QueryInfo& info,
+                        const std::vector<int>& fresh,
+                        const PrepareOptions& opts,
+                        std::vector<std::shared_ptr<const TableArtifact>>* out) {
+  if (fresh.empty()) return 0;
+  if (!opts.parallel) {
+    uint64_t cost = 0;
+    for (int t : fresh) {
+      auto artifact =
+          BuildTableArtifact(tables, pool, info, t, opts.build_hash_indexes);
+      cost += artifact->build_cost;
+      (*out)[static_cast<size_t>(t)] = std::move(artifact);
+    }
+    return cost;
+  }
+  // Execution width is leased from the scheduler's engine budget (under
+  // concurrent sessions a build degrades to fewer workers); the charged
+  // cost below stays pinned to the CONFIGURED width, so costs never depend
+  // on who else was running.
+  ThreadLease lease;
+  int width = std::max(opts.num_threads, 1);
+  if (opts.scheduler != nullptr && opts.num_threads > 1) {
+    lease = opts.scheduler->LeaseThreads(opts.num_threads);
+    width = std::max(1, lease.granted());
+  }
+  // Phase A: one job per (table, morsel) across EVERY fresh table, so a
+  // lone large table still splits and small tables cannot straggle.
+  struct FilterJob {
+    int t;
+    int64_t begin;
+    int64_t end;
+    std::vector<int32_t> rows;
+    uint64_t cost = 0;
+  };
+  std::vector<FilterJob> jobs;
+  std::vector<std::shared_ptr<TableArtifact>> built(tables.size());
+  int64_t total_rows = 0;
+  for (int t : fresh) {
+    built[static_cast<size_t>(t)] = std::make_shared<TableArtifact>();
+    const int64_t n = tables[static_cast<size_t>(t)]->num_rows();
+    total_rows += n;
+    for (int64_t b = 0; b < n; b += kFilterMorselRows) {
+      jobs.push_back(FilterJob{t, b, std::min(n, b + kFilterMorselRows), {}, 0});
+    }
+  }
+  // When the whole workload is under one morsel of rows, dispatching it
+  // would cost more than scanning it: run every job on this thread.
+  const size_t filter_grain =
+      total_rows <= kFilterMorselRows ? jobs.size() : size_t{1};
+  SchedParallelFor(
+      opts.scheduler, jobs.size(), width,
+      [&](size_t i) {
+        FilterJob& job = jobs[i];
+        auto [rows, cost] = FilterMorsel(tables, pool, info.unary_preds(job.t),
+                                         job.t, job.begin, job.end);
+        job.rows = std::move(rows);
+        job.cost = cost;
+      },
+      filter_grain);
+  // Concatenate in (table, range) order — bit-identical to sequential
+  // scans — and collect per-morsel costs for the makespan model.
+  std::vector<uint64_t> filter_costs;
+  filter_costs.reserve(jobs.size());
+  for (FilterJob& job : jobs) {
+    TableArtifact& a = *built[static_cast<size_t>(job.t)];
+    a.filtered.insert(a.filtered.end(), job.rows.begin(), job.rows.end());
+    a.build_cost += job.cost;
+    filter_costs.push_back(job.cost);
+  }
+  // Phase B: one job per (table, column) index, so a single wide table
+  // cannot serialize the build and each worker stages into its own
+  // HashIndex shard (no contended/false-shared growing vector). Large
+  // indexes additionally run their partitioned Build phases on the same
+  // pool (nested ParallelFor; the caller participates).
+  struct IndexJob {
+    int t;
+    int col;
+    std::unique_ptr<HashIndex> index;
+    uint64_t cost = 0;
+  };
+  std::vector<IndexJob> ijobs;
+  if (opts.build_hash_indexes) {
+    for (int t : fresh) {
+      if (built[static_cast<size_t>(t)]->filtered.empty()) continue;
+      for (int col : EquiJoinColumns(info, t)) {
+        ijobs.push_back(IndexJob{t, col, nullptr, 0});
+      }
+    }
+  }
+  SchedParallelFor(
+      opts.scheduler, ijobs.size(), width,
+      [&](size_t i) {
+        IndexJob& job = ijobs[i];
+        auto [index, cost] = BuildColumnIndex(
+            tables, job.t, job.col, built[static_cast<size_t>(job.t)]->filtered,
+            opts.scheduler, width);
+        job.index = std::move(index);
+        job.cost = cost;
+      },
+      /*min_grain=*/1);
+  // Attach sequentially — unordered_map insertion is not thread-safe.
+  // Cost totals are count-based and schedule-independent, so the values
+  // match the sequential path exactly.
+  std::vector<uint64_t> index_costs;
+  index_costs.reserve(ijobs.size());
+  for (IndexJob& job : ijobs) {
+    TableArtifact& a = *built[static_cast<size_t>(job.t)];
+    a.build_cost += job.cost;
+    a.indexes.emplace(job.col, std::move(job.index));
+    index_costs.push_back(job.cost);
+  }
+  for (int t : fresh) {
+    (*out)[static_cast<size_t>(t)] = std::move(built[static_cast<size_t>(t)]);
+  }
+  // Parallel cost model: the deterministic list-scheduled makespan of the
+  // filter morsels plus that of the index jobs, at the CONFIGURED width.
+  // At num_threads <= 1 each makespan is exactly the cost sum, so the
+  // parallel path charges precisely what the sequential path would.
+  return ListScheduleMakespan(filter_costs, opts.num_threads) +
+         ListScheduleMakespan(index_costs, opts.num_threads);
+}
+
+}  // namespace
+
+size_t TableArtifact::bytes() const {
+  size_t b = sizeof(TableArtifact) + filtered.capacity() * sizeof(int32_t);
+  for (const auto& [col, index] : indexes) {
+    (void)col;
+    b += sizeof(HashIndex) + index->bytes();
+  }
+  return b;
 }
 
 uint64_t ListScheduleMakespan(const std::vector<uint64_t>& costs,
@@ -513,77 +636,10 @@ uint64_t ListScheduleMakespan(const std::vector<uint64_t>& costs,
   return makespan;
 }
 
-std::shared_ptr<const TableArtifact> BuildTableArtifactParallel(
-    const std::vector<const Table*>& tables, const StringPool* pool,
-    const QueryInfo& info, int t, bool build_hash_indexes, Scheduler* sched,
-    int max_threads) {
-  if (sched == nullptr || max_threads <= 1) {
-    return BuildTableArtifact(tables, pool, info, t, build_hash_indexes);
-  }
-  auto artifact = std::make_shared<TableArtifact>();
-  const int64_t n = tables[static_cast<size_t>(t)]->num_rows();
-  const size_t morsels =
-      static_cast<size_t>((n + kFilterMorselRows - 1) / kFilterMorselRows);
-  const std::vector<const Expr*>& preds = info.unary_preds(t);
-  std::vector<std::pair<std::vector<int32_t>, uint64_t>> parts(morsels);
-  // Morsel-parallel filter scan; a table at most one morsel long runs on
-  // the caller thread without touching the dispatch queue.
-  sched->ParallelFor(
-      morsels, max_threads,
-      [&](size_t i) {
-        const int64_t begin = static_cast<int64_t>(i) * kFilterMorselRows;
-        const int64_t end = std::min(n, begin + kFilterMorselRows);
-        parts[i] = FilterMorsel(tables, pool, preds, t, begin, end);
-      },
-      /*min_grain=*/1);
-  // Concatenate in range order: bit-identical to the sequential scan, and
-  // morsel costs sum to exactly the sequential scan's cost.
-  size_t total = 0;
-  for (const auto& [rows, cost] : parts) total += rows.size();
-  artifact->filtered.reserve(total);
-  for (auto& [rows, cost] : parts) {
-    artifact->filtered.insert(artifact->filtered.end(), rows.begin(),
-                              rows.end());
-    artifact->build_cost += cost;
-  }
-  if (build_hash_indexes && !artifact->filtered.empty()) {
-    // Distinct columns stage concurrently (each into its own shard), and
-    // each column's Build() runs its partitioned phases on the same pool
-    // (ParallelFor nests safely — the caller participates).
-    const std::vector<int> cols = EquiJoinColumns(info, t);
-    std::vector<std::pair<std::unique_ptr<HashIndex>, uint64_t>> built(
-        cols.size());
-    sched->ParallelFor(
-        cols.size(), max_threads,
-        [&](size_t i) {
-          built[i] = BuildColumnIndex(tables, t, cols[i], artifact->filtered,
-                                      sched, max_threads);
-        },
-        /*min_grain=*/1);
-    for (size_t i = 0; i < cols.size(); ++i) {
-      artifact->build_cost += built[i].second;
-      artifact->indexes.emplace(cols[i], std::move(built[i].first));
-    }
-  }
-  return artifact;
-}
-
 const HashIndex* PreparedQuery::index(int t, int col) const {
   const auto& indexes = data_->artifacts[static_cast<size_t>(t)]->indexes;
   auto it = indexes.find(col);
   return it == indexes.end() ? nullptr : it->second.get();
-}
-
-std::unique_ptr<PreparedQuery> PreparedQuery::Rebind(
-    const BoundQuery* query, const QueryInfo* info, const StringPool* pool,
-    VirtualClock* clock, std::shared_ptr<const Data> data) {
-  auto pq = std::unique_ptr<PreparedQuery>(new PreparedQuery());
-  pq->query_ = query;
-  pq->info_ = info;
-  pq->pool_ = pool;
-  pq->clock_ = clock;
-  pq->data_ = std::move(data);
-  return pq;
 }
 
 Result<std::unique_ptr<PreparedQuery>> PreparedQuery::Prepare(
@@ -593,13 +649,21 @@ Result<std::unique_ptr<PreparedQuery>> PreparedQuery::Prepare(
   data->tables = query->TablePtrs();
   const int m = static_cast<int>(data->tables.size());
   data->artifacts.resize(static_cast<size_t>(m));
-  const bool have_reuse = opts.reuse != nullptr && !opts.reuse->empty();
-  assert(!have_reuse || opts.reuse->size() == static_cast<size_t>(m));
+  auto view = [&]() {
+    clock->Tick(data->preprocess_cost);
+    auto pq = std::unique_ptr<PreparedQuery>(new PreparedQuery());
+    pq->query_ = query;
+    pq->info_ = info;
+    pq->pool_ = pool;
+    pq->clock_ = clock;
+    pq->data_ = std::move(data);
+    return pq;
+  };
 
   // Constant predicates decide emptiness without touching data. Their
-  // (typically negligible) evaluation cost counts as pre-processing; it is
-  // re-evaluated per execution because a parameterized constant predicate
-  // changes with the bound values while the per-table artifacts do not.
+  // (typically negligible) evaluation cost counts as pre-processing and is
+  // paid by every execution: a false one skips every table artifact —
+  // nothing is scanned, fetched or cached for it.
   {
     VirtualClock local;
     std::vector<int64_t> binding(static_cast<size_t>(m), 0);
@@ -622,155 +686,85 @@ Result<std::unique_ptr<PreparedQuery>> PreparedQuery::Prepare(
       // stay safe: every table gets one shared empty artifact.
       static const std::shared_ptr<const TableArtifact> kEmpty =
           std::make_shared<TableArtifact>();
-      for (int t = 0; t < m; ++t) {
-        data->artifacts[static_cast<size_t>(t)] =
-            have_reuse && (*opts.reuse)[static_cast<size_t>(t)] != nullptr
-                ? (*opts.reuse)[static_cast<size_t>(t)]
-                : kEmpty;
-      }
-      clock->Tick(data->preprocess_cost);
-      return Rebind(query, info, pool, clock, std::move(data));
+      for (auto& a : data->artifacts) a = kEmpty;
+      return view();
     }
   }
 
-  // Per-table artifacts (filter + that table's equi-join indexes), built
-  // only where no reusable artifact was supplied; optionally parallel
-  // (paper: pre-processing is the one parallelized phase of Skinner-C).
-  std::vector<int> fresh;
-  fresh.reserve(static_cast<size_t>(m));
+  // Per-table artifacts (filter + that table's equi-join indexes). With a
+  // cache, each table follows the claim-all protocol (prepared_cache.h):
+  // try-claim every table up front (never blocking), build and publish
+  // every owned claim, and only then wait on other executions' in-flight
+  // builds. Deadlock-free because no execution blocks while holding an
+  // unpublished claim, and a full miss still builds all m tables at once.
+  PreparedCache* cache = opts.cache;
+  struct Claim {
+    std::string key;
+    TableStamp stamp;
+    std::shared_ptr<void> pending;  // another execution's in-flight build
+  };
+  std::vector<Claim> claims(cache != nullptr ? static_cast<size_t>(m) : 0);
+  std::vector<int> fresh;  // built here: owned claims or private builds
   for (int t = 0; t < m; ++t) {
-    if (have_reuse && (*opts.reuse)[static_cast<size_t>(t)] != nullptr) {
-      data->artifacts[static_cast<size_t>(t)] =
-          (*opts.reuse)[static_cast<size_t>(t)];
+    if (cache == nullptr) {
+      fresh.push_back(t);
+      continue;
+    }
+    const Table* table = data->tables[static_cast<size_t>(t)];
+    Claim& c = claims[static_cast<size_t>(t)];
+    c.key = TableArtifactKey(*table, info->unary_preds(t),
+                             EquiJoinColumns(*info, t),
+                             opts.build_hash_indexes);
+    c.stamp = TableStamp{table->id(), table->data_version()};
+    std::shared_ptr<const TableArtifact>& slot =
+        data->artifacts[static_cast<size_t>(t)];
+    if (opts.cache_read_only) {
+      slot = cache->LookupTable(c.key, c.stamp);
     } else {
+      PreparedCache::TableTryClaim claim = cache->TryAcquireTable(c.key, c.stamp);
+      slot = std::move(claim.artifact);
+      c.pending = std::move(claim.pending);
+    }
+    if (slot != nullptr) {
+      ++data->tables_from_cache;
+    } else if (c.pending == nullptr) {
       fresh.push_back(t);
     }
   }
-  if (opts.parallel && !fresh.empty()) {
-    // Execution width is leased from the scheduler's engine budget (under
-    // concurrent sessions a build degrades to fewer workers); the charged
-    // cost below stays pinned to the CONFIGURED width, so costs never
-    // depend on who else was running.
-    ThreadLease lease;
-    int width = std::max(opts.num_threads, 1);
-    if (opts.scheduler != nullptr && opts.num_threads > 1) {
-      lease = opts.scheduler->LeaseThreads(opts.num_threads);
-      width = std::max(1, lease.granted());
-    }
-    // Phase A: one job per (table, morsel) across EVERY fresh table, so a
-    // lone large table still splits and small tables cannot straggle.
-    struct FilterJob {
-      int t;
-      int64_t begin;
-      int64_t end;
-      std::vector<int32_t> rows;
-      uint64_t cost = 0;
-    };
-    std::vector<FilterJob> jobs;
-    std::vector<std::shared_ptr<TableArtifact>> built(static_cast<size_t>(m));
-    int64_t total_rows = 0;
-    for (int t : fresh) {
-      built[static_cast<size_t>(t)] = std::make_shared<TableArtifact>();
-      const int64_t n = data->tables[static_cast<size_t>(t)]->num_rows();
-      total_rows += n;
-      for (int64_t b = 0; b < n; b += kFilterMorselRows) {
-        jobs.push_back(
-            FilterJob{t, b, std::min(n, b + kFilterMorselRows), {}, 0});
-      }
-    }
-    // When the whole workload is under one morsel of rows, dispatching it
-    // would cost more than scanning it: run every job on this thread.
-    const size_t filter_grain =
-        total_rows <= kFilterMorselRows ? jobs.size() : size_t{1};
-    SchedParallelFor(
-        opts.scheduler, jobs.size(), width,
-        [&](size_t i) {
-          FilterJob& job = jobs[i];
-          auto [rows, cost] = FilterMorsel(data->tables, pool,
-                                           info->unary_preds(job.t), job.t,
-                                           job.begin, job.end);
-          job.rows = std::move(rows);
-          job.cost = cost;
-        },
-        filter_grain);
-    // Concatenate in (table, range) order — bit-identical to sequential
-    // scans — and collect per-morsel costs for the makespan model.
-    std::vector<uint64_t> filter_costs;
-    filter_costs.reserve(jobs.size());
-    for (FilterJob& job : jobs) {
-      TableArtifact& a = *built[static_cast<size_t>(job.t)];
-      a.filtered.insert(a.filtered.end(), job.rows.begin(), job.rows.end());
-      a.build_cost += job.cost;
-      filter_costs.push_back(job.cost);
-    }
-    // Phase B: one job per (table, column) index, so a single wide table
-    // cannot serialize the build and each worker stages into its own
-    // HashIndex shard (no contended/false-shared growing vector). Large
-    // indexes additionally run their partitioned Build phases on the same
-    // pool (nested ParallelFor; the caller participates).
-    struct IndexJob {
-      int t;
-      int col;
-      std::unique_ptr<HashIndex> index;
-      uint64_t cost = 0;
-    };
-    std::vector<IndexJob> ijobs;
-    if (opts.build_hash_indexes) {
-      for (int t : fresh) {
-        if (built[static_cast<size_t>(t)]->filtered.empty()) continue;
-        for (int col : EquiJoinColumns(*info, t)) {
-          ijobs.push_back(IndexJob{t, col, nullptr, 0});
-        }
-      }
-    }
-    SchedParallelFor(
-        opts.scheduler, ijobs.size(), width,
-        [&](size_t i) {
-          IndexJob& job = ijobs[i];
-          auto [index, cost] = BuildColumnIndex(
-              data->tables, job.t, job.col,
-              built[static_cast<size_t>(job.t)]->filtered, opts.scheduler,
-              width);
-          job.index = std::move(index);
-          job.cost = cost;
-        },
-        /*min_grain=*/1);
-    // Attach sequentially — unordered_map insertion is not thread-safe.
-    // Cost totals are count-based and schedule-independent, so the values
-    // match the sequential path exactly.
-    std::vector<uint64_t> index_costs;
-    index_costs.reserve(ijobs.size());
-    for (IndexJob& job : ijobs) {
-      TableArtifact& a = *built[static_cast<size_t>(job.t)];
-      a.build_cost += job.cost;
-      a.indexes.emplace(job.col, std::move(job.index));
-      index_costs.push_back(job.cost);
-    }
-    for (int t : fresh) {
-      data->artifacts[static_cast<size_t>(t)] = built[static_cast<size_t>(t)];
-    }
-    // Parallel cost model: the deterministic list-scheduled makespan of the
-    // filter morsels plus that of the index jobs, at the CONFIGURED width.
-    // At num_threads <= 1 each makespan is exactly the cost sum, so the
-    // parallel path charges precisely what the sequential path would.
+  auto build = [&](const std::vector<int>& ts) {
     data->preprocess_cost +=
-        ListScheduleMakespan(filter_costs, opts.num_threads) +
-        ListScheduleMakespan(index_costs, opts.num_threads);
-  } else {
-    for (int t : fresh) {
-      data->artifacts[static_cast<size_t>(t)] = BuildTableArtifact(
-          data->tables, pool, *info, t, opts.build_hash_indexes);
-      data->preprocess_cost +=
-          data->artifacts[static_cast<size_t>(t)]->build_cost;
+        BuildArtifacts(data->tables, pool, *info, ts, opts, &data->artifacts);
+    if (cache == nullptr) return;
+    data->tables_reprepared += static_cast<int>(ts.size());
+    if (opts.cache_read_only) return;
+    for (int t : ts) {
+      const Claim& c = claims[static_cast<size_t>(t)];
+      const auto& artifact = data->artifacts[static_cast<size_t>(t)];
+      cache->PublishTable(c.key, c.stamp, artifact);
+      data->bytes_published += artifact->bytes();
+    }
+  };
+  build(fresh);
+  // Redeem the in-flight tokens — safe to block now, every owned claim is
+  // published. A wait can hand back a builder claim (the other execution
+  // abandoned, or published under another stamp): build and publish it
+  // before waiting on anything else.
+  for (int t = 0; t < static_cast<int>(claims.size()); ++t) {
+    Claim& c = claims[static_cast<size_t>(t)];
+    if (c.pending == nullptr) continue;
+    PreparedCache::TableClaim claim = cache->WaitTable(c.key, c.stamp, c.pending);
+    if (claim.artifact != nullptr) {
+      data->artifacts[static_cast<size_t>(t)] = std::move(claim.artifact);
+      ++data->tables_from_cache;
+    } else {
+      build({t});
     }
   }
-  for (int t = 0; t < m; ++t) {
-    if (data->artifacts[static_cast<size_t>(t)]->filtered.empty()) {
-      data->trivially_empty = true;
-    }
+
+  for (const auto& a : data->artifacts) {
+    if (a->filtered.empty()) data->trivially_empty = true;
   }
-  clock->Tick(data->preprocess_cost);
-  return Rebind(query, info, pool, clock, std::move(data));
+  return view();
 }
 
 }  // namespace skinner

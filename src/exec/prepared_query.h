@@ -16,6 +16,7 @@
 
 namespace skinner {
 
+class PreparedCache;
 class Scheduler;
 
 /// Per-builder staging shard for HashIndex construction. Append-only
@@ -288,10 +289,9 @@ uint64_t JoinKeyOf(const Column& col, int64_t base_row);
 /// The pre-processing artifact of ONE FROM-list table: the base rows
 /// surviving its unary predicates plus hash indexes on each of its
 /// equi-join columns (over the filtered positions). Immutable after
-/// construction and shared by shared_ptr, so the PreparedCache can reuse
-/// per-table artifacts at table granularity: a parameterized statement
-/// whose `?` only filters table A re-prepares A's artifact per parameter
-/// value while every other table's artifact is shared across all values.
+/// construction and shared by shared_ptr: the PreparedCache reuses
+/// artifacts at table granularity, so any two executions that filter and
+/// index a table the same way share one artifact.
 struct TableArtifact {
   std::vector<int32_t> filtered;  // surviving base rows, ascending
   std::unordered_map<int, std::unique_ptr<HashIndex>> indexes;  // by column
@@ -303,27 +303,6 @@ struct TableArtifact {
   /// every frozen index.
   size_t bytes() const;
 };
-
-/// Builds the artifact of table `t` for the analyzed query: filters by
-/// info.unary_preds(t), then (optionally) builds a hash index on each of
-/// t's equality-join columns over the survivors. Independent per table —
-/// safe to call concurrently for distinct tables, and the unit of reuse
-/// for the per-table PreparedCache.
-std::shared_ptr<const TableArtifact> BuildTableArtifact(
-    const std::vector<const Table*>& tables, const StringPool* pool,
-    const QueryInfo& info, int t, bool build_hash_indexes);
-
-/// As above, with the filter scan morsel-parallel and the hash-index
-/// builds partitioned over `sched` (null scheduler or width <= 1 runs
-/// inline). The artifact — surviving rows, index layout, build_cost — is
-/// bit-identical to the sequential build for every worker count; only
-/// wall-clock time changes. The concurrent claim-all path of
-/// PreparedStatement uses this so each claimed table builds parallel
-/// inside while distinct tables build concurrently.
-std::shared_ptr<const TableArtifact> BuildTableArtifactParallel(
-    const std::vector<const Table*>& tables, const StringPool* pool,
-    const QueryInfo& info, int t, bool build_hash_indexes, Scheduler* sched,
-    int max_threads);
 
 /// Rows per filter-scan morsel: the unit of parallel pre-processing work.
 /// Small enough that a handful of tables splits into far more morsels than
@@ -360,11 +339,15 @@ struct PrepareOptions {
   /// and the artifact contents are identical — the pool only changes
   /// wall-clock time.
   Scheduler* scheduler = nullptr;
-  /// Per-table artifacts to reuse instead of building (PreparedStatement /
-  /// PreparedCache): when non-null and (*reuse)[t] is set, table t costs
-  /// nothing and shares the given artifact; null slots build fresh. The
-  /// vector must be empty or sized to the query's FROM list.
-  const std::vector<std::shared_ptr<const TableArtifact>>* reuse = nullptr;
+  /// Cross-query cache of per-table artifacts (exec/prepared_cache.h).
+  /// Null: every table builds fresh, and no key is computed and no cache
+  /// lock taken. Otherwise each table's artifact is keyed by
+  /// TableArtifactKey and acquired through the cache's claim-all
+  /// protocol; a cached table costs nothing.
+  PreparedCache* cache = nullptr;
+  /// With `cache`: serve hits, but build misses privately and publish
+  /// nothing (see ExecOptions::cache_read_only).
+  bool cache_read_only = false;
 };
 
 /// Output of the pre-processor (paper Figure 2): per-table lists of base
@@ -372,51 +355,50 @@ struct PrepareOptions {
 /// columns over those survivors. All engines execute in "position space":
 /// position p of table t refers to base row filtered_rows(t)[p].
 ///
-/// A PreparedQuery is split along the execution/artifact boundary:
-///  - PreparedQuery::Data is the immutable pre-processing *artifact*
-///    (filtered positions + frozen hash indexes). It is read-only after
-///    Prepare(), thread-shareable, and held by shared_ptr so the
-///    cross-query PreparedCache and concurrent batch items can reuse one
-///    build (paper 4.5 does this work per query; reuse makes it free on
-///    repeats).
-///  - The PreparedQuery object itself is the cheap per-*execution* view:
-///    data handle + query/info/pool pointers + this execution's virtual
-///    clock. Rebind() constructs one in O(1) from a shared Data.
+/// A PreparedQuery is the per-*execution* view over the pre-processing
+/// output: query/info/pool pointers, this execution's virtual clock, and
+/// one immutable TableArtifact per FROM-list table. The artifacts are
+/// read-only, thread-shareable, and individually shared with the
+/// cross-query PreparedCache (paper 4.5 does this work per query; per-table
+/// reuse makes it free whenever a table is filtered the same way again).
 class PreparedQuery {
  public:
-  /// The immutable pre-processing artifact (see class comment): one
-  /// shared TableArtifact per FROM-list table. Artifacts are individually
-  /// shareable — two Data bundles for different parameter values of one
-  /// template typically share every artifact except the param-filtered
-  /// tables'.
+  /// The pre-processing output of one execution: one shared TableArtifact
+  /// per FROM-list table, plus where each came from.
   struct Data {
     std::vector<const Table*> tables;
     std::vector<std::shared_ptr<const TableArtifact>> artifacts;  // per table
     bool trivially_empty = false;
-    /// Virtual cost charged to the preparing execution's clock: the cost
-    /// of the artifacts actually built for it (reused/cached tables and
-    /// cache hits contribute nothing).
+    /// Virtual cost charged to the preparing execution's clock: constant
+    /// predicates plus the artifacts actually built for it (cached tables
+    /// contribute nothing).
     uint64_t preprocess_cost = 0;
-
-    /// Heap footprint of the referenced artifacts (cache accounting).
-    size_t bytes() const;
+    /// Cache provenance (all 0 without a cache): tables served by the
+    /// PreparedCache, tables built here on a cache miss, and the artifact
+    /// bytes published into the cache. A false constant predicate builds
+    /// and fetches nothing.
+    int tables_from_cache = 0;
+    int tables_reprepared = 0;
+    uint64_t bytes_published = 0;
   };
 
-  /// Runs pre-processing (filter + index build), charges the cost to
-  /// `clock`, and returns an execution view over the freshly built Data.
+  /// The one pre-processing core: evaluates the constant predicates, then
+  /// obtains every table's artifact — from opts.cache where it holds one,
+  /// otherwise by filtering and index building — charges the cost to
+  /// `clock`, and returns an execution view over the result.
+  ///
+  /// Every built table goes through one builder and one cost model:
+  /// sequentially the cost is the sum of the artifacts' build costs; with
+  /// opts.parallel the filter scans split into kFilterMorselRows morsels
+  /// across every built table and the index builds into one job per
+  /// (table, column), and the charged cost is the list-scheduled makespan
+  /// of the filter morsels plus that of the index jobs at the CONFIGURED
+  /// width (ListScheduleMakespan).
   static Result<std::unique_ptr<PreparedQuery>> Prepare(
       const BoundQuery* query, const QueryInfo* info, const StringPool* pool,
       VirtualClock* clock, const PrepareOptions& opts);
 
-  /// Rebinds an existing shared artifact to a new execution (PreparedCache
-  /// hit): no filtering, no index builds, nothing charged to `clock`.
-  /// `query`/`info` must be the (equivalent) objects the artifact was built
-  /// from — the cache guarantees this by keying on the bound signature.
-  static std::unique_ptr<PreparedQuery> Rebind(
-      const BoundQuery* query, const QueryInfo* info, const StringPool* pool,
-      VirtualClock* clock, std::shared_ptr<const Data> data);
-
-  /// The shared artifact handle (for caching / cross-execution reuse).
+  /// The pre-processing output (artifacts and provenance).
   const std::shared_ptr<const Data>& shared_data() const { return data_; }
 
   const BoundQuery& query() const { return *query_; }
@@ -446,9 +428,8 @@ class PreparedQuery {
   /// Index over (table, column), or nullptr if none was built.
   const HashIndex* index(int t, int col) const;
 
-  /// Virtual cost consumed by building the underlying artifact. This is a
-  /// property of the Data: executions served from the PreparedCache report
-  /// 0 in their ExecutionStats instead.
+  /// Virtual cost this execution's pre-processing charged (0 when every
+  /// table came from the PreparedCache and no constant predicate ran).
   uint64_t preprocess_cost() const { return data_->preprocess_cost; }
 
   /// Evaluation context bound to `rows` (one base row id per table).

@@ -2,10 +2,11 @@
 
 #include <cctype>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <utility>
+
+#include "common/str_util.h"
 
 namespace skinner {
 
@@ -150,20 +151,12 @@ Result<std::vector<Value>> ParseLiteralList(const std::string& text) {
       values.push_back(Value::Null());
       continue;
     }
-    const bool looks_double = tok.find_first_of(".eE") != std::string::npos;
-    char* end = nullptr;
-    if (looks_double) {
-      double d = std::strtod(tok.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
-        return Status::ParseError("bad literal: " + tok);
-      }
+    if (tok.find_first_of(".eE") != std::string::npos) {
+      SKINNER_ASSIGN_OR_RETURN(double d, ParseDouble(tok));
       values.push_back(Value::Double(d));
     } else {
-      long long v = std::strtoll(tok.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || end == tok.c_str()) {
-        return Status::ParseError("bad literal: " + tok);
-      }
-      values.push_back(Value::Int(static_cast<int64_t>(v)));
+      SKINNER_ASSIGN_OR_RETURN(int64_t v, ParseInt64(tok));
+      values.push_back(Value::Int(v));
     }
   }
   return values;

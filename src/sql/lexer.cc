@@ -1,7 +1,6 @@
 #include "sql/lexer.h"
 
 #include <cctype>
-#include <cstdlib>
 
 #include "common/str_util.h"
 
@@ -67,10 +66,10 @@ Result<std::vector<Token>> Lex(const std::string& sql) {
       std::string text = sql.substr(start, i - start);
       if (is_double) {
         tok.type = TokenType::kDouble;
-        tok.double_val = std::strtod(text.c_str(), nullptr);
+        SKINNER_ASSIGN_OR_RETURN(tok.double_val, ParseDouble(text));
       } else {
         tok.type = TokenType::kInt;
-        tok.int_val = std::strtoll(text.c_str(), nullptr, 10);
+        SKINNER_ASSIGN_OR_RETURN(tok.int_val, ParseInt64(text));
       }
       tok.text = std::move(text);
       out.push_back(std::move(tok));

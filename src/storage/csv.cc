@@ -1,6 +1,5 @@
 #include "storage/csv.h"
 
-#include <cstdlib>
 #include <fstream>
 
 #include "common/str_util.h"
@@ -44,19 +43,11 @@ Result<Value> CoerceField(const std::string& field, DataType type,
   if (field.empty() || field == opts.null_marker) return Value::Null();
   switch (type) {
     case DataType::kInt64: {
-      char* end = nullptr;
-      long long v = std::strtoll(field.c_str(), &end, 10);
-      if (end == field.c_str() || *end != '\0') {
-        return Status::ParseError("not an integer: '" + field + "'");
-      }
+      SKINNER_ASSIGN_OR_RETURN(int64_t v, ParseInt64(field));
       return Value::Int(v);
     }
     case DataType::kDouble: {
-      char* end = nullptr;
-      double v = std::strtod(field.c_str(), &end);
-      if (end == field.c_str() || *end != '\0') {
-        return Status::ParseError("not a double: '" + field + "'");
-      }
+      SKINNER_ASSIGN_OR_RETURN(double v, ParseDouble(field));
       return Value::Double(v);
     }
     case DataType::kString:

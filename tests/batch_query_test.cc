@@ -150,7 +150,7 @@ TEST_F(BatchQueryTest, OnePrepaymentPerTemplateGroup) {
     }
   }
   // Nothing leaked into the database's cross-query cache.
-  EXPECT_EQ(db_.prepared_cache()->stats().entries, 0u);
+  EXPECT_EQ(db_.prepared_cache()->stats().table_entries, 0u);
 }
 
 TEST_F(BatchQueryTest, SharedCachePersistsAcrossBatches) {

@@ -1,5 +1,6 @@
 #include "storage/csv.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
@@ -74,6 +75,37 @@ TEST_F(CsvFileTest, BadNumericIsError) {
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kParseError);
   std::remove(path.c_str());
+}
+
+TEST_F(CsvFileTest, OutOfRangeNumericIsErrorNotClamped) {
+  CsvOptions opts;
+  {
+    std::string path = WriteTemp("a\n99999999999999999999\n");
+    Table t("t", Schema({{"a", DataType::kInt64}}), &pool_);
+    Status st = LoadCsv(path, &t, opts);
+    EXPECT_EQ(st.code(), StatusCode::kParseError);
+    EXPECT_NE(st.message().find("99999999999999999999"), std::string::npos);
+    EXPECT_EQ(t.num_rows(), 0);
+    std::remove(path.c_str());
+  }
+  {
+    std::string path = WriteTemp("d\n-1e999\n");
+    Table t("t", Schema({{"d", DataType::kDouble}}), &pool_);
+    EXPECT_EQ(LoadCsv(path, &t, opts).code(), StatusCode::kParseError);
+    std::remove(path.c_str());
+  }
+  {
+    // Int64 bounds load exactly; a double underflow rounds toward zero.
+    std::string path = WriteTemp(
+        "a,d\n-9223372036854775808,1e-999\n9223372036854775807,2.5\n");
+    Table t("t", Schema({{"a", DataType::kInt64}, {"d", DataType::kDouble}}),
+            &pool_);
+    ASSERT_TRUE(LoadCsv(path, &t, opts).ok());
+    EXPECT_EQ(t.column(0).GetInt(0), INT64_MIN);
+    EXPECT_EQ(t.column(0).GetInt(1), INT64_MAX);
+    EXPECT_EQ(t.column(1).GetDouble(0), 0.0);
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(CsvFileTest, FieldCountMismatchIsError) {

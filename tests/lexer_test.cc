@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace skinner {
 namespace {
 
@@ -32,6 +35,23 @@ TEST(LexerTest, IntegerAndDoubleLiterals) {
   EXPECT_DOUBLE_EQ(toks[3].double_val, 0.5);
   EXPECT_DOUBLE_EQ(toks[4].double_val, 1000.0);
   EXPECT_DOUBLE_EQ(toks[5].double_val, 0.025);
+}
+
+TEST(LexerTest, OutOfRangeNumbersAreErrorsNotClamped) {
+  for (const char* sql : {"SELECT 99999999999999999999",
+                          "SELECT 9223372036854775808", "SELECT 1e999"}) {
+    auto r = Lex(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << sql;
+    // The error names the offending token.
+    EXPECT_NE(r.status().message().find(std::string(sql).substr(7)),
+              std::string::npos)
+        << r.status().message();
+  }
+  // The largest int64 and a double underflow (rounded toward zero) lex.
+  auto toks = MustLex("9223372036854775807 1e-999");
+  EXPECT_EQ(toks[0].int_val, INT64_MAX);
+  EXPECT_EQ(toks[1].double_val, 0.0);
 }
 
 TEST(LexerTest, StringLiteralsWithEscapes) {

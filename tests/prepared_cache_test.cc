@@ -6,6 +6,8 @@
 #include <thread>
 
 #include "api/database.h"
+#include "api/prepared_statement.h"
+#include "api/session.h"
 #include "test_util.h"
 
 namespace skinner {
@@ -72,10 +74,11 @@ TEST_F(PreparedCacheTest, RepeatedQueryServedFromCacheBitIdentical) {
   EXPECT_EQ(cold.value().stats.join_result_tuples,
             warm.value().stats.join_result_tuples);
 
+  // One artifact per table (t and u): built once, then served.
   PreparedCache::Stats s = db_.prepared_cache()->stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.table_hits, 2u);
+  EXPECT_EQ(s.table_misses, 2u);
+  EXPECT_EQ(s.table_entries, 2u);
 }
 
 TEST_F(PreparedCacheTest, CachingOffByDefault) {
@@ -86,7 +89,10 @@ TEST_F(PreparedCacheTest, CachingOffByDefault) {
     EXPECT_FALSE(out.value().stats.prepared_from_cache);
     EXPECT_GT(out.value().stats.preprocess_cost, 0u);
   }
-  EXPECT_EQ(db_.prepared_cache()->stats().entries, 0u);
+  // With the cache off no key is computed, so the cache sees nothing.
+  PreparedCache::Stats s = db_.prepared_cache()->stats();
+  EXPECT_EQ(s.table_entries, 0u);
+  EXPECT_EQ(s.table_hits + s.table_misses, 0u);
 }
 
 TEST_F(PreparedCacheTest, InsertInvalidatesAndReturnsNewRows) {
@@ -107,8 +113,10 @@ TEST_F(PreparedCacheTest, InsertInvalidatesAndReturnsNewRows) {
   EXPECT_GT(after.value().stats.preprocess_cost, 0u);
   EXPECT_EQ(after.value().result.rows[0][0].AsInt(), 5);  // t.k=3 joins now
 
-  PreparedCache::Stats s = db_.prepared_cache()->stats();
-  EXPECT_EQ(s.invalidations, 1u);
+  // Only u's artifact went stale; t's is still served.
+  EXPECT_EQ(after.value().stats.tables_reprepared, 1);
+  EXPECT_EQ(after.value().stats.tables_prepared_from_cache, 1);
+  EXPECT_EQ(db_.prepared_cache()->stats().table_invalidations, 1u);
 
   // And the re-prepared artifact is cached again.
   auto warm = db_.Query(sql, opts);
@@ -160,35 +168,104 @@ TEST_F(PreparedCacheTest, PrepareVariantIsPartOfTheEntryKey) {
   auto d = db_.Query(sql, no_idx);
   ASSERT_TRUE(d.ok());
   EXPECT_TRUE(d.value().stats.prepared_from_cache);
-  EXPECT_EQ(db_.prepared_cache()->stats().entries, 2u);
+  EXPECT_EQ(db_.prepared_cache()->stats().table_entries, 4u);  // 2 x {t, u}
   EXPECT_EQ(a.value().result.rows[0][0].AsInt(),
             c.value().result.rows[0][0].AsInt());
 }
 
-TEST_F(PreparedCacheTest, TriviallyEmptyArtifactsAreCacheableToo) {
-  const char* sql = "SELECT COUNT(*) FROM t, u WHERE t.k = u.k AND 1 = 2";
+TEST_F(PreparedCacheTest, DifferentQueriesShareAnIdenticallyFilteredTable) {
+  // Two different templates filter t the same way (same predicate, same
+  // join column): the second reuses t's artifact and builds only u's,
+  // whose filter differs.
+  const char* first_sql =
+      "SELECT COUNT(*) FROM t, u WHERE t.k = u.k AND t.v >= 20";
+  const char* second_sql =
+      "SELECT t.v, u.w FROM t, u WHERE t.k = u.k AND t.v >= 20 AND "
+      "u.w > 150 ORDER BY t.v, u.w";
   ExecOptions opts;
   opts.use_prepared_cache = true;
-  auto cold = db_.Query(sql, opts);
-  ASSERT_TRUE(cold.ok());
-  auto warm = db_.Query(sql, opts);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm.value().stats.prepared_from_cache);
-  EXPECT_EQ(warm.value().result.rows[0][0].AsInt(), 0);
+  ASSERT_TRUE(db_.Query(first_sql, opts).ok());
+  auto second = db_.Query(second_sql, opts);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_GE(second.value().stats.tables_prepared_from_cache, 1);
+  EXPECT_EQ(second.value().stats.tables_reprepared, 1);
+  EXPECT_FALSE(second.value().stats.prepared_from_cache);
+
+  auto uncached = db_.Query(second_sql);
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_EQ(testing::CanonicalRows(second.value().result),
+            testing::CanonicalRows(uncached.value().result));
+  EXPECT_EQ(db_.prepared_cache()->stats().table_invalidations, 0u);
+}
+
+TEST_F(PreparedCacheTest, LiteralQueryWarmsAStatementsUnfilteredTable) {
+  // The literal query and the statement share no template, but both
+  // leave u unfiltered and join it on u.k: the statement's first
+  // execution finds u's artifact already built.
+  ExecOptions opts;
+  opts.use_prepared_cache = true;
+  ASSERT_TRUE(
+      db_.Query("SELECT COUNT(*) FROM t, u WHERE t.k = u.k AND t.v > 15", opts)
+          .ok());
+  auto stmt = db_.default_session()->Prepare(
+      "SELECT COUNT(*) FROM t, u WHERE t.k = u.k AND t.v > ?");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto out = stmt.value()->Execute({Value::Int(5)});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out.value().stats.tables_prepared_from_cache, 1);  // u
+  EXPECT_EQ(out.value().stats.tables_reprepared, 1);           // t, v > 5
+  auto literal =
+      db_.Query("SELECT COUNT(*) FROM t, u WHERE t.k = u.k AND t.v > 5");
+  ASSERT_TRUE(literal.ok());
+  EXPECT_EQ(out.value().result.rows[0][0].AsInt(),
+            literal.value().result.rows[0][0].AsInt());
+}
+
+TEST_F(PreparedCacheTest, JoinColumnsArePartOfTheTableKey) {
+  // Both queries leave t and u unfiltered. t is indexed on k both times
+  // and is shared; u is indexed on k, then on w, and must not be: an
+  // artifact without the wanted index would silently degrade probes.
+  ExecOptions opts;
+  opts.use_prepared_cache = true;
+  ASSERT_TRUE(db_.Query("SELECT COUNT(*) FROM t, u WHERE t.k = u.k", opts).ok());
+  const char* sql = "SELECT COUNT(*) FROM t, u WHERE t.k = u.w";
+  auto out = db_.Query(sql, opts);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out.value().stats.tables_prepared_from_cache, 1);  // t on k
+  EXPECT_EQ(out.value().stats.tables_reprepared, 1);           // u on w
+  auto uncached = db_.Query(sql);
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_EQ(out.value().result.rows[0][0].AsInt(),
+            uncached.value().result.rows[0][0].AsInt());
+}
+
+TEST_F(PreparedCacheTest, SameFilterOnTwoTablesNeverCollides) {
+  // t.k = 1 and u.k = 1 render the same table-relative predicate; the
+  // table id in the key keeps their artifacts apart.
+  ExecOptions opts;
+  opts.use_prepared_cache = true;
+  for (int rep = 0; rep < 2; ++rep) {
+    auto a = db_.Query("SELECT COUNT(*) FROM t WHERE t.k = 1", opts);
+    auto b = db_.Query("SELECT COUNT(*) FROM u WHERE u.k = 1", opts);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a.value().result.rows[0][0].AsInt(), 2);
+    EXPECT_EQ(b.value().result.rows[0][0].AsInt(), 1);
+    EXPECT_EQ(a.value().stats.prepared_from_cache, rep == 1);
+    EXPECT_EQ(b.value().stats.prepared_from_cache, rep == 1);
+  }
+  PreparedCache::Stats s = db_.prepared_cache()->stats();
+  EXPECT_EQ(s.table_entries, 2u);
+  EXPECT_EQ(s.table_invalidations, 0u);
 }
 
 namespace {
 
-/// A bundle whose artifact charges ~(4 * n_rows) bytes, for exercising the
+/// A table artifact charging ~(4 * n_rows) bytes, for exercising the
 /// size-aware admission/eviction policy without running real queries.
-PreparedHandle SizedBundle(size_t n_rows) {
-  auto bundle = std::make_shared<PreparedBundle>();
-  auto data = std::make_shared<PreparedQuery::Data>();
+std::shared_ptr<TableArtifact> SizedArtifact(size_t n_rows) {
   auto artifact = std::make_shared<TableArtifact>();
   artifact->filtered.resize(n_rows);
-  data->artifacts.push_back(std::move(artifact));
-  bundle->data = std::move(data);
-  return bundle;
+  return artifact;
 }
 
 }  // namespace
@@ -198,95 +275,69 @@ TEST_F(PreparedCacheTest, SizeAwareLruEvictionAndStats) {
   // the fixed per-entry overhead); the budget below holds two of them but
   // not three.
   PreparedCache cache(/*max_bytes=*/12000);
-  std::vector<TableStamp> stamps{{1, 1}};
+  const TableStamp stamp{1, 1};
 
-  cache.Insert("a", stamps, SizedBundle(1000));
-  cache.Insert("b", stamps, SizedBundle(1000));
-  EXPECT_EQ(cache.stats().entries, 2u);
+  cache.PublishTable("a", stamp, SizedArtifact(1000));
+  cache.PublishTable("b", stamp, SizedArtifact(1000));
+  EXPECT_EQ(cache.stats().table_entries, 2u);
   EXPECT_GT(cache.stats().bytes_used, 8000u);
   EXPECT_LE(cache.stats().bytes_used, cache.stats().max_bytes);
 
-  EXPECT_NE(cache.Lookup("a", stamps), nullptr);  // a is now most recent
-  cache.Insert("c", stamps, SizedBundle(1000));   // over budget: evicts b (LRU)
-  EXPECT_NE(cache.Lookup("a", stamps), nullptr);
-  EXPECT_EQ(cache.Lookup("b", stamps), nullptr);
-  EXPECT_NE(cache.Lookup("c", stamps), nullptr);
+  EXPECT_NE(cache.LookupTable("a", stamp), nullptr);   // a is now most recent
+  cache.PublishTable("c", stamp, SizedArtifact(1000));  // evicts b (LRU)
+  EXPECT_NE(cache.LookupTable("a", stamp), nullptr);
+  EXPECT_EQ(cache.LookupTable("b", stamp), nullptr);
+  EXPECT_NE(cache.LookupTable("c", stamp), nullptr);
   EXPECT_EQ(cache.stats().size_evictions, 1u);
 
   // An entry larger than the whole budget is never admitted (the caller
-  // keeps its handle; the cache does not thrash itself empty for it).
-  cache.Insert("huge", stamps, SizedBundle(10000));
-  EXPECT_EQ(cache.Lookup("huge", stamps), nullptr);
+  // keeps its artifact; the cache does not thrash itself empty for it).
+  cache.PublishTable("huge", stamp, SizedArtifact(10000));
+  EXPECT_EQ(cache.LookupTable("huge", stamp), nullptr);
   EXPECT_EQ(cache.stats().admission_rejected, 1u);
-  EXPECT_NE(cache.Lookup("a", stamps), nullptr);  // survivors untouched
+  EXPECT_NE(cache.LookupTable("a", stamp), nullptr);  // survivors untouched
 
-  // Stale stamps evict and count as invalidation.
-  std::vector<TableStamp> newer{{1, 2}};
-  EXPECT_EQ(cache.Lookup("a", newer), nullptr);
-  EXPECT_EQ(cache.Lookup("a", stamps), nullptr);  // gone
+  // A stale stamp evicts and counts as an invalidation.
+  const TableStamp newer{1, 2};
+  EXPECT_EQ(cache.LookupTable("a", newer), nullptr);
+  EXPECT_EQ(cache.LookupTable("a", stamp), nullptr);  // gone
 
   PreparedCache::Stats s = cache.stats();
-  EXPECT_EQ(s.invalidations, 1u);
-  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(s.table_invalidations, 1u);
+  EXPECT_EQ(s.table_entries, 1u);
   EXPECT_EQ(s.max_bytes, 12000u);
+  // The whole-query counters are gone and read 0.
+  EXPECT_EQ(s.hits + s.misses, 0u);
 
   cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().table_entries, 0u);
   EXPECT_EQ(cache.stats().bytes_used, 0u);
-}
-
-TEST_F(PreparedCacheTest, TableArtifactsShareTheBudgetWithBundles) {
-  PreparedCache cache(/*max_bytes=*/12000);
-  TableStamp stamp{1, 1};
-  auto artifact = [](size_t n) {
-    auto a = std::make_shared<TableArtifact>();
-    a->filtered.resize(n);
-    return a;
-  };
-  cache.InsertTable("t1", stamp, artifact(1000));
-  cache.Insert("q", {stamp}, SizedBundle(1000));
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_EQ(cache.stats().table_entries, 1u);
-
-  // A third large resident (of either kind) evicts the least recently
-  // used one — the table artifact, since the bundle was touched last.
-  EXPECT_NE(cache.LookupTable("t1", stamp), nullptr);
-  EXPECT_NE(cache.Lookup("q", {stamp}), nullptr);
-  cache.InsertTable("t2", stamp, artifact(1000));
-  EXPECT_EQ(cache.LookupTable("t1", stamp), nullptr);
-  EXPECT_NE(cache.Lookup("q", {stamp}), nullptr);
-  EXPECT_NE(cache.LookupTable("t2", stamp), nullptr);
-
-  // Table stamps invalidate per table.
-  TableStamp newer{1, 2};
-  EXPECT_EQ(cache.LookupTable("t2", newer), nullptr);
-  EXPECT_EQ(cache.stats().table_invalidations, 1u);
 }
 
 TEST_F(PreparedCacheTest, AcquireBlocksOnInFlightBuildAndSharesTheResult) {
   PreparedCache cache;
-  std::vector<TableStamp> stamps{{1, 1}};
+  const TableStamp stamp{1, 1};
 
-  PreparedCache::BundleClaim first = cache.Acquire("k", stamps);
+  PreparedCache::TableClaim first = cache.AcquireTable("k", stamp);
   ASSERT_TRUE(first.builder);
-  ASSERT_EQ(first.handle, nullptr);
+  ASSERT_EQ(first.artifact, nullptr);
 
-  std::atomic<bool> waiter_got_handle{false};
+  std::atomic<bool> waiter_got_artifact{false};
   std::thread waiter([&] {
-    PreparedCache::BundleClaim second = cache.Acquire("k", stamps);
+    PreparedCache::TableClaim second = cache.AcquireTable("k", stamp);
     EXPECT_FALSE(second.builder);
-    waiter_got_handle = second.handle != nullptr;
+    waiter_got_artifact = second.artifact != nullptr;
   });
   // Deterministic rendezvous: inflight_waits ticks before the waiter
-  // sleeps on the build future.
+  // sleeps on the build.
   while (cache.stats().inflight_waits == 0) {
     std::this_thread::yield();
   }
-  cache.Publish("k", stamps, SizedBundle(10));
+  cache.PublishTable("k", stamp, SizedArtifact(10));
   waiter.join();
-  EXPECT_TRUE(waiter_got_handle);
+  EXPECT_TRUE(waiter_got_artifact);
   // One build for two acquisitions.
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().table_misses, 1u);
   EXPECT_EQ(cache.stats().inflight_waits, 1u);
 }
 

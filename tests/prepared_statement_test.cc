@@ -230,6 +230,22 @@ TEST_F(PreparedStatementTest, FalseConstantPredicateSkipsArtifactBuilds) {
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full.value().stats.tables_reprepared, 2);
   EXPECT_EQ(full.value().result.rows[0][0].AsInt(), 6);
+
+  // The literal text takes the same prepare core: the constant predicate
+  // is evaluated per execution and no table is built or fetched for it,
+  // on the first run or any repeat.
+  ExecOptions cached;
+  cached.use_prepared_cache = true;
+  for (int rep = 0; rep < 2; ++rep) {
+    auto literal = db_.Query(
+        "SELECT COUNT(*) FROM emp e, dept d WHERE e.dept_id = d.id AND 0 = 1",
+        cached);
+    ASSERT_TRUE(literal.ok()) << literal.status().ToString();
+    EXPECT_EQ(literal.value().result.rows[0][0].AsInt(), 0);
+    EXPECT_EQ(literal.value().stats.tables_reprepared, 0) << "rep " << rep;
+    EXPECT_EQ(literal.value().stats.tables_prepared_from_cache, 0)
+        << "rep " << rep;
+  }
 }
 
 TEST_F(PreparedStatementTest, WrongArityIsAnErrorStatus) {
@@ -360,16 +376,34 @@ TEST_F(PreparedStatementTest, RandomizedTemplatesMatchLiteralQueries) {
       "SELECT COUNT(*) FROM %s a, %s b WHERE a.fk = b.pk AND a.val >= ?",
       tables[0].c_str(), tables[1].c_str()));
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
-  for (int v = -2; v <= 6; ++v) {
-    auto prepared = stmt.value()->Execute({Value::Int(v)});
-    ASSERT_TRUE(prepared.ok());
-    auto literal = db.Query(StrFormat(
-        "SELECT COUNT(*) FROM %s a, %s b WHERE a.fk = b.pk AND a.val >= %d",
-        tables[0].c_str(), tables[1].c_str(), v));
-    ASSERT_TRUE(literal.ok());
-    EXPECT_EQ(prepared.value().result.rows[0][0].AsInt(),
-              literal.value().result.rows[0][0].AsInt())
-        << "v=" << v;
+  // Width 1, then width 4 with parallel pre-processing. At width 4 every
+  // execution starts from an empty cache, so the statement builds both
+  // tables like the uncached literal query does — through the same
+  // builder, hence the same charged pre-processing cost.
+  for (const int width : {1, 4}) {
+    ExecOptions opts;
+    opts.parallel_preprocess = width > 1;
+    opts.num_threads = width;
+    for (int v = -2; v <= 6; ++v) {
+      if (width > 1) db.prepared_cache()->Clear();
+      auto prepared = stmt.value()->Execute({Value::Int(v)}, opts);
+      ASSERT_TRUE(prepared.ok());
+      auto literal = db.Query(
+          StrFormat("SELECT COUNT(*) FROM %s a, %s b WHERE a.fk = b.pk AND "
+                    "a.val >= %d",
+                    tables[0].c_str(), tables[1].c_str(), v),
+          opts);
+      ASSERT_TRUE(literal.ok());
+      EXPECT_EQ(prepared.value().result.rows[0][0].AsInt(),
+                literal.value().result.rows[0][0].AsInt())
+          << "width=" << width << " v=" << v;
+      if (width > 1) {
+        EXPECT_EQ(prepared.value().stats.tables_reprepared, 2);
+        EXPECT_EQ(prepared.value().stats.preprocess_cost,
+                  literal.value().stats.preprocess_cost)
+            << "v=" << v;
+      }
+    }
   }
 }
 

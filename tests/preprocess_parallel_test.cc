@@ -160,7 +160,7 @@ PreparedProbe ProbePrepare(Database* db, const std::string& sql,
   auto stage = pipe.Prepare(std::move(bound.value()), opts);
   EXPECT_TRUE(stage.ok()) << stage.status().message();
   PreparedProbe probe;
-  probe.preprocess_cost = stage.value().preprocess_cost;
+  probe.preprocess_cost = stage.value().pq->preprocess_cost();
   for (const auto& art : stage.value().pq->shared_data()->artifacts) {
     probe.artifact_fp.push_back(ArtifactFingerprint(*art));
   }

@@ -289,6 +289,21 @@ TEST(ServerLiteralTest, ParsesIntsDoublesStringsNull) {
   EXPECT_FALSE(ParseLiteralList("'unterminated").ok());
   EXPECT_FALSE(ParseLiteralList("12abc").ok());
   EXPECT_TRUE(ParseLiteralList("").ok());
+
+  // Out-of-range numbers are errors naming the token, never clamped.
+  for (const char* tok : {"99999999999999999999", "-9223372036854775809",
+                          "1e999", "-1e999"}) {
+    auto r = ParseLiteralList(std::string("1 ") + tok);
+    ASSERT_FALSE(r.ok()) << tok;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << tok;
+    EXPECT_NE(r.status().message().find(tok), std::string::npos)
+        << r.status().message();
+  }
+  auto bounds = ParseLiteralList("-9223372036854775808 9223372036854775807 1e-999");
+  ASSERT_TRUE(bounds.ok());
+  EXPECT_EQ(bounds.value()[0].AsInt(), INT64_MIN);
+  EXPECT_EQ(bounds.value()[1].AsInt(), INT64_MAX);
+  EXPECT_EQ(bounds.value()[2].AsDouble(), 0.0);
 }
 
 TEST(ServerLiteralTest, EscapeFieldKeepsRowsOneLine) {
