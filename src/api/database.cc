@@ -341,9 +341,7 @@ std::vector<Result<QueryOutput>> Database::QueryBatchInternal(
   // exactly as long as this batch.
   PreparedCache local_cache;
   PreparedCache* cache = bopts.use_prepared_cache ? &cache_ : &local_cache;
-  Scheduler* sched =
-      bopts.scheduler != nullptr ? bopts.scheduler : scheduler_.get();
-  QueryPipeline pipeline(&catalog_, &udfs_, &stats_, cache, sched);
+  QueryPipeline pipeline(&catalog_, &udfs_, &stats_, cache, scheduler_.get());
 
   // Parse + bind every item in order: binding interns string literals
   // into the shared pool, which is append-only but not thread-safe — and
@@ -354,7 +352,7 @@ std::vector<Result<QueryOutput>> Database::QueryBatchInternal(
     PipelineItem& item = bound[i];
     item.opts = items[i].opts;
     item.opts.use_prepared_cache = true;  // within-batch sharing is the point
-    if (bopts.derive_item_seeds) item.opts.seed = bopts.ItemSeed(i);
+    item.opts.seed = bopts.ItemSeed(i);
     auto stmt = pipeline.Parse(items[i].sql);
     if (!stmt.ok()) {
       item.status = stmt.status();

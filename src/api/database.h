@@ -51,7 +51,8 @@ struct ExecOptions {
   bool collect_trace = false;
   /// Search-parallel Skinner-C workers (paper Section 4.4): disjoint
   /// pieces of the leftmost table's range executed under one shared UCT
-  /// tree. 1 = sequential.
+  /// tree, as ParallelFor indices on the database's scheduler. 1 =
+  /// sequential.
   int skinner_threads = 1;
 
   // Skinner-G / Skinner-H.
@@ -62,6 +63,9 @@ struct ExecOptions {
 
   // Pre-processing.
   bool build_hash_indexes = true;
+  /// Pre-processing width: num_threads when parallel_preprocess, else 1.
+  /// The build runs on the database's scheduler, and its virtual cost is
+  /// charged at this configured width (PrepareOptions::width).
   bool parallel_preprocess = false;
   int num_threads = 4;
 
@@ -85,11 +89,6 @@ struct ExecOptions {
   /// Global virtual-clock deadline (units); censors runaway executions.
   uint64_t deadline = UINT64_MAX;
 
-  /// Worker pool override for this execution's parallel work (parallel
-  /// pre-processing, Skinner-C thread leasing). Null: the database's own
-  /// scheduler — the right choice for everything but tests that need an
-  /// isolated pool. Results never depend on the pool used.
-  Scheduler* scheduler = nullptr;
   /// Serve reads from the PreparedCache but never publish new artifacts
   /// into it (warm-start orders are still recorded — they are a few
   /// ints). The server flips this once a session exhausts its cache
@@ -162,15 +161,17 @@ struct QueryOutput {
 /// One SELECT of a concurrent batch (see Database::QueryBatch).
 struct BatchItem {
   std::string sql;
-  /// Engine + knobs for this item. The seed is overridden when the batch
-  /// derives per-item seeds; the prepared-artifact cache is always on
-  /// within a batch (BatchOptions::use_prepared_cache picks which cache).
+  /// Engine + knobs for this item. The seed is overridden by the batch's
+  /// per-item seed; the prepared-artifact cache is always on within a
+  /// batch (BatchOptions::use_prepared_cache picks which cache).
   ExecOptions opts;
 };
 
 /// Options of one Database::QueryBatch / Session::ExecuteBatch call.
 struct BatchOptions {
-  /// Worker threads executing items concurrently (1 = sequential).
+  /// Items executing concurrently (1 = sequential). Workers are
+  /// participation slots on the database's scheduler, not dedicated
+  /// threads: no per-call pool is ever spun up.
   int num_workers = 4;
   /// Share per-table artifacts through the database's cross-query
   /// PreparedCache. When false, items share them through a cache that
@@ -178,18 +179,12 @@ struct BatchOptions {
   /// Either way sharing within a batch goes through a cache: an artifact
   /// larger than the cache's byte budget is rebuilt by every item.
   bool use_prepared_cache = true;
-  /// Derive each item's execution seed deterministically from (seed, item
-  /// index), so per-item results and statistics are a pure function of the
-  /// batch — bit-identical for any num_workers or thread schedule. When
-  /// false, every item keeps its own ExecOptions::seed.
-  bool derive_item_seeds = true;
+  /// Each item's execution seed is derived from (seed, item index) — see
+  /// ItemSeed — so per-item results and statistics are a pure function of
+  /// the batch: bit-identical for any num_workers or thread schedule.
   uint64_t seed = 42;
-  /// Worker pool override (see ExecOptions::scheduler). Null: the
-  /// database's scheduler. Batch workers are pool participation slots, not
-  /// dedicated threads — no per-call pool is ever spun up.
-  Scheduler* scheduler = nullptr;
 
-  /// The derived seed of item `i` (see derive_item_seeds).
+  /// The derived seed of item `i`.
   uint64_t ItemSeed(size_t i) const {
     return HashMix64(seed + 0x9e3779b97f4a7c15ULL * (i + 1));
   }
@@ -213,9 +208,9 @@ class Database {
  public:
   Database();
   /// Constructs the database with explicit worker-pool options (admission
-  /// bounds, worker count, engine thread budget) — what skinner_serve uses
-  /// to size its one global scheduler. The default constructor uses
-  /// SchedulerOptions{} (see common/scheduler.h for the defaults).
+  /// bounds, worker count) — what skinner_serve uses to size its one
+  /// global scheduler. The default constructor uses SchedulerOptions{}
+  /// (see common/scheduler.h for the defaults).
   explicit Database(const SchedulerOptions& scheduler_opts);
   ~Database();
   Database(const Database&) = delete;
@@ -263,7 +258,7 @@ class Database {
 
   /// The database's global worker pool (common/scheduler.h): every piece
   /// of parallel work under this database — batch execution, parallel
-  /// pre-processing, Skinner-C thread leasing — runs on it, and a server
+  /// pre-processing, the Skinner-C slice workers — runs on it, and a server
   /// submits whole queries through it for fairness and admission control.
   Scheduler* scheduler() const { return scheduler_.get(); }
 

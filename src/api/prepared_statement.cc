@@ -214,10 +214,8 @@ std::vector<Result<QueryOutput>> PreparedStatement::ExecuteMany(
     }
     return rejected;
   }
-  Scheduler* sched =
-      bopts.scheduler != nullptr ? bopts.scheduler : db_->scheduler();
   QueryPipeline pipeline(db_->catalog(), db_->udfs(), db_->stats_manager(),
-                         db_->prepared_cache(), sched);
+                         db_->prepared_cache(), db_->scheduler());
   // Instantiate every parameter set in order (string parameters intern
   // into the shared pool, which is not thread-safe), then run the batch
   // core QueryBatch uses too.
@@ -226,9 +224,7 @@ std::vector<Result<QueryOutput>> PreparedStatement::ExecuteMany(
     PipelineItem& item = items[i];
     item.opts = base_opts;
     item.opts.use_prepared_cache = true;
-    item.opts.seed = bopts.derive_item_seeds
-                         ? bopts.ItemSeed(i)
-                         : session_->DeriveSeed(base_opts.seed);
+    item.opts.seed = bopts.ItemSeed(i);
     auto query = Instantiate(param_sets[i]);
     if (!query.ok()) {
       item.status = query.status();

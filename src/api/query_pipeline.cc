@@ -59,9 +59,8 @@ Result<PreparedStage> QueryPipeline::PrepareCore(
   const bool caching = opts.use_prepared_cache && cache_ != nullptr;
   PrepareOptions popts;
   popts.build_hash_indexes = opts.build_hash_indexes;
-  popts.parallel = opts.parallel_preprocess;
-  popts.num_threads = opts.num_threads;
-  popts.scheduler = EffectiveScheduler(opts);
+  popts.width = opts.parallel_preprocess ? opts.num_threads : 1;
+  popts.scheduler = scheduler_;
   popts.cache = caching ? cache_ : nullptr;
   popts.cache_read_only = opts.cache_read_only;
   SKINNER_ASSIGN_OR_RETURN(
@@ -101,7 +100,7 @@ Result<ExecutedStage> QueryPipeline::Execute(const PreparedStage& prep,
       so.deadline = opts.deadline;
       so.collect_trace = opts.collect_trace;
       so.num_threads = opts.skinner_threads;
-      so.scheduler = EffectiveScheduler(opts);
+      so.scheduler = scheduler_;
       so.warm_start_order = prep.warm_order;
       SkinnerCEngine engine(pq, so);
       SKINNER_RETURN_IF_ERROR(engine.Run(&join_result));

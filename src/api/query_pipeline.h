@@ -72,9 +72,9 @@ struct PipelineItem {
 class QueryPipeline {
  public:
   /// `scheduler` hosts the pipeline's parallel work (parallel
-  /// pre-processing; Skinner-C worker-thread leases). Null runs all of it
-  /// inline/unleased — correct but unarbitrated; Database always passes
-  /// its own scheduler. Per-call ExecOptions::scheduler overrides it.
+  /// pre-processing, the Skinner-C slice workers, batch execution). Null
+  /// runs all of it inline on the calling thread, with the same results;
+  /// Database always passes its own scheduler.
   QueryPipeline(Catalog* catalog, const UdfRegistry* udfs,
                 StatsManager* stats, PreparedCache* cache,
                 Scheduler* scheduler = nullptr);
@@ -132,10 +132,6 @@ class QueryPipeline {
                                                int num_workers) const;
 
  private:
-  Scheduler* EffectiveScheduler(const ExecOptions& opts) const {
-    return opts.scheduler != nullptr ? opts.scheduler : scheduler_;
-  }
-
   Catalog* catalog_;
   const UdfRegistry* udfs_;
   StatsManager* stats_;

@@ -70,17 +70,9 @@ std::vector<Result<QueryOutput>> Session::QueryBatch(
     const std::vector<BatchItem>& items, const BatchOptions& opts) {
   BatchOptions bopts = opts;
   bopts.seed = DeriveSeed(opts.seed);
-  std::vector<Result<QueryOutput>> results;
   std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
-  if (!bopts.derive_item_seeds && id_ != 0) {
-    // Per-item seeds are kept, but the session id still folds in — two
-    // sessions running the identical batch must explore independently.
-    std::vector<BatchItem> derived = items;
-    for (BatchItem& item : derived) item.opts.seed = DeriveSeed(item.opts.seed);
-    results = db_->QueryBatchInternal(derived, bopts);
-  } else {
-    results = db_->QueryBatchInternal(items, bopts);
-  }
+  std::vector<Result<QueryOutput>> results =
+      db_->QueryBatchInternal(items, bopts);
   ddl_lock.unlock();
   for (const auto& r : results) Roll(r);
   return results;

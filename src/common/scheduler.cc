@@ -14,46 +14,12 @@ int ResolveWorkers(int requested) {
   return std::max(4, static_cast<int>(hw));
 }
 
-int ResolveEngineBudget(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::max(8, 2 * static_cast<int>(hw));
-}
-
 }  // namespace
-
-ThreadLease::ThreadLease(ThreadLease&& o) noexcept
-    : sched_(o.sched_), granted_(o.granted_) {
-  o.sched_ = nullptr;
-  o.granted_ = 0;
-}
-
-ThreadLease& ThreadLease::operator=(ThreadLease&& o) noexcept {
-  if (this != &o) {
-    Release();
-    sched_ = o.sched_;
-    granted_ = o.granted_;
-    o.sched_ = nullptr;
-    o.granted_ = 0;
-  }
-  return *this;
-}
-
-ThreadLease::~ThreadLease() { Release(); }
-
-void ThreadLease::Release() {
-  if (sched_ != nullptr) {
-    sched_->ReleaseLease(granted_);
-    sched_ = nullptr;
-    granted_ = 0;
-  }
-}
 
 Scheduler::Scheduler(SchedulerOptions opts)
     : num_workers_(ResolveWorkers(opts.num_workers)), opts_([&] {
         SchedulerOptions o = opts;
         o.num_workers = ResolveWorkers(opts.num_workers);
-        o.engine_thread_budget = ResolveEngineBudget(opts.engine_thread_budget);
         o.max_inflight_per_session = std::max(1, o.max_inflight_per_session);
         return o;
       }()) {}
@@ -269,22 +235,6 @@ void Scheduler::SetSessionWeight(uint64_t session_id, double weight) {
   sessions_[session_id].weight = std::max(weight, 1e-6);
 }
 
-ThreadLease Scheduler::LeaseThreads(int requested) {
-  std::lock_guard<std::mutex> lk(mu_);
-  requested = std::max(requested, 1);
-  const int headroom = std::max(opts_.engine_thread_budget - leased_, 1);
-  const int grant = std::min(requested, headroom);
-  leased_ += grant;
-  ++lease_grants_;
-  if (grant < requested) ++lease_capped_;
-  return ThreadLease(this, grant);
-}
-
-void Scheduler::ReleaseLease(int granted) {
-  std::lock_guard<std::mutex> lk(mu_);
-  leased_ -= granted;
-}
-
 void Scheduler::Drain() {
   std::unique_lock<std::mutex> lk(mu_);
   draining_ = true;
@@ -303,10 +253,6 @@ Scheduler::Stats Scheduler::stats() const {
   s.queue_depth = queued_;
   s.peak_queue_depth = peak_queue_;
   s.active = active_;
-  s.engine_thread_budget = opts_.engine_thread_budget;
-  s.leased_threads = leased_;
-  s.lease_grants = lease_grants_;
-  s.lease_capped = lease_capped_;
   s.pf_inline = pf_inline_.load(std::memory_order_relaxed);
   s.pf_dispatched = pf_dispatched_;
   for (const auto& [sid, ss] : sessions_) {

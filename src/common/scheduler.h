@@ -19,36 +19,6 @@
 
 namespace skinner {
 
-class Scheduler;
-
-/// RAII grant of engine worker threads from the Scheduler's global budget
-/// (see Scheduler::LeaseThreads). Default-constructed leases grant nothing
-/// and release nothing; moved-from leases are inert.
-class ThreadLease {
- public:
-  ThreadLease() = default;
-  ThreadLease(ThreadLease&& o) noexcept;
-  ThreadLease& operator=(ThreadLease&& o) noexcept;
-  ThreadLease(const ThreadLease&) = delete;
-  ThreadLease& operator=(const ThreadLease&) = delete;
-  ~ThreadLease();
-
-  /// Threads this lease entitles the holder to run (>= 1 when granted by
-  /// LeaseThreads; 0 for a default-constructed lease).
-  int granted() const { return granted_; }
-
-  /// Returns the grant to the budget early (idempotent).
-  void Release();
-
- private:
-  friend class Scheduler;
-  ThreadLease(Scheduler* sched, int granted)
-      : sched_(sched), granted_(granted) {}
-
-  Scheduler* sched_ = nullptr;
-  int granted_ = 0;
-};
-
 /// Completion handle of one submitted job (see Scheduler::Submit). Copyable;
 /// Wait() blocks until the job ran. A default-constructed ticket waits for
 /// nothing.
@@ -81,30 +51,25 @@ struct SchedulerOptions {
   /// Fairness: jobs of one session running concurrently. Excess jobs stay
   /// queued (not shed) until one of the session's running jobs finishes.
   int max_inflight_per_session = 4;
-  /// Global budget of engine-internal threads handed out via LeaseThreads
-  /// (parallel Skinner-C slice workers). 0 = max(8, 2 * hardware
-  /// concurrency) — big enough that a lone query always gets its full
-  /// request, so single-stream results and costs are unchanged; bounded so
-  /// K concurrent queries cannot oversubscribe the machine without limit.
-  int engine_thread_budget = 0;
 };
 
-/// The one process-wide worker pool (ISSUE 8 / ROADMAP item 1): every piece
-/// of parallel work — batch execution, parallel pre-processing, parallel
-/// Skinner-C — routes through a Scheduler instead of spinning private
-/// threads per call. A Database owns one; servers share that one across
-/// every client session.
+/// The one process-wide worker pool: every piece of parallel work — batch
+/// execution, parallel pre-processing, the search-parallel Skinner-C slice
+/// workers — runs as ParallelFor indices on a Scheduler; nothing else in
+/// the engine starts a thread. A Database owns one; servers share that one
+/// across every client session.
 ///
-/// Three surfaces:
+/// Two surfaces:
 ///
 ///  - ParallelFor(count, max_threads, fn): the data-parallel primitive the
 ///    engine stages use. The calling thread always participates (claiming
 ///    indices itself), and idle pool workers help; nested calls from jobs
 ///    already running on the pool therefore always make progress, even with
 ///    every worker busy — no deadlock by construction. Indices are claimed
-///    through an atomic cursor exactly as the old per-call thread pool did,
-///    so work distribution semantics (and results, which never depend on
-///    the schedule) are unchanged.
+///    through an atomic cursor. When the pool is saturated fewer helpers
+///    show up and the caller runs more indices itself: only wall-clock time
+///    changes, never results, and callers charge virtual cost at their
+///    configured width, not at the number of threads that ran.
 ///
 ///  - Submit(session_id, fn) -> Result<Ticket>: whole-query jobs with
 ///    admission control and cross-session fairness. The queue is bounded
@@ -115,13 +80,6 @@ struct SchedulerOptions {
 ///    smallest pass runs next, ties broken by session id. A session's jobs
 ///    run at most max_inflight_per_session at a time. FIFO within a
 ///    session.
-///
-///  - LeaseThreads(n) -> ThreadLease: arbitration of engine-internal
-///    threads (parallel Skinner-C workers keep their slice-barrier pool but
-///    lease its size). Grants min(n, budget left), never less than 1 and
-///    never blocking — under load an engine degrades to fewer workers, and
-///    because parallel Skinner-C results are bit-identical for any thread
-///    count, only latency changes, never results.
 ///
 /// Shutdown: Drain() stops admission (Submit returns Status::ShuttingDown)
 /// and waits until every queued and running job finished; the destructor
@@ -166,12 +124,6 @@ class Scheduler {
   /// A weight-2 session is dispatched twice as often under contention.
   void SetSessionWeight(uint64_t session_id, double weight);
 
-  /// Leases up to `requested` engine threads from the global budget;
-  /// grants at least 1 (an engine can always run sequentially) and at most
-  /// the budget headroom. Never blocks. The grant returns to the budget
-  /// when the lease dies.
-  ThreadLease LeaseThreads(int requested);
-
   /// Stops admission (Submit -> ShuttingDown) and waits for every queued
   /// and in-flight job to finish. Idempotent. ParallelFor stays usable —
   /// in-flight jobs need it to finish.
@@ -198,10 +150,10 @@ class Scheduler {
     size_t queue_depth = 0;       // queued right now
     size_t peak_queue_depth = 0;
     int active = 0;               // jobs running right now
-    int engine_thread_budget = 0;
-    int leased_threads = 0;       // outstanding lease grants
-    uint64_t lease_grants = 0;
-    uint64_t lease_capped = 0;    // grants smaller than the request
+    /// Always 0: the engine-thread leases this counted are gone. Kept
+    /// declared because the end-to-end benchmark reports it; a
+    /// benchmark-scoped change drops it.
+    uint64_t lease_capped = 0;
     /// ParallelFor calls resolved entirely on the caller thread (width 1
     /// or at most min_grain indices) vs. pushed to the dispatch queue.
     uint64_t pf_inline = 0;
@@ -211,8 +163,6 @@ class Scheduler {
   Stats stats() const;
 
  private:
-  friend class ThreadLease;
-
   /// One ParallelFor in flight: indices are claimed via `next`, completion
   /// counted via `done`; the submitting thread waits on `cv` until done ==
   /// count. `helpers` (guarded by the scheduler mutex) caps pool
@@ -255,7 +205,6 @@ class Scheduler {
   SessionState* PickSessionLocked(uint64_t* session_id);
   /// Claims indices of `t` until exhausted; signals t->cv at completion.
   void HelpPf(PfTask* t);
-  void ReleaseLease(int granted);
 
   const int num_workers_;
   const SchedulerOptions opts_;
@@ -277,9 +226,6 @@ class Scheduler {
   uint64_t shed_overload_ = 0;
   uint64_t shed_quota_ = 0;
   uint64_t shed_draining_ = 0;
-  int leased_ = 0;
-  uint64_t lease_grants_ = 0;
-  uint64_t lease_capped_ = 0;
   /// Atomic: the inline fast path must not touch mu_ (that is its point).
   std::atomic<uint64_t> pf_inline_{0};
   uint64_t pf_dispatched_ = 0;  // guarded by mu_

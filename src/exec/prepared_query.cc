@@ -407,14 +407,6 @@ std::pair<std::vector<int32_t>, uint64_t> FilterMorsel(
   return {std::move(rows), cost + local.now()};
 }
 
-/// Filters one whole table (the sequential path: a single morsel).
-std::pair<std::vector<int32_t>, uint64_t> FilterTable(
-    const std::vector<const Table*>& tables, const StringPool* pool,
-    const std::vector<const Expr*>& preds, int t) {
-  return FilterMorsel(tables, pool, preds, t,  0,
-                      tables[static_cast<size_t>(t)]->num_rows());
-}
-
 /// Ascending, deduplicated equality-join columns of table `t` — the
 /// columns the paper indexes ("we create hash tables on all columns
 /// subject to equality predicates").
@@ -435,8 +427,7 @@ std::vector<int> EquiJoinColumns(const QueryInfo& info, int t) {
 /// own HashIndex shard, so concurrent jobs share no growing allocation.
 std::pair<std::unique_ptr<HashIndex>, uint64_t> BuildColumnIndex(
     const std::vector<const Table*>& tables, int t, int col,
-    const std::vector<int32_t>& filtered, Scheduler* sched = nullptr,
-    int max_threads = 1) {
+    const std::vector<int32_t>& filtered, Scheduler* sched, int max_threads) {
   auto index = std::make_unique<HashIndex>();
   uint64_t cost = 0;
   const Column& c = tables[static_cast<size_t>(t)]->column(col);
@@ -449,62 +440,19 @@ std::pair<std::unique_ptr<HashIndex>, uint64_t> BuildColumnIndex(
   return {std::move(index), cost};
 }
 
-/// Builds table `t`'s artifact sequentially: filters by
-/// info.unary_preds(t), then (optionally) builds a hash index on each of
-/// t's equality-join columns over the survivors.
-std::shared_ptr<TableArtifact> BuildTableArtifact(
-    const std::vector<const Table*>& tables, const StringPool* pool,
-    const QueryInfo& info, int t, bool build_hash_indexes) {
-  auto artifact = std::make_shared<TableArtifact>();
-  auto [rows, cost] = FilterTable(tables, pool, info.unary_preds(t), t);
-  artifact->filtered = std::move(rows);
-  artifact->build_cost = cost;
-  // Hash indexes on each of t's equality-join columns, over the filtered
-  // positions only ("only tuples satisfying all unary predicates are
-  // hashed"). Built per table so the artifact is self-contained and
-  // reusable regardless of what happens to the query's other tables.
-  if (build_hash_indexes && !artifact->filtered.empty()) {
-    for (int col : EquiJoinColumns(info, t)) {
-      auto [index, cost] = BuildColumnIndex(tables, t, col, artifact->filtered);
-      artifact->build_cost += cost;
-      artifact->indexes.emplace(col, std::move(index));
-    }
-  }
-  return artifact;
-}
-
 /// Builds the artifacts of the tables in `fresh` into (*out)[t] and returns
 /// the virtual cost charged for them (see PreparedQuery::Prepare for the
-/// cost model). Sequential, or morsel-parallel with opts.parallel; the
-/// artifacts are bit-identical either way.
+/// cost model). The artifacts are bit-identical at every width.
 uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
                         const StringPool* pool, const QueryInfo& info,
                         const std::vector<int>& fresh,
                         const PrepareOptions& opts,
                         std::vector<std::shared_ptr<const TableArtifact>>* out) {
   if (fresh.empty()) return 0;
-  if (!opts.parallel) {
-    uint64_t cost = 0;
-    for (int t : fresh) {
-      auto artifact =
-          BuildTableArtifact(tables, pool, info, t, opts.build_hash_indexes);
-      cost += artifact->build_cost;
-      (*out)[static_cast<size_t>(t)] = std::move(artifact);
-    }
-    return cost;
-  }
-  // Execution width is leased from the scheduler's engine budget (under
-  // concurrent sessions a build degrades to fewer workers); the charged
-  // cost below stays pinned to the CONFIGURED width, so costs never depend
-  // on who else was running.
-  ThreadLease lease;
-  int width = std::max(opts.num_threads, 1);
-  if (opts.scheduler != nullptr && opts.num_threads > 1) {
-    lease = opts.scheduler->LeaseThreads(opts.num_threads);
-    width = std::max(1, lease.granted());
-  }
+  const int width = std::max(opts.width, 1);
   // Phase A: one job per (table, morsel) across EVERY fresh table, so a
-  // lone large table still splits and small tables cannot straggle.
+  // lone large table still splits and small tables cannot straggle. At
+  // width 1 there is nothing to balance: each table is one job.
   struct FilterJob {
     int t;
     int64_t begin;
@@ -518,9 +466,11 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
   for (int t : fresh) {
     built[static_cast<size_t>(t)] = std::make_shared<TableArtifact>();
     const int64_t n = tables[static_cast<size_t>(t)]->num_rows();
+    const int64_t morsel =
+        width > 1 ? kFilterMorselRows : std::max<int64_t>(n, 1);
     total_rows += n;
-    for (int64_t b = 0; b < n; b += kFilterMorselRows) {
-      jobs.push_back(FilterJob{t, b, std::min(n, b + kFilterMorselRows), {}, 0});
+    for (int64_t b = 0; b < n; b += morsel) {
+      jobs.push_back(FilterJob{t, b, std::min(n, b + morsel), {}, 0});
     }
   }
   // When the whole workload is under one morsel of rows, dispatching it
@@ -537,13 +487,19 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
         job.cost = cost;
       },
       filter_grain);
-  // Concatenate in (table, range) order — bit-identical to sequential
-  // scans — and collect per-morsel costs for the makespan model.
+  // Concatenate in (table, range) order — bit-identical to one whole-table
+  // scan — and collect per-job costs for the makespan model. A table's
+  // first job is moved in, so a one-job table keeps the scan's buffer and
+  // its capacity, which TableArtifact::bytes() charges.
   std::vector<uint64_t> filter_costs;
   filter_costs.reserve(jobs.size());
   for (FilterJob& job : jobs) {
     TableArtifact& a = *built[static_cast<size_t>(job.t)];
-    a.filtered.insert(a.filtered.end(), job.rows.begin(), job.rows.end());
+    if (job.begin == 0) {
+      a.filtered = std::move(job.rows);
+    } else {
+      a.filtered.insert(a.filtered.end(), job.rows.begin(), job.rows.end());
+    }
     a.build_cost += job.cost;
     filter_costs.push_back(job.cost);
   }
@@ -579,8 +535,8 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
       },
       /*min_grain=*/1);
   // Attach sequentially — unordered_map insertion is not thread-safe.
-  // Cost totals are count-based and schedule-independent, so the values
-  // match the sequential path exactly.
+  // Cost totals are count-based and schedule-independent, so they are the
+  // same at every width.
   std::vector<uint64_t> index_costs;
   index_costs.reserve(ijobs.size());
   for (IndexJob& job : ijobs) {
@@ -592,12 +548,11 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
   for (int t : fresh) {
     (*out)[static_cast<size_t>(t)] = std::move(built[static_cast<size_t>(t)]);
   }
-  // Parallel cost model: the deterministic list-scheduled makespan of the
-  // filter morsels plus that of the index jobs, at the CONFIGURED width.
-  // At num_threads <= 1 each makespan is exactly the cost sum, so the
-  // parallel path charges precisely what the sequential path would.
-  return ListScheduleMakespan(filter_costs, opts.num_threads) +
-         ListScheduleMakespan(index_costs, opts.num_threads);
+  // Cost model: the deterministic list-scheduled makespan of the filter
+  // jobs plus that of the index jobs, at the CONFIGURED width. At width 1
+  // each makespan is exactly the cost sum.
+  return ListScheduleMakespan(filter_costs, width) +
+         ListScheduleMakespan(index_costs, width);
 }
 
 }  // namespace

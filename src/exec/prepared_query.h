@@ -316,28 +316,24 @@ constexpr int64_t kFilterMorselRows = 4096;
 /// virtual-cost model of parallel pre-processing: schedule-independent —
 /// a pure function of the task costs and the CONFIGURED thread count, not
 /// of how many pool workers actually showed up — and exactly the cost sum
-/// when threads <= 1, so sequential and parallel-at-width-1 charge
-/// identically.
+/// when threads <= 1.
 uint64_t ListScheduleMakespan(const std::vector<uint64_t>& costs, int threads);
 
 /// Options controlling pre-processing.
 struct PrepareOptions {
   bool build_hash_indexes = true;
-  /// Filter tables on multiple threads (paper Table 2/6: SkinnerDB
-  /// parallelizes the pre-processing step only). Morsel-granular: every
-  /// fresh table's scan splits into kFilterMorselRows ranges and every
-  /// large index build partitions, so even a single-table query scales.
-  bool parallel = false;
-  /// Configured pre-processing width. The charged virtual cost is the
-  /// deterministic list-scheduled makespan of the build tasks at exactly
-  /// this width (ListScheduleMakespan); the ACTUAL worker count is leased
-  /// from the scheduler's engine budget and may be smaller under load,
-  /// changing only wall-clock time — never costs or artifacts.
-  int num_threads = 4;
-  /// Worker pool hosting the parallel build (common/scheduler.h); null
-  /// runs it inline on the calling thread. Either way the charged costs
-  /// and the artifact contents are identical — the pool only changes
-  /// wall-clock time.
+  /// Pre-processing width (paper Table 2/6: SkinnerDB parallelizes the
+  /// pre-processing step only). Every fresh table's scan splits into
+  /// kFilterMorselRows morsels and every large index build partitions, so
+  /// even a single-table query scales; at width 1 each table is one filter
+  /// job. The charged virtual cost is the deterministic list-scheduled
+  /// makespan of the build tasks at exactly this width
+  /// (ListScheduleMakespan), whatever else the scheduler is running.
+  int width = 1;
+  /// Worker pool hosting the build (common/scheduler.h); null runs it
+  /// inline on the calling thread. Either way the charged costs and the
+  /// artifact contents are identical — the pool only changes wall-clock
+  /// time.
   Scheduler* scheduler = nullptr;
   /// Cross-query cache of per-table artifacts (exec/prepared_cache.h).
   /// Null: every table builds fresh, and no key is computed and no cache
@@ -387,13 +383,13 @@ class PreparedQuery {
   /// otherwise by filtering and index building — charges the cost to
   /// `clock`, and returns an execution view over the result.
   ///
-  /// Every built table goes through one builder and one cost model:
-  /// sequentially the cost is the sum of the artifacts' build costs; with
-  /// opts.parallel the filter scans split into kFilterMorselRows morsels
-  /// across every built table and the index builds into one job per
-  /// (table, column), and the charged cost is the list-scheduled makespan
-  /// of the filter morsels plus that of the index jobs at the CONFIGURED
-  /// width (ListScheduleMakespan).
+  /// Every built table goes through one builder and one cost model: the
+  /// filter scans split into filter jobs across every built table (one per
+  /// table at width 1, kFilterMorselRows morsels above it) and the index
+  /// builds into one job per (table, column), and the charged cost is the
+  /// list-scheduled makespan of the filter jobs plus that of the index
+  /// jobs at opts.width (ListScheduleMakespan) — at width 1, the sum of
+  /// the artifacts' build costs.
   static Result<std::unique_ptr<PreparedQuery>> Prepare(
       const BoundQuery* query, const QueryInfo* info, const StringPool* pool,
       VirtualClock* clock, const PrepareOptions& opts);

@@ -491,12 +491,7 @@ ServerResponse ServerConnection::RunStats() {
      << "STAT sched_shed_draining=" << s.scheduler.shed_draining << "\n"
      << "STAT sched_queue_depth=" << s.scheduler.queue_depth << "\n"
      << "STAT sched_peak_queue_depth=" << s.scheduler.peak_queue_depth << "\n"
-     << "STAT sched_active=" << s.scheduler.active << "\n"
-     << "STAT sched_engine_thread_budget=" << s.scheduler.engine_thread_budget
-     << "\n"
-     << "STAT sched_leased_threads=" << s.scheduler.leased_threads << "\n"
-     << "STAT sched_lease_grants=" << s.scheduler.lease_grants << "\n"
-     << "STAT sched_lease_capped=" << s.scheduler.lease_capped << "\n";
+     << "STAT sched_active=" << s.scheduler.active << "\n";
   for (const auto& [sid, lat] : s.session_latency) {
     os << "STAT session_" << sid << "_queries=" << lat.count << "\n"
        << "STAT session_" << sid << "_p50_ms=" << lat.p50_ms << "\n"

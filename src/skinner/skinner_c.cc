@@ -36,26 +36,12 @@ UctOptions MakeUctOptions(const SkinnerCOptions& opts) {
   return u;
 }
 
-ThreadLease MaybeLease(const SkinnerCOptions& opts) {
-  if (opts.scheduler == nullptr || opts.num_threads <= 1) return ThreadLease();
-  return opts.scheduler->LeaseThreads(opts.num_threads);
-}
-
-SkinnerCOptions ClampToLease(const SkinnerCOptions& opts,
-                             const ThreadLease& lease) {
-  SkinnerCOptions o = opts;
-  if (o.scheduler != nullptr && o.num_threads > 1) {
-    o.num_threads = std::max(1, lease.granted());
-  }
-  return o;
-}
 }  // namespace
 
 SkinnerCEngine::SkinnerCEngine(const PreparedQuery* pq,
                                const SkinnerCOptions& opts)
     : pq_(pq),
-      lease_(MaybeLease(opts)),
-      opts_(ClampToLease(opts, lease_)),
+      opts_(opts),
       uct_(&pq->info(), MakeUctOptions(opts)) {
   if (opts_.warm_start_order.size() ==
       static_cast<size_t>(pq->num_tables())) {
@@ -63,8 +49,6 @@ SkinnerCEngine::SkinnerCEngine(const PreparedQuery* pq,
                     kWarmStartReward);
   }
 }
-
-SkinnerCEngine::~SkinnerCEngine() { StopThreads(); }
 
 void SkinnerCEngine::InitWorkers() {
   const int m = pq_->num_tables();
@@ -380,57 +364,13 @@ size_t SkinnerCEngine::AuxiliaryBytes() const {
          uct_.num_nodes() * (sizeof(void*) * 4 + 24 * m / 2);
 }
 
-void SkinnerCEngine::StartThreads() {
-  threads_.reserve(workers_.size());
-  for (auto& w : workers_) {
-    threads_.emplace_back([this, worker = w.get()] { WorkerMain(worker); });
-  }
-}
-
-void SkinnerCEngine::StopThreads() {
-  if (threads_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
-  shutdown_ = false;
-}
-
 void SkinnerCEngine::DispatchSlice(const std::vector<int>& order) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    AdaptiveSplit(order[0]);
-    BuildSliceWork(order[0]);
-    slice_order_ = &order;
-    pending_ = static_cast<int>(workers_.size());
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
-void SkinnerCEngine::WorkerMain(Worker* w) {
-  uint64_t seen = 0;
-  for (;;) {
-    std::vector<int> order;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-      order = *slice_order_;
-    }
-    RunWorkerSliceStealing(w, order);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) done_cv_.notify_all();
-    }
-  }
+  AdaptiveSplit(order[0]);
+  BuildSliceWork(order[0]);
+  SchedParallelFor(opts_.scheduler, workers_.size(),
+                   static_cast<int>(workers_.size()), [&](size_t j) {
+                     RunWorkerSliceStealing(workers_[j].get(), order);
+                   });
 }
 
 Status SkinnerCEngine::Run(ResultSet* out) {
@@ -441,7 +381,6 @@ Status SkinnerCEngine::Run(ResultSet* out) {
   InitWorkers();
   VirtualClock* clock = pq_->clock();
   const size_t T = workers_.size();
-  if (T > 1) StartThreads();
 
   while (!finished_) {
     if (clock->now() >= opts_.deadline) {
@@ -491,7 +430,6 @@ Status SkinnerCEngine::Run(ResultSet* out) {
     }
     if (all_done) finished_ = true;
   }
-  if (T > 1) StopThreads();
 
   stats_.worker_busy_cost = 0;
   for (const auto& w : workers_) {

@@ -2,12 +2,9 @@
 #define SKINNER_SKINNER_SKINNER_C_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/scheduler.h"
@@ -58,13 +55,12 @@ struct SkinnerCOptions {
   /// JoinOrderUct::SeedPriors). Empty = cold start. Learning remains
   /// per-execution, consistent with the paper.
   std::vector<int> warm_start_order;
-  /// Global thread arbitration: with a scheduler and num_threads > 1, the
-  /// engine leases its worker count from the scheduler's engine-thread
-  /// budget and runs with the granted number (>= 1) — under concurrent
-  /// load an engine degrades to fewer workers instead of oversubscribing
-  /// the machine. Results are bit-identical for any granted count (the
-  /// num_threads invariance above), so arbitration changes latency only.
-  /// Null keeps num_threads as requested.
+  /// Worker pool the num_threads > 1 slice workers run on: each slice is
+  /// one ParallelFor over the T workers, the calling thread taking part.
+  /// T is always num_threads, whatever else the pool is running; a busy
+  /// pool only means the caller runs more of the workers itself. Null runs
+  /// the T workers one after another on the calling thread. Results are
+  /// bit-identical either way.
   Scheduler* scheduler = nullptr;
 };
 
@@ -119,7 +115,6 @@ struct SkinnerCStats {
 class SkinnerCEngine {
  public:
   SkinnerCEngine(const PreparedQuery* pq, const SkinnerCOptions& opts);
-  ~SkinnerCEngine();
   SkinnerCEngine(const SkinnerCEngine&) = delete;
   SkinnerCEngine& operator=(const SkinnerCEngine&) = delete;
 
@@ -174,9 +169,9 @@ class SkinnerCEngine {
   /// leftmost table has fewer incomplete chunks than workers, repeatedly
   /// split the hottest splittable chunk — heat is the steps workers spent
   /// in it, the signal that one chunk is eating the budget — until every
-  /// worker can hold a chunk or nothing splittable remains. Runs at the
-  /// slice barrier (workers parked), the only point where board mutation
-  /// is legal.
+  /// worker can hold a chunk or nothing splittable remains. Runs between
+  /// slices (no worker running), the only point where board mutation is
+  /// legal.
   void AdaptiveSplit(int leftmost_table);
 
   /// Rebuilds the per-slice work list: the still-incomplete chunks of
@@ -221,17 +216,13 @@ class SkinnerCEngine {
 
   size_t AuxiliaryBytes() const;
 
-  // Parallel machinery (num_threads > 1): a persistent worker pool with a
-  // per-slice barrier, so UCT updates and clock merges stay deterministic.
-  void StartThreads();
-  void StopThreads();
+  /// One parallel slice (num_threads > 1): prepares the slice's work list,
+  /// then runs every worker's RunWorkerSliceStealing as one ParallelFor on
+  /// opts_.scheduler. Returns once all workers finished, so UCT updates and
+  /// clock merges between slices stay deterministic.
   void DispatchSlice(const std::vector<int>& order);
-  void WorkerMain(Worker* w);
 
   const PreparedQuery* pq_;
-  /// Declared before opts_: the lease is taken first and opts_ is the
-  /// options clamped to its grant (member init order is declaration order).
-  ThreadLease lease_;
   SkinnerCOptions opts_;
   JoinOrderUct uct_;
   std::vector<std::unique_ptr<Worker>> workers_;
@@ -248,15 +239,6 @@ class SkinnerCEngine {
   std::unique_ptr<std::atomic<size_t>[]> work_next_;  // per worker
   std::vector<size_t> work_end_;                      // per worker block end
   int work_table_ = -1;
-
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  uint64_t generation_ = 0;
-  int pending_ = 0;
-  const std::vector<int>* slice_order_ = nullptr;
-  bool shutdown_ = false;
 };
 
 }  // namespace skinner

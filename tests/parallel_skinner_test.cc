@@ -2,12 +2,18 @@
 // any worker count, the engine must produce the exact same join result —
 // the canonical (sorted) tuple export is bit-identical and result_tuples
 // agrees — on adversarial torture-generator workloads. Runs under the
-// ThreadSanitizer CI job, which exercises the per-slice barrier, the
-// per-worker result buffers, and the per-worker clocks for races.
+// ThreadSanitizer CI job, which exercises the slice dispatch on the
+// Scheduler pool, the per-worker result buffers, and the per-worker clocks
+// for races.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
+#include "api/session.h"
 #include "benchgen/torture.h"
+#include "common/scheduler.h"
 #include "exec/prepared_query.h"
 #include "skinner/skinner_c.h"
 #include "test_util.h"
@@ -41,9 +47,15 @@ RunOutput RunSkinnerC(Database* db, const std::string& sql, int num_threads,
   EXPECT_TRUE(pq.ok());
   if (!pq.ok()) return out;
 
+  // An isolated pool with a worker per search thread, so every worker
+  // really runs concurrently with the caller's.
+  SchedulerOptions sopts;
+  sopts.num_workers = num_threads;
+  Scheduler sched(sopts);
   SkinnerCOptions opts;
   opts.num_threads = num_threads;
   opts.slice_budget = slice_budget;
+  opts.scheduler = &sched;
   SkinnerCEngine engine(pq.value().get(), opts);
   ResultSet rs(pq.value()->num_tables());
   EXPECT_TRUE(engine.Run(&rs).ok());
@@ -221,6 +233,54 @@ TEST(ParallelSkinnerApiTest, RandomQueriesAgreeAcrossThreadCounts) {
       }
     }
   }
+}
+
+// The join's ParallelFor nested in pool jobs on a saturated pool: two pool
+// workers, four sessions each submitting a T = 4 Skinner-C query as a
+// scheduler job. No worker is ever free to help a slice, so every slice
+// must finish on the pool worker that runs its query, and every query must
+// still return exactly the T = 1 rows.
+TEST(ParallelSkinnerPoolTest, SaturatedPoolFinishesNestedSlicesBitIdentical) {
+  SchedulerOptions sopts;
+  sopts.num_workers = 2;
+  Database db(sopts);
+  BuildSkewedDb(&db, 3, /*hot_keys=*/4, /*hot_fanout=*/6, /*tail_rows=*/400);
+  const std::string sql =
+      "SELECT s0.v, s1.v, s2.v FROM s0, s1, s2 "
+      "WHERE s0.k = s1.k AND s1.k = s2.k";
+  ExecOptions opts;
+  opts.engine = EngineKind::kSkinnerC;
+  opts.slice_budget = 11;
+  auto base = db.Query(sql, opts);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_GT(base.value().result.rows.size(), 0u);
+  const uint64_t dispatched_before = db.scheduler()->stats().pf_dispatched;
+
+  opts.skinner_threads = 4;
+  constexpr int kSessions = 4;
+  std::vector<std::unique_ptr<Session>> sessions;
+  std::vector<std::optional<Result<QueryOutput>>> outs(kSessions);
+  std::vector<Ticket> tickets;
+  for (int i = 0; i < kSessions; ++i) {
+    sessions.push_back(db.CreateSession());
+    Session* session = sessions.back().get();
+    auto ticket = db.scheduler()->Submit(session->id(), [&, session, i] {
+      outs[static_cast<size_t>(i)] = session->Query(sql, opts);
+    });
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    tickets.push_back(ticket.value());
+  }
+  for (const Ticket& t : tickets) t.Wait();
+
+  for (int i = 0; i < kSessions; ++i) {
+    const auto& out = outs[static_cast<size_t>(i)];
+    ASSERT_TRUE(out.has_value()) << "session " << i;
+    ASSERT_TRUE(out->ok()) << out->status().ToString();
+    EXPECT_FALSE(out->value().stats.timed_out);
+    EXPECT_EQ(out->value().result.rows, base.value().result.rows)
+        << "session " << i;
+  }
+  EXPECT_GT(db.scheduler()->stats().pf_dispatched, dispatched_before);
 }
 
 }  // namespace

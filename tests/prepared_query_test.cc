@@ -121,8 +121,7 @@ TEST_F(PreparedQueryTest, NoIndexesWhenDisabled) {
 
 TEST_F(PreparedQueryTest, ParallelMatchesSerial) {
   PrepareOptions par;
-  par.parallel = true;
-  par.num_threads = 3;
+  par.width = 3;
   auto p1 = Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.v >= 5");
   auto p2 = Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k AND a.v >= 5",
                     par);

@@ -289,48 +289,6 @@ TEST(SchedulerDrainTest, DrainCompletesQueuedThenRejects) {
   EXPECT_EQ(sched.stats().shed_draining, 1u);
 }
 
-TEST(SchedulerLeaseTest, GrantsWithinBudgetAndCaps) {
-  SchedulerOptions opts;
-  opts.engine_thread_budget = 8;
-  Scheduler sched(opts);
-
-  ThreadLease a = sched.LeaseThreads(4);
-  EXPECT_EQ(a.granted(), 4);
-  ThreadLease b = sched.LeaseThreads(8);  // only 4 left
-  EXPECT_EQ(b.granted(), 4);
-  // Budget exhausted: grants never drop below 1 and never block.
-  ThreadLease c = sched.LeaseThreads(3);
-  EXPECT_EQ(c.granted(), 1);
-
-  Scheduler::Stats s = sched.stats();
-  EXPECT_EQ(s.engine_thread_budget, 8);
-  EXPECT_EQ(s.leased_threads, 9);
-  EXPECT_EQ(s.lease_grants, 3u);
-  EXPECT_EQ(s.lease_capped, 2u);
-
-  a.Release();
-  b.Release();
-  c.Release();
-  EXPECT_EQ(sched.stats().leased_threads, 0);
-
-  ThreadLease big = sched.LeaseThreads(16);
-  EXPECT_EQ(big.granted(), 8);  // full budget, capped at it
-}
-
-TEST(SchedulerLeaseTest, MoveTransfersAndReleaseIsIdempotent) {
-  SchedulerOptions opts;
-  opts.engine_thread_budget = 4;
-  Scheduler sched(opts);
-  ThreadLease a = sched.LeaseThreads(4);
-  EXPECT_EQ(a.granted(), 4);
-  ThreadLease moved = std::move(a);
-  EXPECT_EQ(moved.granted(), 4);
-  EXPECT_EQ(a.granted(), 0);  // NOLINT(bugprone-use-after-move): inert
-  moved.Release();
-  moved.Release();
-  EXPECT_EQ(sched.stats().leased_threads, 0);
-}
-
 // A count at or below min_grain runs inline on the caller — sequential
 // ascending order, no dispatch bookkeeping — and is counted in pf_inline;
 // one index past the grain dispatches to the pool.

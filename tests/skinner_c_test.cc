@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/scheduler.h"
 #include "sql/parser.h"
 #include "test_util.h"
 
@@ -209,8 +210,13 @@ TEST_F(SkinnerCTest, AuxiliaryBytesMonotoneAcrossSlices) {
 }
 
 // Parallel Skinner-C (paper 4.4) must return bit-identical tuples in the
-// canonical export order for any worker count.
+// canonical export order for any worker count. The workers run on an
+// isolated pool wide enough for all of them, so they really run
+// concurrently (the ThreadSanitizer job checks them for races).
 TEST_F(SkinnerCTest, ParallelMatchesSequentialBitIdentical) {
+  SchedulerOptions sopts;
+  sopts.num_workers = 4;
+  Scheduler sched(sopts);
   for (int64_t budget : {3, 500}) {
     std::vector<std::vector<PosTuple>> results;
     std::vector<uint64_t> tuple_counts;
@@ -219,6 +225,7 @@ TEST_F(SkinnerCTest, ParallelMatchesSequentialBitIdentical) {
       SkinnerCOptions opts;
       opts.slice_budget = budget;
       opts.num_threads = threads;
+      opts.scheduler = &sched;
       SkinnerCEngine engine(pq_.get(), opts);
       ResultSet out(pq_->num_tables());
       ASSERT_TRUE(engine.Run(&out).ok());
