@@ -10,14 +10,21 @@
 //      resolution). An independent-key Find() loop (out-of-order execution
 //      overlapping probes on its own) is also reported for transparency;
 //  (b) adaptive chunk splitting on a Zipf-skewed parallel query: the
-//      number of publication-board splits the skew triggers.
+//      number of publication-board splits the skew triggers;
+//  (c) the direct-address layout against the Swiss table: the same ids
+//      staged once as dense keys (direct layout) and once scrambled by
+//      HashMix64 (Swiss layout), equal key and posting counts, both probed
+//      through FindBatch with the same id stream.
 //
-// Every path must produce the identical checksum: batching is never
-// allowed to be observable in results, only in wall time.
+// Every path must produce the identical checksum: batching and the layout
+// are never allowed to be observable in results, only in wall time.
 //
 // CI-gated via RESULT metrics (bench/compare_benchmarks.py):
 //   - batch_vs_scalar_ratio >= 2x is the acceptance floor (also enforced
 //     by the exit code), gated against >25% regressions;
+//   - dense_vs_hash_batch_ratio >= 1x: the direct layout is a fast path
+//     and must keep measuring faster than the Swiss table it replaces
+//     (exit code), gated against >25% regressions;
 //   - probes/sec values are recorded for trajectory tracking (wall-clock,
 //     not gated).
 
@@ -32,6 +39,7 @@
 
 #include "api/database.h"
 #include "benchgen/runner.h"
+#include "common/hash_util.h"
 #include "common/str_util.h"
 #include "exec/prepared_query.h"
 
@@ -131,6 +139,30 @@ ProbeRate MeasureBatch(const HashIndex& idx,
   return out;
 }
 
+/// Median probe rate of `runs` alternating FindBatch passes over two
+/// indexes (alternation spreads host drift over both), with each index's
+/// checksum from its last pass.
+std::pair<ProbeRate, ProbeRate> MeasureBatchPair(
+    const HashIndex& a, const std::vector<uint64_t>& probes_a,
+    const HashIndex& b, const std::vector<uint64_t>& probes_b, int runs,
+    int rounds) {
+  std::vector<double> rate_a;
+  std::vector<double> rate_b;
+  ProbeRate out_a;
+  ProbeRate out_b;
+  for (int r = 0; r < runs; ++r) {
+    out_a = MeasureBatch(a, probes_a, rounds);
+    out_b = MeasureBatch(b, probes_b, rounds);
+    rate_a.push_back(out_a.mprobes_per_sec);
+    rate_b.push_back(out_b.mprobes_per_sec);
+  }
+  std::sort(rate_a.begin(), rate_a.end());
+  std::sort(rate_b.begin(), rate_b.end());
+  out_a.mprobes_per_sec = rate_a[rate_a.size() / 2];
+  out_b.mprobes_per_sec = rate_b[rate_b.size() / 2];
+  return {out_a, out_b};
+}
+
 /// Zipf-skewed chain tables (hot keys clustered at low positions), the
 /// same shape as bench_parallel_join's skewed workload, sized down to a
 /// quick split-counting scenario.
@@ -224,6 +256,46 @@ int main() {
   double batch_vs_independent =
       batch.mprobes_per_sec / scalar_indep.mprobes_per_sec;
 
+  // (c) Direct-address vs Swiss layout: ids 0..kKeys-1, one posting each,
+  // staged as themselves (dense) and as HashMix64(id) (scrambled), probed
+  // with the same uniform id stream through the batch path.
+  HashIndex dense_idx;
+  HashIndex hash_idx;
+  for (int64_t i = 0; i < kKeys; ++i) {
+    dense_idx.Add(static_cast<uint64_t>(i), static_cast<int32_t>(i));
+    hash_idx.Add(HashMix64(static_cast<uint64_t>(i)), static_cast<int32_t>(i));
+  }
+  dense_idx.Build();
+  hash_idx.Build();
+  std::vector<uint64_t> dense_probes(kProbes);
+  std::vector<uint64_t> hash_probes(kProbes);
+  for (size_t i = 0; i < kProbes; ++i) {
+    dense_probes[i] = rng() % kKeys;
+    hash_probes[i] = HashMix64(dense_probes[i]);
+  }
+  std::printf("\ndense index: %s, %.1f MiB; scrambled index: %s, %.1f MiB\n",
+              dense_idx.direct() ? "direct" : "swiss",
+              static_cast<double>(dense_idx.bytes()) / (1 << 20),
+              hash_idx.direct() ? "direct" : "swiss",
+              static_cast<double>(hash_idx.bytes()) / (1 << 20));
+  MeasureBatch(dense_idx, dense_probes, 1);  // warm the page tables
+  MeasureBatch(hash_idx, hash_probes, 1);
+  const auto [dense, hashed] = MeasureBatchPair(
+      dense_idx, dense_probes, hash_idx, hash_probes, /*runs=*/5, kRounds);
+  const bool layouts_ok = dense_idx.direct() && !hash_idx.direct() &&
+                          dense.checksum == hashed.checksum;
+  const double dense_ratio = dense.mprobes_per_sec / hashed.mprobes_per_sec;
+  TablePrinter layouts({"Layout", "FindBatch Mprobes/s", "vs Swiss"});
+  layouts.AddRow({"direct (dense ids)", StrFormat("%.2f", dense.mprobes_per_sec),
+                  StrFormat("%.2fx", dense_ratio)});
+  layouts.AddRow({"Swiss (HashMix64 ids)",
+                  StrFormat("%.2f", hashed.mprobes_per_sec), "1.00x"});
+  layouts.Print();
+  std::printf("checksums: direct=%llu swiss=%llu %s\n",
+              static_cast<unsigned long long>(dense.checksum),
+              static_cast<unsigned long long>(hashed.checksum),
+              layouts_ok ? "(identical)" : "(MISMATCH or wrong layout)");
+
   // (b) Adaptive chunk splitting on a skewed 4-worker parallel query.
   Database db;
   BuildZipfDb(&db, /*m=*/4, /*rows=*/400, /*domain=*/150, /*s=*/1.1,
@@ -257,8 +329,11 @@ int main() {
               batch.mprobes_per_sec, batch_ratio);
   std::printf("RESULT bench_probe chunk_splits=%llu\n",
               static_cast<unsigned long long>(chunk_splits));
+  std::printf("RESULT bench_probe dense_vs_hash_batch_ratio=%.2f\n",
+              dense_ratio);
 
-  bool ok = checksums_ok && batch_ratio >= 2.0 && chunk_splits >= 1;
+  bool ok = checksums_ok && batch_ratio >= 2.0 && chunk_splits >= 1 &&
+            layouts_ok && dense_ratio >= 1.0;
   if (!ok) std::printf("FAILED acceptance check\n");
   return ok ? 0 : 1;
 }

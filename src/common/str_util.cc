@@ -69,30 +69,34 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-namespace {
-bool LikeMatchImpl(std::string_view v, size_t vi, std::string_view p, size_t pi) {
-  while (pi < p.size()) {
-    char pc = p[pi];
-    if (pc == '%') {
-      // Collapse consecutive %.
-      while (pi < p.size() && p[pi] == '%') ++pi;
-      if (pi == p.size()) return true;
-      for (size_t k = vi; k <= v.size(); ++k) {
-        if (LikeMatchImpl(v, k, p, pi)) return true;
-      }
+bool LikeMatch(std::string_view value, std::string_view pattern) {
+  // Greedy two-pointer match. On a mismatch, return to the most recent '%'
+  // and let it absorb one more character. Only that '%' ever needs
+  // revisiting: any extension an earlier '%' could try is also reachable
+  // by the later one, so the worst case is O(|value| * |pattern|) instead
+  // of the exponential recursion over every '%'.
+  constexpr size_t kNone = std::string_view::npos;
+  size_t vi = 0;
+  size_t pi = 0;
+  size_t star = kNone;  // pattern index just past the last '%' seen
+  size_t mark = 0;      // value index that '%' currently absorbs up to
+  while (vi < value.size()) {
+    if (pi < pattern.size() && pattern[pi] == '%') {
+      star = ++pi;
+      mark = vi;
+    } else if (pi < pattern.size() &&
+               (pattern[pi] == '_' || pattern[pi] == value[vi])) {
+      ++vi;
+      ++pi;
+    } else if (star != kNone) {
+      pi = star;
+      vi = ++mark;
+    } else {
       return false;
     }
-    if (vi >= v.size()) return false;
-    if (pc != '_' && pc != v[vi]) return false;
-    ++vi;
-    ++pi;
   }
-  return vi == v.size();
-}
-}  // namespace
-
-bool LikeMatch(std::string_view value, std::string_view pattern) {
-  return LikeMatchImpl(value, 0, pattern, 0);
+  while (pi < pattern.size() && pattern[pi] == '%') ++pi;
+  return pi == pattern.size();
 }
 
 Result<int64_t> ParseInt64(const std::string& s) {

@@ -40,7 +40,8 @@ Result<int64_t> ParseInt64(const std::string& s);
 /// toward zero) is accepted.
 Result<double> ParseDouble(const std::string& s);
 
-/// SQL LIKE pattern matching with % and _ wildcards.
+/// SQL LIKE pattern matching with % and _ wildcards, in
+/// O(|value| * |pattern|) time and constant space.
 bool LikeMatch(std::string_view value, std::string_view pattern);
 
 }  // namespace skinner

@@ -73,7 +73,7 @@ class JoinCursor {
   }
 
   /// First candidate position >= `lower` at `depth` (given bindings for
-  /// all earlier depths), or -1 if none. Uses the driving hash probe when
+  /// all earlier depths), or -1 if none. Uses the driving index probe when
   /// available, otherwise a plain scan start. Candidates satisfy the
   /// driving equality only; remaining predicates are left to Check().
   int64_t FirstCandidate(int depth, int64_t lower) const;
@@ -97,7 +97,7 @@ class JoinCursor {
   uint64_t ProbeKey(const EquiProbe& p, bool* is_null) const;
 
   /// Single-key postings with a per-depth cache. NextCandidate re-derives
-  /// the driving key and would otherwise re-probe the hash table on every
+  /// the driving key and would otherwise re-probe the index on every
   /// advance within one candidate window; postings are a pure function of
   /// the key (the index is frozen), so the cache never needs invalidation
   /// — a stale entry for a different key simply misses. `fresh` (optional)
@@ -111,7 +111,7 @@ class JoinCursor {
   /// prefetches each hit's postings head, so by the time the loop descends
   /// with one of these candidates bound, its postings run is (likely)
   /// resident; the results land in the next depth's lookahead and are
-  /// consumed by ProbePostings without touching the hash table again.
+  /// consumed by ProbePostings without probing the index again.
   /// No-op unless the next step's driver probes this step's table, or if
   /// the next depth's lookahead was already gathered for `window_id`
   /// (driver paths pass the probe key, scan paths the window start — the

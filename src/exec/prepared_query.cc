@@ -1,6 +1,7 @@
 #include "exec/prepared_query.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/hash_util.h"
@@ -13,29 +14,22 @@ uint64_t JoinKeyOf(const Column& col, int64_t base_row) {
   switch (col.type()) {
     case DataType::kString:
       return static_cast<uint64_t>(col.GetStringId(base_row));
-    case DataType::kInt64: {
-      const int64_t v = col.GetInt(base_row);
-      constexpr int64_t kDoubleExactBound = int64_t{1} << 53;
-      if (v < -kDoubleExactBound || v > kDoubleExactBound) {
-        // The double conversion is lossy here and would collapse distinct
-        // int64 keys onto one bit pattern; key on the (bijectively mixed)
-        // exact bits instead. See the header contract for the remaining
-        // int64-vs-double caveat.
-        return HashMix64(static_cast<uint64_t>(v));
-      }
-      const double d = static_cast<double>(v);  // exact; v == 0 gives +0.0
-      uint64_t bits;
-      std::memcpy(&bits, &d, sizeof(d));
-      return bits;
-    }
+    case DataType::kInt64:
+      return static_cast<uint64_t>(col.GetInt(base_row));
     case DataType::kDouble: {
-      double d = col.GetDouble(base_row);
-      // -0.0 == +0.0 in EvalPredicate, so both must map to one key or
-      // hash-index probes silently miss matching rows.
-      if (d == 0.0) d = 0.0;
+      const double d = col.GetDouble(base_row);
+      // [-2^63, 2^63) is exactly the int64 range; NaN fails both bounds.
+      constexpr double kTwo63 = 9223372036854775808.0;
+      if (d >= -kTwo63 && d < kTwo63 && d == std::trunc(d)) {
+        return static_cast<uint64_t>(static_cast<int64_t>(d));  // -0.0 -> 0
+      }
       uint64_t bits;
       std::memcpy(&bits, &d, sizeof(d));
-      return bits;
+      // Bit 62 := NOT bit 63 gives the key an int64 magnitude >= 2^62,
+      // outside every integer in [-2^53, 2^53] (whose bits 63 and 62 agree).
+      constexpr uint64_t kBit62 = uint64_t{1} << 62;
+      const uint64_t m = HashMix64(bits);
+      return (m & ~kBit62) | ((~m >> 1) & kBit62);
     }
   }
   return 0;
@@ -51,14 +45,33 @@ void HashIndex::Build(Scheduler* sched, int max_threads) {
     staged_.Release();
     return;
   }
-  // Capacity: next power of two holding the staged pairs at or under
-  // kMaxLoadPercent occupancy (the distinct-key count is bounded by the
-  // pair count). This is the invariant that bounds every probe chain and
-  // guarantees Find() always reaches an empty tag.
+  // Swiss capacity: next power of two holding the staged pairs at or
+  // under kMaxLoadPercent occupancy (the distinct-key count is bounded by
+  // the pair count). This is the invariant that bounds every probe chain
+  // and guarantees Find() always reaches an empty tag.
   static_assert(kMaxLoadPercent == 50,
                 "capacity sizing below assumes the 50% load bound");
   size_t cap = 16;
   while (cap < staged_.size() * 2) cap <<= 1;
+
+  // Layout choice, from the staged keys alone: direct addressing whenever
+  // its span + 1 offsets take no more bytes than the Swiss slots and tags.
+  // `gap` = span - 1, computed in wrapping arithmetic so no key range can
+  // overflow the comparison.
+  const uint64_t gap =
+      static_cast<uint64_t>(key_max_) - static_cast<uint64_t>(key_min_);
+  const uint64_t swiss_bytes = cap * (sizeof(Slot) + sizeof(uint8_t));
+  if (gap <= swiss_bytes / sizeof(uint32_t) - 2) {
+    BuildDirect(static_cast<size_t>(gap) + 1);
+  } else {
+    BuildSwiss(cap, sched, max_threads);
+  }
+  // Release the staging blocks: the "exact heap footprint" contract of
+  // bytes() must not keep charging for scratch the index no longer needs.
+  staged_.Release();
+}
+
+void HashIndex::BuildSwiss(size_t cap, Scheduler* sched, int max_threads) {
   mask_ = cap - 1;
   slots_.assign(cap, Slot{});
   tags_.assign(cap, 0);
@@ -89,9 +102,43 @@ void HashIndex::Build(Scheduler* sched, int max_threads) {
     }
   }
 #endif
-  // Release the staging blocks: the "exact heap footprint" contract of
-  // bytes() must not keep charging for scratch the index no longer needs.
-  staged_.Release();
+}
+
+void HashIndex::BuildDirect(size_t span) {
+  const uint64_t base = static_cast<uint64_t>(key_min_);
+  // Count: offsets_[k] = run length of key base + k.
+  offsets_.assign(span + 1, 0);
+  staged_.ForEach([&](uint64_t key, int32_t pos) {
+    (void)pos;
+    ++offsets_[key - base];
+  });
+  // Inclusive prefix sum: offsets_[k] = end of key k's run.
+  uint32_t end = 0;
+  for (size_t k = 0; k < span; ++k) {
+    num_keys_ += offsets_[k] != 0;
+    end += offsets_[k];
+    offsets_[k] = end;
+  }
+  offsets_[span] = end;
+  // Stable scatter, walking the staged stream backwards: pre-decrementing
+  // each key's end cursor lays its run out in staged (ascending) order and
+  // leaves offsets_[k] at the run's start.
+  arena_.resize(staged_.size());
+  for (size_t b = staged_.num_blocks(); b-- > 0;) {
+    const std::pair<uint64_t, int32_t>* pairs = staged_.block(b);
+    for (size_t i = staged_.block_size(b); i-- > 0;) {
+      arena_[--offsets_[pairs[i].first - base]] = pairs[i].second;
+    }
+  }
+#ifndef NDEBUG
+  assert(offsets_[0] == 0 && offsets_[span] == arena_.size());
+  for (size_t k = 0; k < span; ++k) {
+    assert(offsets_[k] <= offsets_[k + 1] && "direct offsets not monotone");
+    for (uint32_t i = offsets_[k] + 1; i < offsets_[k + 1]; ++i) {
+      assert(arena_[i - 1] < arena_[i] && "direct postings not ascending");
+    }
+  }
+#endif
 }
 
 void HashIndex::BuildSequential() {
@@ -303,6 +350,10 @@ uint64_t HashIndex::Fingerprint() const {
   mix(num_keys_);
   mix(slots_.size());
   mix(arena_.size());
+  mix(offsets_.size());
+  mix(static_cast<uint64_t>(key_min_));
+  mix(static_cast<uint64_t>(key_max_));
+  for (const uint32_t o : offsets_) mix(o);
   for (const Slot& s : slots_) {
     mix(s.key);
     mix((static_cast<uint64_t>(s.offset) << 32) | s.len);
@@ -332,6 +383,20 @@ constexpr size_t kPrefetchDist = 32;
 void HashIndex::FindBatch(const uint64_t* keys, size_t n,
                           Postings* out) const {
   assert(built_ && "HashIndex::FindBatch before Build() misses every key");
+  if (direct()) {
+    const uint64_t base = static_cast<uint64_t>(key_min_);
+    const size_t span = offsets_.size() - 1;
+    for (size_t i = 0; i < n; ++i) {
+      if (i + kPrefetchDist < n) {
+        const uint64_t k = keys[i + kPrefetchDist] - base;
+        if (k < span) __builtin_prefetch(offsets_.data() + k, 0, 1);
+      }
+      const Postings p = FindDirect(keys[i]);
+      if (p.count != 0) __builtin_prefetch(p.data, 0, 1);
+      out[i] = p;
+    }
+    return;
+  }
   if (slots_.empty()) {
     for (size_t i = 0; i < n; ++i) out[i] = {};
     return;
@@ -488,18 +553,23 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
       },
       filter_grain);
   // Concatenate in (table, range) order — bit-identical to one whole-table
-  // scan — and collect per-job costs for the makespan model. A table's
-  // first job is moved in, so a one-job table keeps the scan's buffer and
-  // its capacity, which TableArtifact::bytes() charges.
+  // scan — into a buffer sized to the survivors exactly, so
+  // TableArtifact::bytes() is the same at every width and a selective
+  // filter is not charged for the rows it dropped. Collect per-job costs
+  // for the makespan model.
+  std::vector<size_t> survivors(tables.size(), 0);
+  for (const FilterJob& job : jobs) {
+    survivors[static_cast<size_t>(job.t)] += job.rows.size();
+  }
+  for (int t : fresh) {
+    built[static_cast<size_t>(t)]->filtered.reserve(
+        survivors[static_cast<size_t>(t)]);
+  }
   std::vector<uint64_t> filter_costs;
   filter_costs.reserve(jobs.size());
   for (FilterJob& job : jobs) {
     TableArtifact& a = *built[static_cast<size_t>(job.t)];
-    if (job.begin == 0) {
-      a.filtered = std::move(job.rows);
-    } else {
-      a.filtered.insert(a.filtered.end(), job.rows.begin(), job.rows.end());
-    }
+    a.filtered.insert(a.filtered.end(), job.rows.begin(), job.rows.end());
     a.build_cost += job.cost;
     filter_costs.push_back(job.cost);
   }

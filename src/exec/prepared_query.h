@@ -93,33 +93,43 @@ class StagingShard {
   size_t size_ = 0;
 };
 
-/// Hash index over the *filtered positions* of one (table, column) pair:
-/// join key -> ascending run of positions. Built during pre-processing for
-/// every column that appears in an equality join predicate (paper 4.5:
-/// "we create hash tables on all columns subject to equality predicates").
+/// Index over the *filtered positions* of one (table, column) pair: join
+/// key -> ascending run of positions. Built during pre-processing for every
+/// column that appears in an equality join predicate (paper 4.5: "we
+/// create hash tables on all columns subject to equality predicates").
 /// Sorted postings make Skinner-C's "jump to the next matching tuple index"
 /// a single binary search, so execution state stays a plain index vector.
 ///
-/// Layout: a flat open-addressing (linear probing) table, tag-augmented in
-/// the Swiss-table style: an 8-bit tag array (0 = empty, else the key
-/// hash's top 7 bits with the high bit set) split from the {key, offset,
-/// len} payload slots, over a single postings arena holding every key's
-/// ascending position run contiguously. The split layout keeps the probe
-/// path touching one dense byte per rejected slot instead of a 16-byte
-/// payload, and FindBatch() pipelines many keys' probes so their cache
-/// misses overlap. Compared to a node-based map of vectors this is one
-/// cache miss per probe, allocation-free after Build(), and safely
-/// shareable read-only across engines and worker threads.
+/// Build() freezes the staged pairs into one of two layouts over a single
+/// postings arena that holds every key's ascending position run
+/// contiguously. The choice is a pure function of the staged keys:
+///  - Direct-address (dense keys): an offsets array of span + 1 uint32_t,
+///    where span = max key - min key + 1 (keys read as int64); key k's
+///    run is arena[offsets[k - min], offsets[k - min + 1]). Built by one
+///    counting sort. A probe is one subtraction and one bounds check — no
+///    hash, no tags, no probe chain. Chosen whenever the offsets array is
+///    no larger than the Swiss table's slot and tag arrays would be.
+///  - Swiss table (everything else): a flat open-addressing (linear
+///    probing) table, tag-augmented in the Swiss-table style: an 8-bit tag
+///    array (0 = empty, else the key hash's top 7 bits with the high bit
+///    set) split from the {key, offset, len} payload slots. The split
+///    layout keeps the probe path touching one dense byte per rejected
+///    slot instead of a 16-byte payload, and FindBatch() pipelines many
+///    keys' probes so their cache misses overlap.
+/// Either layout is one cache miss per probe, allocation-free after
+/// Build(), and safely shareable read-only across engines and worker
+/// threads.
 ///
-/// Load factor: Build() sizes the table to the next power of two holding
+/// Load factor: the Swiss table is sized to the next power of two holding
 /// the staged pairs at <= kMaxLoadPercent occupancy, so probe chains stay
 /// short and every probe loop is guaranteed to hit an empty tag — Find()
 /// can never spin on a full table (debug builds additionally assert a
 /// probe counter never exceeds the capacity).
 class HashIndex {
  public:
-  /// Maximum occupancy enforced by Build(): capacity is at least twice the
-  /// staged pair count (distinct keys <= pairs), i.e. load <= 50%.
+  /// Maximum Swiss-table occupancy enforced by Build(): capacity is at
+  /// least twice the staged pair count (distinct keys <= pairs), i.e. load
+  /// <= 50%.
   static constexpr size_t kMaxLoadPercent = 50;
 
   /// A key's ascending position run inside the shared arena. Empty (count
@@ -141,21 +151,27 @@ class HashIndex {
   void Add(uint64_t key, int32_t pos) {
     assert(!built_ && "HashIndex::Add after Build() would be dropped");
     staged_.Append(key, pos);
+    const int64_t k = static_cast<int64_t>(key);
+    if (k < key_min_) key_min_ = k;
+    if (k > key_max_) key_max_ = k;
   }
 
-  /// Freezes the staged pairs into the tag array + probe table + postings
-  /// arena. Idempotent; must be called before Find().
+  /// Freezes the staged pairs into the direct-address or the Swiss-table
+  /// layout (see the class comment) over the postings arena. Idempotent;
+  /// must be called before Find().
   ///
-  /// Algorithm selection is a pure function of the DATA, never of the
-  /// execution width: small stagings run the classic 3-pass sequential
-  /// build; stagings large enough for >= 2 home-slot partitions run the
+  /// Layout and algorithm selection are a pure function of the DATA, never
+  /// of the execution width: dense keys run the sequential counting sort;
+  /// otherwise small stagings run the classic 3-pass sequential Swiss
+  /// build, and stagings large enough for >= 2 home-slot partitions run the
   /// deterministic partitioned build (hash-partition the staged stream by
   /// home-slot range, fill each partition's slot range independently,
   /// spill boundary-crossing probe chains to a sequential pass), which the
   /// scheduler overload below can execute morsel-parallel. Either way the
-  /// frozen layout — tags, slots, arena, bytes() — is bit-identical for
-  /// every worker count, because the partition count and every insertion
-  /// order within the algorithm depend only on the staged pairs.
+  /// frozen layout — offsets, tags, slots, arena, bytes() — is
+  /// bit-identical for every worker count, because the layout, the
+  /// partition count and every insertion order within the algorithm depend
+  /// only on the staged pairs.
   void Build() { Build(nullptr, 1); }
 
   /// As Build(), executing the partitioned phases on up to `max_threads`
@@ -167,34 +183,40 @@ class HashIndex {
   /// single-key probe; the batch entry point is FindBatch().
   Postings Find(uint64_t key) const {
     assert(built_ && "HashIndex::Find before Build() misses every key");
+    if (direct()) return FindDirect(key);
     if (slots_.empty()) return {};
     return FindHashed(key, HashMix64(key));
   }
 
   /// Batch probe: out[i] = Find(keys[i]) for i in [0, n). A software
-  /// pipeline: hashing and tag/slot prefetching run a fixed distance ahead
-  /// of resolution (overlapping the cache misses that bound single-key
-  /// probe latency), and each hit's postings head is prefetched for the
-  /// caller's binary-search jump. Results are bit-identical to per-key
-  /// Find().
+  /// pipeline: hashing and tag/slot prefetching (offsets prefetching on
+  /// the direct layout) run a fixed distance ahead of resolution
+  /// (overlapping the cache misses that bound single-key probe latency),
+  /// and each hit's postings head is prefetched for the caller's
+  /// binary-search jump. Results are bit-identical to per-key Find().
   void FindBatch(const uint64_t* keys, size_t n, Postings* out) const;
 
   size_t num_keys() const { return num_keys_; }
-  /// Probe-table slots (0 before Build or for an empty index).
+  /// True when Build() chose the direct-address layout.
+  bool direct() const { return !offsets_.empty(); }
+  /// Swiss-table slots (0 before Build, for an empty index, or on the
+  /// direct layout).
   size_t num_slots() const { return slots_.size(); }
 
-  /// Order-sensitive hash of the frozen layout (tags, slots, arena, mask):
-  /// two indexes fingerprint equal iff they are bit-identical. The
-  /// thread-count bit-identity property tests and bench_preprocess compare
-  /// artifacts built at different worker counts through this.
+  /// Order-sensitive hash of the frozen layout (offsets and key range, tags,
+  /// slots, arena, mask): two indexes fingerprint equal iff they are
+  /// bit-identical. The thread-count bit-identity property tests and
+  /// bench_preprocess compare artifacts built at different worker counts
+  /// through this.
   uint64_t Fingerprint() const;
 
   /// Exact heap footprint. Before Build() this is dominated by the staging
   /// shard's blocks; Build() releases the staging blocks, so the frozen
-  /// index accounts for exactly the tag array, the probe table and the
-  /// postings arena.
+  /// index accounts for exactly its offsets array (direct layout) or its
+  /// tag array and probe table (Swiss table), plus the postings arena.
   size_t bytes() const {
     return arena_.capacity() * sizeof(int32_t) +
+           offsets_.capacity() * sizeof(uint32_t) +
            slots_.capacity() * sizeof(Slot) +
            tags_.capacity() * sizeof(uint8_t) + staged_.bytes();
   }
@@ -211,6 +233,15 @@ class HashIndex {
   /// index uses the low bits, so tag and index stay independent.
   static uint8_t TagOf(uint64_t h) {
     return static_cast<uint8_t>(0x80u | (h >> 57));
+  }
+
+  /// Direct-layout probe: keys outside [key_min_, key_min_ + span) wrap to
+  /// a huge offset, so one unsigned compare is the whole bounds check.
+  Postings FindDirect(uint64_t key) const {
+    const uint64_t k = key - static_cast<uint64_t>(key_min_);
+    if (k >= offsets_.size() - 1) return {};
+    const uint32_t begin = offsets_[k];
+    return {arena_.data() + begin, offsets_[k + 1] - begin};
   }
 
   /// Single-key probe with a precomputed hash. The probe sequence (linear
@@ -251,6 +282,11 @@ class HashIndex {
     const size_t p = cap / kPartitionSlots;
     return p < kMaxPartitions ? p : kMaxPartitions;
   }
+  /// The counting-sort freeze into the direct layout over `span` keys
+  /// starting at key_min_.
+  void BuildDirect(size_t span);
+  /// The Swiss-table freeze at capacity `cap`: sequential or partitioned.
+  void BuildSwiss(size_t cap, Scheduler* sched, int max_threads);
   /// The classic 3-pass sequential freeze (small stagings).
   void BuildSequential();
   /// The deterministic partitioned freeze (>= 2 partitions; optionally
@@ -259,6 +295,11 @@ class HashIndex {
                         int max_threads);
 
   StagingShard staged_;  // released by Build()
+  // Staged key range, read as int64 (so small negative keys stay dense).
+  int64_t key_min_ = INT64_MAX;
+  int64_t key_max_ = INT64_MIN;
+  // Direct layout: run bounds of keys key_min_ .. key_min_ + span - 1.
+  std::vector<uint32_t> offsets_;  // span + 1 entries; empty = Swiss layout
   std::vector<Slot> slots_;
   std::vector<uint8_t> tags_;  // one per slot
   std::vector<int32_t> arena_;
@@ -269,21 +310,28 @@ class HashIndex {
 
 /// Join key of a cell, normalized so that any two equality-joinable columns
 /// produce comparable keys whenever `EvalPredicate` considers the values
-/// equal: strings use their dictionary code (the pool is database-wide) and
-/// numeric values use the bit pattern of the value as double, with -0.0
-/// canonicalized to +0.0 first (the two compare equal, so they must hash to
-/// the same key or index probes silently miss matching rows).
+/// equal, and so that dense id columns produce dense keys (HashIndex then
+/// freezes them into its direct-address layout):
+///  - strings use their dictionary code (the pool is database-wide);
+///  - an int64 is its own two's-complement bits, exact over the whole
+///    range, so int64-int64 equi-joins match exactly as Value::Compare
+///    compares them;
+///  - an integral double inside int64 range keys as that integer, so it
+///    meets an int64 column on equal values, and -0.0 becomes 0 by
+///    construction (the two zeros compare equal);
+///  - any other double (fractional, beyond int64 range, infinite) takes a
+///    key mixed from its bit pattern with bit 62 forced to the complement
+///    of bit 63, i.e. a magnitude >= 2^62 read as int64: it can never
+///    collide with an integer in [-2^53, 2^53].
 ///
-/// Int64 values outside [-2^53, 2^53] are not exactly representable as
-/// doubles, so distinct values could collapse onto one double bit pattern.
-/// To keep int64-int64 equi-joins exact (matching Value::Compare, which
-/// compares int64 pairs without promotion), such values instead take a key
-/// bijectively mixed from the exact int64 bits. Two documented limits of
-/// the 64-bit key space: (a) an int64 beyond 2^53 never key-matches a
-/// double column, even when Value::Compare's double promotion would call
-/// them equal; (b) a mixed big-int64 key can in principle collide with an
-/// unrelated double bit pattern (~2^-64 per pair) — engines trust key
-/// equality on the driver predicate and do not re-verify with EvalPredicate.
+/// Two documented limits of the 64-bit key space: (a) an int64 beyond 2^53
+/// key-matches a double only when the double is exactly that integer,
+/// while Value::Compare's lossy double promotion can call further pairs
+/// equal; (b) a mixed key can in principle collide with an unrelated mixed
+/// key or with an int64 of magnitude >= 2^62 (~2^-63 per pair) — engines
+/// trust key equality on the driver predicate and do not re-verify with
+/// EvalPredicate. NaN compares equal to every value in Value::Compare and
+/// is out of the contract.
 uint64_t JoinKeyOf(const Column& col, int64_t base_row);
 
 /// The pre-processing artifact of ONE FROM-list table: the base rows
@@ -299,8 +347,8 @@ struct TableArtifact {
   /// charged only to the execution that actually built it.
   uint64_t build_cost = 0;
 
-  /// Exact-ish heap footprint (cache accounting): filtered capacity plus
-  /// every frozen index.
+  /// Exact heap footprint (cache accounting): the filtered rows (sized to
+  /// the survivors) plus every frozen index.
   size_t bytes() const;
 };
 

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "common/hash_util.h"
+
 #include "sql/parser.h"
 
 namespace skinner {
@@ -88,12 +95,7 @@ TEST_F(PreparedQueryTest, IndexExcludesNulls) {
   const HashIndex* idx = p.pq->index(1, 0);
   ASSERT_NE(idx, nullptr);
   size_t total = 0;
-  for (int key = 0; key < 4; ++key) {
-    double d = key;
-    uint64_t bits;
-    memcpy(&bits, &d, sizeof(d));
-    total += idx->Find(bits).size();
-  }
+  for (uint64_t key = 0; key < 4; ++key) total += idx->Find(key).size();
   EXPECT_EQ(total, 5u);  // 6 rows minus 1 NULL
 }
 
@@ -101,10 +103,7 @@ TEST_F(PreparedQueryTest, IndexPostingsAscending) {
   auto p = Prepare("SELECT COUNT(*) FROM a, b WHERE a.k = b.k");
   const HashIndex* idx = p.pq->index(0, 0);
   ASSERT_NE(idx, nullptr);
-  double d = 1.0;
-  uint64_t bits;
-  memcpy(&bits, &d, sizeof(d));
-  HashIndex::Postings postings = idx->Find(bits);
+  HashIndex::Postings postings = idx->Find(/*key=*/1);
   ASSERT_FALSE(postings.empty());
   for (size_t i = 1; i < postings.size(); ++i) {
     EXPECT_LT(postings[i - 1], postings[i]);
@@ -141,17 +140,18 @@ TEST_F(PreparedQueryTest, PreprocessCostCharged) {
 TEST(HashIndexBytesTest, BuildReleasesTheStagingBlocksExactly) {
   // bytes() promises the *exact* heap footprint. Before Build() the
   // staging blocks dominate; Build() releases them, so the frozen index is
-  // charged for exactly the probe table, the tag array (capacity plus one
-  // mirrored group), and the postings arena.
+  // charged for exactly the probe table, the tag array, and the postings
+  // arena. Mixed keys keep the index on the Swiss-table layout.
   constexpr size_t kPairs = 1000;
   constexpr size_t kStagedPairBytes = sizeof(std::pair<uint64_t, int32_t>);
   HashIndex idx;
   for (size_t i = 0; i < kPairs; ++i) {
-    idx.Add(/*key=*/i % 100, /*pos=*/static_cast<int32_t>(i));
+    idx.Add(/*key=*/HashMix64(i % 100), /*pos=*/static_cast<int32_t>(i));
   }
   EXPECT_GE(idx.bytes(), kPairs * kStagedPairBytes);  // staging dominates
 
   idx.Build();
+  ASSERT_FALSE(idx.direct());
   // Frozen layout: a power-of-two slot table at <= 50% load over the
   // staged pair count, one tag byte per slot, plus one arena int per
   // staged pair — and zero staging bytes.
@@ -165,6 +165,51 @@ TEST(HashIndexBytesTest, BuildReleasesTheStagingBlocksExactly) {
   EXPECT_EQ(idx.num_slots(), cap);
 }
 
+TEST(HashIndexBytesTest, DirectLayoutChargesOffsetsAndArenaExactly) {
+  // Dense keys (here -50 .. 49, with key 7 absent) freeze into the direct
+  // layout: span + 1 offsets and one arena int per staged pair, nothing
+  // else — no slots, no tags, no staging.
+  constexpr size_t kPairs = 1000;
+  HashIndex idx;
+  for (size_t i = 0; i < kPairs; ++i) {
+    const int64_t key = static_cast<int64_t>(i % 100) - 50;
+    if (key == 7) continue;
+    idx.Add(static_cast<uint64_t>(key), static_cast<int32_t>(i));
+  }
+  idx.Build();
+  ASSERT_TRUE(idx.direct());
+  constexpr size_t kStaged = kPairs - kPairs / 100;
+  constexpr size_t kSpan = 100;
+  EXPECT_EQ(idx.bytes(),
+            (kSpan + 1) * sizeof(uint32_t) + kStaged * sizeof(int32_t));
+  EXPECT_EQ(idx.num_keys(), 99u);
+  EXPECT_EQ(idx.num_slots(), 0u);
+  EXPECT_TRUE(idx.Find(7).empty());
+  EXPECT_TRUE(idx.Find(static_cast<uint64_t>(int64_t{-51})).empty());
+  EXPECT_TRUE(idx.Find(50).empty());
+  const HashIndex::Postings lo = idx.Find(static_cast<uint64_t>(int64_t{-50}));
+  ASSERT_EQ(lo.size(), kPairs / 100);
+  for (size_t i = 0; i < lo.size(); ++i) {
+    EXPECT_EQ(lo[i], static_cast<int32_t>(i * 100));
+  }
+}
+
+TEST(HashIndexBytesTest, LayoutFollowsTheByteComparison) {
+  // 100 pairs -> a 256-slot Swiss table of 256 * 17 bytes, i.e. room for
+  // 1088 uint32 offsets: a span of 1087 keys still goes direct, 1088 not.
+  for (const auto& [span, direct] :
+       {std::pair<uint64_t, bool>{1087, true}, {1088, false}}) {
+    HashIndex idx;
+    for (int32_t i = 0; i < 99; ++i) idx.Add(static_cast<uint64_t>(i), i);
+    idx.Add(span - 1, 99);
+    idx.Build();
+    EXPECT_EQ(idx.direct(), direct) << "span " << span;
+    EXPECT_EQ(idx.Find(span - 1).size(), 1u);
+    EXPECT_EQ(idx.Find(98).size(), 1u);
+    EXPECT_TRUE(idx.Find(span).empty());
+  }
+}
+
 TEST(HashIndexBytesTest, EmptyBuildHoldsNoHeap) {
   HashIndex idx;
   idx.Build();
@@ -173,12 +218,150 @@ TEST(HashIndexBytesTest, EmptyBuildHoldsNoHeap) {
 
 TEST_F(PreparedQueryTest, JoinKeyOfNormalizesTypes) {
   const Table* a = catalog_.FindTable("a");
-  // Int column keys equal their double-bit representation.
-  uint64_t k = JoinKeyOf(a->column(0), 0);
-  double expect = static_cast<double>(a->column(0).GetInt(0));
-  uint64_t bits;
-  memcpy(&bits, &expect, sizeof(expect));
-  EXPECT_EQ(k, bits);
+  // Int column keys are the integers themselves: dense ids stay dense.
+  for (int64_t r = 0; r < a->num_rows(); ++r) {
+    EXPECT_EQ(JoinKeyOf(a->column(1), r), static_cast<uint64_t>(r));
+  }
+  Column ci(DataType::kInt64);
+  Column cd(DataType::kDouble);
+  for (int64_t v : {int64_t{-3}, int64_t{0}, int64_t{1} << 53,
+                    (int64_t{1} << 60) + 1, INT64_MIN}) {
+    ci.AppendInt(v);
+    cd.AppendDouble(static_cast<double>(v));
+  }
+  // Integral doubles key as the integer (-0.0 as 0), matching int64 keys.
+  for (int64_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(JoinKeyOf(cd, r), JoinKeyOf(ci, r));
+    EXPECT_EQ(JoinKeyOf(ci, r), static_cast<uint64_t>(ci.GetInt(r)));
+  }
+  EXPECT_EQ(JoinKeyOf(cd, 4), JoinKeyOf(ci, 4));  // -2^63 is exact too
+  // 2^60 + 1 rounds to 2^60 as a double: exact int64 keys stay apart.
+  EXPECT_NE(JoinKeyOf(cd, 3), JoinKeyOf(ci, 3));
+  cd.AppendDouble(-0.0);
+  EXPECT_EQ(JoinKeyOf(cd, 5), 0u);
+  // Fractional, out-of-range and infinite doubles take mixed keys whose
+  // int64 magnitude is >= 2^62: never an integer in [-2^53, 2^53].
+  for (double d : {0.5, -0.5, 1e-300, -2.5e-15, 1e19, -1e300,
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    cd.AppendDouble(d);
+    const int64_t k = static_cast<int64_t>(JoinKeyOf(cd, cd.size() - 1));
+    EXPECT_TRUE(k <= -(int64_t{1} << 62) || k >= (int64_t{1} << 62)) << d;
+  }
+}
+
+// The key contract, end to end: for every probed value, Find and
+// FindBatch return exactly the positions a brute-force EvalPredicate
+// equality scan accepts — over dense and sparse ints, negatives, NULLs,
+// doubles (signed zeros, fractions, denormals, huge values), int64 values
+// beyond 2^53, strings, and int64-vs-double joins — and both frozen layouts
+// occur among the indexes.
+TEST_F(PreparedQueryTest, JoinKeysAndBothLayoutsMatchBruteForceEquality) {
+  const std::vector<ColumnDef> cols = {
+      {"dense", DataType::kInt64},   {"sparse", DataType::kInt64},
+      {"big", DataType::kInt64},     {"bigdense", DataType::kInt64},
+      {"dbl", DataType::kDouble},    {"ddense", DataType::kDouble},
+      {"str", DataType::kString}};
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  const std::vector<int64_t> bigs = {
+      kTwo53 + 1, kTwo53 + 2, -kTwo53 - 1, int64_t{1} << 62,
+      -(int64_t{1} << 62), INT64_MAX, INT64_MIN, INT64_MAX - 1};
+  const std::vector<double> dbls = {-0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.5,
+                                    3.0, -20.0, 1e300, -1e300, 5e-324,
+                                    1e19, 0.1, 0.30000000000000004};
+  std::mt19937_64 rng(77);
+  StringPool* pool = catalog_.string_pool();
+  for (const char* name : {"t", "u"}) {
+    auto made = catalog_.CreateTable(name, Schema(cols));
+    ASSERT_TRUE(made.ok());
+    Table* tab = made.value();
+    const int rows = name[0] == 't' ? 300 : 200;
+    for (int r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < cols.size(); ++c) {
+        Column* col = tab->mutable_column(static_cast<int>(c));
+        if (rng() % 10 == 0) {
+          col->AppendNull();
+          continue;
+        }
+        const int64_t small = static_cast<int64_t>(rng() % 41) - 20;
+        switch (c) {
+          case 0: col->AppendInt(small); break;
+          case 1:  // ~40 values spread over 2^44, both signs
+            col->AppendInt(static_cast<int64_t>(HashMix64(rng() % 40) >> 20) *
+                           (rng() % 2 ? 1 : -1));
+            break;
+          case 2: col->AppendInt(bigs[rng() % bigs.size()]); break;
+          case 3: col->AppendInt((int64_t{1} << 60) + small); break;
+          case 4:
+            col->AppendDouble(rng() % 2 ? dbls[rng() % dbls.size()]
+                                        : static_cast<double>(small));
+            break;
+          case 5:
+            col->AppendDouble(small == 0 && rng() % 2
+                                  ? -0.0
+                                  : static_cast<double>(small));
+            break;
+          default:
+            col->AppendString(std::string(1, static_cast<char>('a' + small + 20)),
+                              pool);
+        }
+      }
+      tab->CommitRow();
+    }
+  }
+
+  bool saw_direct = false;
+  bool saw_swiss = false;
+  const std::vector<std::pair<std::string, std::string>> joins = {
+      {"dense", "dense"}, {"sparse", "sparse"}, {"big", "big"},
+      {"bigdense", "bigdense"}, {"dbl", "dbl"}, {"ddense", "ddense"},
+      {"str", "str"}, {"dense", "dbl"}, {"dense", "ddense"},
+      {"sparse", "dbl"}};
+  for (const auto& [x, y] : joins) {
+    SCOPED_TRACE("t." + x + " = u." + y);
+    auto p = Prepare("SELECT COUNT(*) FROM t, u WHERE t." + x + " = u." + y);
+    ASSERT_EQ(p.info->equi_preds().size(), 1u);
+    const Expr& eq = *p.info->equi_preds()[0].expr;
+    const Table* tabs[2] = {p.pq->table(0), p.pq->table(1)};
+    const int col_of[2] = {tabs[0]->schema().FindColumn(x),
+                           tabs[1]->schema().FindColumn(y)};
+    // Probe each side's index with every non-NULL value of the other side.
+    for (int side = 0; side < 2; ++side) {
+      const int other = 1 - side;
+      const HashIndex* idx = p.pq->index(side, col_of[side]);
+      ASSERT_NE(idx, nullptr);
+      (idx->direct() ? saw_direct : saw_swiss) = true;
+      const Column& probe_col = tabs[other]->column(col_of[other]);
+      std::vector<uint64_t> keys;
+      std::vector<int64_t> probe_rows;
+      for (int64_t r = 0; r < p.pq->cardinality(other); ++r) {
+        if (probe_col.IsNull(r)) continue;
+        keys.push_back(JoinKeyOf(probe_col, r));
+        probe_rows.push_back(r);
+      }
+      std::vector<HashIndex::Postings> batch(keys.size());
+      idx->FindBatch(keys.data(), keys.size(), batch.data());
+      for (size_t i = 0; i < keys.size(); ++i) {
+        std::vector<int32_t> expect;
+        int64_t rows[2];
+        rows[other] = probe_rows[i];
+        for (int64_t pos = 0; pos < p.pq->cardinality(side); ++pos) {
+          rows[side] = p.pq->base_row(side, pos);
+          if (EvalPredicate(eq, p.pq->MakeEvalContext(rows))) {
+            expect.push_back(static_cast<int32_t>(pos));
+          }
+        }
+        const HashIndex::Postings found = idx->Find(keys[i]);
+        EXPECT_EQ(std::vector<int32_t>(found.begin(), found.end()), expect)
+            << "side " << side << " probe row " << probe_rows[i];
+        EXPECT_EQ(std::vector<int32_t>(batch[i].begin(), batch[i].end()),
+                  expect)
+            << "side " << side << " probe row " << probe_rows[i];
+      }
+    }
+  }
+  EXPECT_TRUE(saw_direct);
+  EXPECT_TRUE(saw_swiss);
 }
 
 }  // namespace

@@ -28,18 +28,47 @@ namespace {
 
 // ---- hash-index build determinism -----------------------------------
 
-/// Stages n (key, position) pairs with a fixed pseudo-random key stream
-/// (positions ascending per key by construction) and freezes the index on
-/// `sched` at `threads` workers.
+/// Key of staged pair i: a fixed pseudo-random stream over `domain`
+/// distinct values, scrambled by HashMix64 (sparse keys: the Swiss-table
+/// layout) unless `dense`, which keeps them in [0, domain) (the
+/// direct-address layout).
+uint64_t StagedKey(int64_t i, int64_t domain, bool dense) {
+  const uint64_t id = HashMix64(static_cast<uint64_t>(i)) % domain;
+  return dense ? id : HashMix64(id);
+}
+
+/// Stages n (key, position) pairs (positions ascending per key by
+/// construction) and freezes the index on `sched` at `threads` workers.
 std::unique_ptr<HashIndex> BuildIndex(int64_t n, int64_t domain,
-                                      Scheduler* sched, int threads) {
+                                      Scheduler* sched, int threads,
+                                      bool dense = false) {
   auto idx = std::make_unique<HashIndex>();
   for (int64_t i = 0; i < n; ++i) {
-    const uint64_t key = HashMix64(static_cast<uint64_t>(i)) % domain;
-    idx->Add(key, static_cast<int32_t>(i));
+    idx->Add(StagedKey(i, domain, dense), static_cast<int32_t>(i));
   }
   idx->Build(sched, threads);
   return idx;
+}
+
+/// Every staged key's full ascending run, and no phantom postings for
+/// absent keys.
+void ExpectMatchesGroundTruth(const HashIndex& idx, int64_t n, int64_t domain,
+                              bool dense) {
+  std::map<uint64_t, std::vector<int32_t>> truth;
+  for (int64_t i = 0; i < n; ++i) {
+    truth[StagedKey(i, domain, dense)].push_back(static_cast<int32_t>(i));
+  }
+  EXPECT_EQ(idx.num_keys(), truth.size());
+  for (const auto& [key, rows] : truth) {
+    HashIndex::Postings p = idx.Find(key);
+    ASSERT_EQ(p.size(), rows.size()) << "key " << key;
+    for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(p[i], rows[i]);
+  }
+  for (int64_t id = domain; id < domain + 64; ++id) {
+    const uint64_t key = dense ? static_cast<uint64_t>(id)
+                               : HashMix64(static_cast<uint64_t>(id));
+    EXPECT_TRUE(idx.Find(key).empty());
+  }
 }
 
 // 20k pairs force the partitioned algorithm (capacity 65536 => 16
@@ -49,6 +78,7 @@ TEST(HashIndexParallelBuildTest, PartitionedBuildBitIdentical) {
   const int64_t n = 20000;
   const int64_t domain = 3001;
   auto seq = BuildIndex(n, domain, nullptr, 1);
+  ASSERT_FALSE(seq->direct());
   ASSERT_GT(seq->num_slots(), 0u);
 
   Scheduler sched;
@@ -58,24 +88,29 @@ TEST(HashIndexParallelBuildTest, PartitionedBuildBitIdentical) {
     EXPECT_EQ(par->num_keys(), seq->num_keys());
     EXPECT_EQ(par->num_slots(), seq->num_slots());
   }
+  ExpectMatchesGroundTruth(*BuildIndex(n, domain, &sched, 8), n, domain,
+                           /*dense=*/false);
+}
 
-  // Semantics against ground truth: every staged key's full ascending run,
-  // and no phantom postings for absent keys.
-  std::map<uint64_t, std::vector<int32_t>> truth;
-  for (int64_t i = 0; i < n; ++i) {
-    truth[HashMix64(static_cast<uint64_t>(i)) % domain].push_back(
-        static_cast<int32_t>(i));
+// The same staging with dense keys freezes into the direct-address layout
+// (a counting sort), bit-identical for every worker count too.
+TEST(HashIndexParallelBuildTest, DirectBuildBitIdentical) {
+  const int64_t n = 20000;
+  const int64_t domain = 3001;
+  auto seq = BuildIndex(n, domain, nullptr, 1, /*dense=*/true);
+  ASSERT_TRUE(seq->direct());
+  EXPECT_EQ(seq->num_slots(), 0u);
+
+  Scheduler sched;
+  for (int threads : {2, 4, 8}) {
+    auto par = BuildIndex(n, domain, &sched, threads, /*dense=*/true);
+    EXPECT_EQ(par->Fingerprint(), seq->Fingerprint()) << threads << " workers";
+    EXPECT_EQ(par->bytes(), seq->bytes());
   }
-  auto par = BuildIndex(n, domain, &sched, 8);
-  EXPECT_EQ(par->num_keys(), truth.size());
-  for (const auto& [key, rows] : truth) {
-    HashIndex::Postings p = par->Find(key);
-    ASSERT_EQ(p.size(), rows.size()) << "key " << key;
-    for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(p[i], rows[i]);
-  }
-  for (uint64_t key = domain; key < static_cast<uint64_t>(domain) + 64; ++key) {
-    EXPECT_TRUE(par->Find(key).empty());
-  }
+  ExpectMatchesGroundTruth(*seq, n, domain, /*dense=*/true);
+  // The two layouts over the same postings never fingerprint equal.
+  EXPECT_NE(BuildIndex(n, domain, nullptr, 1)->Fingerprint(),
+            seq->Fingerprint());
 }
 
 // Small stagings select the classic sequential algorithm whatever the
@@ -84,6 +119,7 @@ TEST(HashIndexParallelBuildTest, SmallIndexIdenticalWithScheduler) {
   Scheduler sched;
   auto seq = BuildIndex(500, 97, nullptr, 1);
   auto par = BuildIndex(500, 97, &sched, 8);
+  EXPECT_FALSE(seq->direct());
   EXPECT_EQ(par->Fingerprint(), seq->Fingerprint());
 }
 
@@ -94,26 +130,31 @@ TEST(HashIndexParallelBuildTest, EmptyAndSingleKeyIndexes) {
   EXPECT_EQ(empty.num_keys(), 0u);
   EXPECT_TRUE(empty.Find(7).empty());
 
-  auto one_seq = BuildIndex(10000, 1, nullptr, 1);  // one key, 10k postings
+  // One key, 10k postings: a one-key span is always direct.
+  auto one_seq = BuildIndex(10000, 1, nullptr, 1);
   auto one_par = BuildIndex(10000, 1, &sched, 8);
+  EXPECT_TRUE(one_seq->direct());
   EXPECT_EQ(one_par->Fingerprint(), one_seq->Fingerprint());
-  EXPECT_EQ(one_par->Find(0).size(), 10000u);
+  EXPECT_EQ(one_par->Find(HashMix64(0)).size(), 10000u);
 }
 
 // ---- pipeline pre-processing bit-identity ---------------------------
 
 /// Filter-heavy chain workload: m tables large enough for several filter
-/// morsels and partitioned index builds.
+/// morsels and partitioned index builds. `k` is a dense join key (direct
+/// layout) and `s` a sparse image of it (Swiss-table layout).
 void BuildFilterHeavyDb(Database* db, int m, int64_t rows, int64_t domain) {
   for (int t = 0; t < m; ++t) {
     const std::string name = "p" + std::to_string(t);
     ASSERT_TRUE(
-        db->Execute("CREATE TABLE " + name + " (k INT, v INT)").ok());
+        db->Execute("CREATE TABLE " + name + " (k INT, v INT, s INT)").ok());
     Table* table = db->catalog()->FindTable(name);
     ASSERT_NE(table, nullptr);
     for (int64_t r = 0; r < rows; ++r) {
-      table->mutable_column(0)->AppendInt((r * (t + 3) + r / 5) % domain);
+      const int64_t k = (r * (t + 3) + r / 5) % domain;
+      table->mutable_column(0)->AppendInt(k);
       table->mutable_column(1)->AppendInt(r % 97);
+      table->mutable_column(2)->AppendInt(k * 1000003 * 1000003);
       table->CommitRow();
     }
   }
@@ -121,7 +162,7 @@ void BuildFilterHeavyDb(Database* db, int m, int64_t rows, int64_t domain) {
 
 constexpr const char* kChainQuery =
     "SELECT COUNT(*) FROM p0, p1, p2 WHERE p0.k = p1.k AND p1.k = p2.k "
-    "AND p0.v < 50 AND p1.v < 60 AND p2.v < 70";
+    "AND p1.s = p2.s AND p0.v < 50 AND p1.v < 60 AND p2.v < 70";
 
 /// Order-sensitive fingerprint of one table artifact: the surviving-row
 /// vector plus every frozen index layout.
@@ -141,8 +182,43 @@ uint64_t ArtifactFingerprint(const TableArtifact& a) {
   return h;
 }
 
+/// What TableArtifact::bytes() must report, derived from the data
+/// independently of the index: survivors exactly, plus per index its
+/// postings and either span + 1 offsets (direct) or cap slots and tags
+/// (Swiss), whichever layout the byte comparison picks.
+size_t ExactArtifactBytes(const Table& table, const TableArtifact& a) {
+  size_t bytes = sizeof(TableArtifact) + a.filtered.size() * sizeof(int32_t);
+  for (const auto& [col, idx] : a.indexes) {
+    const Column& c = table.column(col);
+    size_t pairs = 0;
+    int64_t lo = INT64_MAX;
+    int64_t hi = INT64_MIN;
+    for (int32_t row : a.filtered) {
+      if (c.IsNull(row)) continue;
+      ++pairs;
+      const int64_t key = static_cast<int64_t>(JoinKeyOf(c, row));
+      lo = std::min(lo, key);
+      hi = std::max(hi, key);
+    }
+    size_t cap = 16;
+    while (cap < pairs * 2) cap <<= 1;
+    // A Swiss slot is {uint64 key, uint32 offset, uint32 len} plus a tag.
+    const size_t swiss = cap * (16 + 1);
+    const uint64_t gap = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    const size_t direct = (static_cast<size_t>(gap) + 2) * sizeof(uint32_t);
+    EXPECT_EQ(idx->direct(), direct <= swiss) << "column " << col;
+    bytes += sizeof(HashIndex) + pairs * sizeof(int32_t) +
+             (idx->direct() ? direct : swiss);
+  }
+  return bytes;
+}
+
 struct PreparedProbe {
-  std::vector<uint64_t> artifact_fp;  // per FROM table
+  std::vector<uint64_t> artifact_fp;     // per FROM table
+  std::vector<size_t> artifact_bytes;    // per FROM table, bytes()
+  std::vector<size_t> exact_bytes;       // per FROM table, from the data
+  int direct_indexes = 0;
+  int swiss_indexes = 0;
   uint64_t preprocess_cost = 0;
 };
 
@@ -161,8 +237,15 @@ PreparedProbe ProbePrepare(Database* db, const std::string& sql,
   EXPECT_TRUE(stage.ok()) << stage.status().message();
   PreparedProbe probe;
   probe.preprocess_cost = stage.value().pq->preprocess_cost();
-  for (const auto& art : stage.value().pq->shared_data()->artifacts) {
-    probe.artifact_fp.push_back(ArtifactFingerprint(*art));
+  const PreparedQuery::Data& data = *stage.value().pq->shared_data();
+  for (size_t t = 0; t < data.artifacts.size(); ++t) {
+    const TableArtifact& art = *data.artifacts[t];
+    probe.artifact_fp.push_back(ArtifactFingerprint(art));
+    probe.artifact_bytes.push_back(art.bytes());
+    probe.exact_bytes.push_back(ExactArtifactBytes(*data.tables[t], art));
+    for (const auto& [col, idx] : art.indexes) {
+      ++(idx->direct() ? probe.direct_indexes : probe.swiss_indexes);
+    }
   }
   return probe;
 }
@@ -176,12 +259,20 @@ TEST(ParallelPreprocessTest, ArtifactsBitIdenticalAcrossWorkerCounts) {
 
   PreparedProbe seq = ProbePrepare(&db, kChainQuery, /*parallel=*/false, 1);
   ASSERT_EQ(seq.artifact_fp.size(), 3u);
-  for (int threads : {1, 2, 8}) {
+  // Both frozen layouts are in play: k is dense, s sparse.
+  EXPECT_EQ(seq.direct_indexes, 3);
+  EXPECT_EQ(seq.swiss_indexes, 2);
+  for (int threads : {1, 2, 4, 8}) {
     PreparedProbe par = ProbePrepare(&db, kChainQuery, /*parallel=*/true,
                                      threads);
     ASSERT_EQ(par.artifact_fp.size(), seq.artifact_fp.size());
     for (size_t t = 0; t < seq.artifact_fp.size(); ++t) {
       EXPECT_EQ(par.artifact_fp[t], seq.artifact_fp[t])
+          << "table " << t << " at " << threads << " workers";
+      // bytes() is exact, so identical artifacts cost identical bytes.
+      EXPECT_EQ(par.artifact_bytes[t], seq.artifact_bytes[t])
+          << "table " << t << " at " << threads << " workers";
+      EXPECT_EQ(par.artifact_bytes[t], par.exact_bytes[t])
           << "table " << t << " at " << threads << " workers";
     }
   }

@@ -1,12 +1,16 @@
 // Property tests for the batched HashIndex probe path: FindBatch() must
 // be exactly equivalent to the single-key Find() — same Postings view
-// (identical arena pointer and count) for every key. Both walk the same
-// linear probe sequence and stop at the same first-empty tag, so
-// equivalence is by construction; these tests pin that construction
-// against regressions, including the adversarial layouts: forced bucket
-// collisions (long probe chains), absent keys that share a chain with
-// present ones, near-full tables at the maximum load factor, and batch
-// sizes around and below the prefetch pipeline's depth.
+// (identical arena pointer and count) for every key, on both frozen
+// layouts. On the Swiss table both walk the same linear probe sequence
+// and stop at the same first-empty tag; on the direct-address layout both
+// read the same offsets pair. Equivalence is by construction; these tests
+// pin that construction against regressions, including the adversarial
+// layouts: forced bucket collisions (long probe chains), absent keys that
+// share a chain with present ones, near-full tables at the maximum load
+// factor, keys just outside a direct span, and batch sizes around and
+// below the prefetch pipeline's depth. Tests meant for the Swiss table
+// stage HashMix64-scrambled keys, since small consecutive keys freeze
+// into the direct layout.
 
 #include <gtest/gtest.h>
 
@@ -78,6 +82,7 @@ TEST(BatchProbeTest, ForcedBucketCollisionsBuildLongProbeChains) {
   for (uint64_t k : colliders) idx.Add(k, pos++);
   for (uint64_t k : colliders) idx.Add(k, pos++);
   idx.Build();
+  ASSERT_FALSE(idx.direct());
   ASSERT_EQ(idx.num_slots(), kCap);
   ASSERT_EQ(idx.num_keys(), colliders.size());
 
@@ -120,37 +125,89 @@ TEST(BatchProbeTest, EmptyIndexAndDegenerateBatchSizes) {
     EXPECT_EQ(p.count, 0u);
   }
 
-  HashIndex idx;
-  for (int32_t i = 0; i < 100; ++i) idx.Add(static_cast<uint64_t>(i), i);
-  idx.Build();
-  std::vector<uint64_t> probes;
-  for (uint64_t i = 0; i < 33; ++i) probes.push_back(i * 7 % 120);
-  // Degenerate and short batches, including zero and sizes around the
-  // prefetch distance (32).
-  for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16}, size_t{17},
-                   size_t{33}}) {
-    std::vector<HashIndex::Postings> got(n);
-    idx.FindBatch(probes.data(), n, got.data());
-    for (size_t i = 0; i < n; ++i) {
-      HashIndex::Postings expect = idx.Find(probes[i]);
-      EXPECT_EQ(got[i].data, expect.data) << "n=" << n << " i=" << i;
-      EXPECT_EQ(got[i].count, expect.count) << "n=" << n << " i=" << i;
+  // Both layouts over 100 keys: scrambled (Swiss) and consecutive
+  // (direct). Probes cover present keys and, for the direct index, keys
+  // just below and above its span.
+  for (const bool dense : {false, true}) {
+    SCOPED_TRACE(dense ? "direct layout" : "Swiss layout");
+    const auto key_of = [dense](uint64_t i) {
+      return dense ? i : HashMix64(i);
+    };
+    HashIndex idx;
+    for (int32_t i = 0; i < 100; ++i) {
+      idx.Add(key_of(static_cast<uint64_t>(i)), i);
     }
+    idx.Build();
+    ASSERT_EQ(idx.direct(), dense);
+    std::vector<uint64_t> probes;
+    for (uint64_t i = 0; i < 33; ++i) probes.push_back(key_of(i * 7 % 120));
+    probes[1] = ~uint64_t{0};  // -1: just below a direct span at 0
+    // Degenerate and short batches, including zero and sizes around the
+    // prefetch distance (32).
+    for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                     size_t{17}, size_t{33}}) {
+      std::vector<HashIndex::Postings> got(n);
+      idx.FindBatch(probes.data(), n, got.data());
+      for (size_t i = 0; i < n; ++i) {
+        HashIndex::Postings expect = idx.Find(probes[i]);
+        EXPECT_EQ(got[i].data, expect.data) << "n=" << n << " i=" << i;
+        EXPECT_EQ(got[i].count, expect.count) << "n=" << n << " i=" << i;
+      }
+    }
+    EXPECT_TRUE(idx.Find(key_of(100)).empty());
+    EXPECT_TRUE(idx.Find(~uint64_t{0}).empty());
   }
 }
 
 TEST(BatchProbeTest, PostingsStayAscendingThroughBatchPath) {
+  for (const bool dense : {false, true}) {
+    SCOPED_TRACE(dense ? "direct layout" : "Swiss layout");
+    const auto key_of = [dense](uint64_t i) {
+      return dense ? i : HashMix64(i);
+    };
+    HashIndex idx;
+    for (int32_t pos = 0; pos < 300; ++pos) {
+      idx.Add(key_of(static_cast<uint64_t>(pos % 7)), pos);
+    }
+    idx.Build();
+    ASSERT_EQ(idx.direct(), dense);
+    std::vector<uint64_t> probes;
+    for (uint64_t i = 0; i < 7; ++i) probes.push_back(key_of(i));
+    std::vector<HashIndex::Postings> out(probes.size());
+    idx.FindBatch(probes.data(), probes.size(), out.data());
+    for (const auto& p : out) {
+      ASSERT_FALSE(p.empty());
+      for (size_t i = 1; i < p.size(); ++i) EXPECT_LT(p[i - 1], p[i]);
+    }
+  }
+}
+
+TEST(BatchProbeTest, DirectLayoutRandomizedWithGapsAndNegativeKeys) {
+  // A dense signed key range [-500, 500) with every third key absent and
+  // uneven runs, probed with present keys, absent keys inside the span and
+  // keys beyond both ends (wrapping to huge unsigned offsets).
+  std::mt19937_64 rng(20261017);
   HashIndex idx;
-  for (int32_t pos = 0; pos < 300; ++pos) {
-    idx.Add(static_cast<uint64_t>(pos % 7), pos);
+  std::vector<uint64_t> probes;
+  std::vector<size_t> runs(1200, 0);  // run length of key - 600
+  for (int32_t pos = 0; pos < 6000; ++pos) {
+    int64_t key = static_cast<int64_t>(rng() % 1000) - 500;
+    if (key % 3 == 0) ++key;
+    idx.Add(static_cast<uint64_t>(key), pos);
+    ++runs[static_cast<size_t>(key + 600)];
   }
   idx.Build();
-  std::vector<uint64_t> probes = {0, 1, 2, 3, 4, 5, 6};
-  std::vector<HashIndex::Postings> out(probes.size());
-  idx.FindBatch(probes.data(), probes.size(), out.data());
-  for (const auto& p : out) {
-    ASSERT_FALSE(p.empty());
-    for (size_t i = 1; i < p.size(); ++i) EXPECT_LT(p[i - 1], p[i]);
+  ASSERT_TRUE(idx.direct());
+  for (int64_t key = -600; key < 600; ++key) {
+    probes.push_back(static_cast<uint64_t>(key));
+  }
+  for (int i = 0; i < 200; ++i) probes.push_back(rng());
+  std::shuffle(probes.begin(), probes.end(), rng);
+  ExpectBatchEqualsFind(idx, probes);
+  for (int64_t key = -600; key < 600; ++key) {
+    EXPECT_EQ(idx.Find(static_cast<uint64_t>(key)).size(),
+              runs[static_cast<size_t>(key + 600)])
+        << key;
   }
 }
 
