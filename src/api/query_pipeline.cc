@@ -82,7 +82,11 @@ Result<ExecutedStage> QueryPipeline::Execute(const PreparedStage& prep,
                                              const ExecOptions& opts) const {
   const PreparedQuery* pq = prep.pq.get();
   ExecutedStage out;
-  out.join_result = std::make_unique<ResultSet>(pq->num_tables());
+  std::vector<int64_t> cardinalities(static_cast<size_t>(pq->num_tables()));
+  for (int t = 0; t < pq->num_tables(); ++t) {
+    cardinalities[static_cast<size_t>(t)] = pq->cardinality(t);
+  }
+  out.join_result = std::make_unique<ResultSet>(cardinalities);
   ResultSet& join_result = *out.join_result;
   if (pq->trivially_empty()) return out;
 

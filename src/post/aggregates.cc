@@ -17,10 +17,14 @@ void AggAccumulator::Add(const Value& v) {
     case AggKind::kCount:
       break;
     case AggKind::kSum:
+      if (v.type() == DataType::kInt64 &&
+          __builtin_add_overflow(sum_i_, v.AsInt(), &sum_i_)) {
+        sum_i_overflow_ = true;
+      }
+      [[fallthrough]];
     case AggKind::kAvg:
       if (v.type() == DataType::kDouble) any_double_ = true;
       sum_d_ += v.AsDouble();
-      if (v.type() == DataType::kInt64) sum_i_ += v.AsInt();
       break;
     case AggKind::kMin:
       if (!has_value_ || v.Compare(best_) < 0) best_ = v;
@@ -35,14 +39,19 @@ void AggAccumulator::Add(const Value& v) {
   }
 }
 
-Value AggAccumulator::Finish() const {
+Result<Value> AggAccumulator::Finish() const {
   switch (kind_) {
     case AggKind::kCountStar:
     case AggKind::kCount:
       return Value::Int(count_);
     case AggKind::kSum:
       if (count_ == 0) return Value::Null();
-      return any_double_ ? Value::Double(sum_d_) : Value::Int(sum_i_);
+      if (any_double_) return Value::Double(sum_d_);
+      if (sum_i_overflow_) {
+        return Status::InvalidArgument(
+            "integer overflow: the sum leaves the int64 range");
+      }
+      return Value::Int(sum_i_);
     case AggKind::kAvg:
       if (count_ == 0) return Value::Null();
       return Value::Double(sum_d_ / static_cast<double>(count_));

@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/status.h"
 #include "expr/expr.h"
 
 namespace skinner {
@@ -17,14 +18,21 @@ class AggAccumulator {
   /// Feeds one input value. For COUNT(*) the value is ignored.
   void Add(const Value& v);
 
-  /// The aggregate result over everything added so far.
-  Value Finish() const;
+  /// COUNT(*) only: feeds `rows` rows at once.
+  void AddRows(int64_t rows) { count_ += rows; }
+
+  /// The aggregate result over everything added so far. An all-integer
+  /// SUM whose running total left the int64 range fails with
+  /// InvalidArgument rather than wrapping; AVG sums in double and never
+  /// overflows.
+  Result<Value> Finish() const;
 
  private:
   AggKind kind_;
   int64_t count_ = 0;        // non-null inputs (or all rows for COUNT(*))
   double sum_d_ = 0;
-  int64_t sum_i_ = 0;
+  int64_t sum_i_ = 0;        // SUM of the int64 inputs
+  bool sum_i_overflow_ = false;
   bool any_double_ = false;
   bool has_value_ = false;
   Value best_;               // running MIN/MAX

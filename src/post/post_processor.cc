@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <unordered_map>
 
 namespace skinner {
@@ -96,48 +97,73 @@ Result<QueryResult> PostProcess(const PreparedQuery& pq,
     for (const auto& o : q.order_by) CollectAggregates(o.expr.get(), &agg_nodes);
 
     struct Group {
-      std::vector<Value> group_values;      // group-by expr values
       std::vector<AggAccumulator> accs;     // parallel to agg_nodes
-      PosTuple representative;
+      PosTuple representative;              // the group's first tuple
+    };
+    auto new_group = [&] {
+      Group grp;
+      grp.accs.reserve(agg_nodes.size());
+      for (const Expr* a : agg_nodes) grp.accs.emplace_back(a->agg);
+      return grp;
     };
     std::map<std::string, Group> groups;  // ordered => deterministic output
 
-    join_result.ForEach([&](const int32_t* tuple) {
-      bind_tuple(tuple);
-      std::string key;
-      std::vector<Value> gvals;
-      gvals.reserve(q.group_by.size());
-      for (const auto& g : q.group_by) {
-        Value v = EvalExpr(*g, ctx);
-        SerializeValueKey(v, &key);
-        gvals.push_back(std::move(v));
-      }
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        Group grp;
-        grp.group_values = std::move(gvals);
-        grp.representative.assign(tuple, tuple + m);
-        grp.accs.reserve(agg_nodes.size());
-        for (const Expr* a : agg_nodes) grp.accs.emplace_back(a->agg);
-        it = groups.emplace(std::move(key), std::move(grp)).first;
-      }
-      Group& grp = it->second;
+    if (q.group_by.empty()) {
+      // A global aggregate is one group, with one output row even over
+      // zero input rows. COUNT(*) takes the row count at once; the other
+      // aggregates bind only the tables their arguments reference, and a
+      // COUNT(*)-only select unpacks no tuple.
+      Group grp = new_group();
+      std::set<int> arg_tables;
+      std::vector<size_t> per_row;  // agg_nodes fed one row at a time
       for (size_t i = 0; i < agg_nodes.size(); ++i) {
         const Expr* a = agg_nodes[i];
         if (a->agg == AggKind::kCountStar) {
-          grp.accs[i].Add(Value::Null());
+          grp.accs[i].AddRows(static_cast<int64_t>(join_result.size()));
         } else {
-          grp.accs[i].Add(EvalExpr(*a->children[0], ctx));
+          a->children[0]->CollectTables(&arg_tables);
+          per_row.push_back(i);
         }
       }
-    });
-
-    // A global aggregate over zero rows still yields one output row.
-    if (groups.empty() && q.group_by.empty()) {
-      Group grp;
+      if (!per_row.empty()) {
+        join_result.ForEach([&](const int32_t* tuple) {
+          for (int t : arg_tables) {
+            binding[static_cast<size_t>(t)] =
+                pq.base_row(t, tuple[static_cast<size_t>(t)]);
+          }
+          for (size_t i : per_row) {
+            grp.accs[i].Add(EvalExpr(*agg_nodes[i]->children[0], ctx));
+          }
+        });
+      }
       grp.representative.assign(static_cast<size_t>(m), 0);
-      for (const Expr* a : agg_nodes) grp.accs.emplace_back(a->agg);
+      if (join_result.size() != 0) {
+        join_result.Get(0, grp.representative.data());
+      }
       groups.emplace(std::string(), std::move(grp));
+    } else {
+      join_result.ForEach([&](const int32_t* tuple) {
+        bind_tuple(tuple);
+        std::string key;
+        for (const auto& g : q.group_by) {
+          SerializeValueKey(EvalExpr(*g, ctx), &key);
+        }
+        auto it = groups.find(key);
+        if (it == groups.end()) {
+          Group grp = new_group();
+          grp.representative.assign(tuple, tuple + m);
+          it = groups.emplace(std::move(key), std::move(grp)).first;
+        }
+        Group& grp = it->second;
+        for (size_t i = 0; i < agg_nodes.size(); ++i) {
+          const Expr* a = agg_nodes[i];
+          if (a->agg == AggKind::kCountStar) {
+            grp.accs[i].Add(Value::Null());
+          } else {
+            grp.accs[i].Add(EvalExpr(*a->children[0], ctx));
+          }
+        }
+      });
     }
 
     for (auto& [key, grp] : groups) {
@@ -146,7 +172,12 @@ Result<QueryResult> PostProcess(const PreparedQuery& pq,
       if (have_rows) bind_tuple(grp.representative.data());
       std::unordered_map<const Expr*, Value> agg_values;
       for (size_t i = 0; i < agg_nodes.size(); ++i) {
-        agg_values[agg_nodes[i]] = grp.accs[i].Finish();
+        Result<Value> v = grp.accs[i].Finish();
+        if (!v.ok()) {
+          return Status::InvalidArgument(agg_nodes[i]->ToString() + ": " +
+                                         v.status().message());
+        }
+        agg_values[agg_nodes[i]] = std::move(v.value());
       }
       std::vector<Value> row;
       row.reserve(q.select.size());

@@ -50,12 +50,12 @@ SkinnerCEngine::SkinnerCEngine(const PreparedQuery* pq,
   }
 }
 
-void SkinnerCEngine::InitWorkers() {
+void SkinnerCEngine::InitWorkers(const ResultSet& out) {
   const int m = pq_->num_tables();
   const int T = std::max(1, opts_.num_threads);
   workers_.reserve(static_cast<size_t>(T));
   for (int j = 0; j < T; ++j) {
-    auto w = std::make_unique<Worker>(m);
+    auto w = std::make_unique<Worker>(m, out);
     w->id = j;
     workers_.push_back(std::move(w));
   }
@@ -378,7 +378,7 @@ Status SkinnerCEngine::Run(ResultSet* out) {
     stats_.final_order = uct_.BestOrder();
     return Status::OK();
   }
-  InitWorkers();
+  InitWorkers(*out);
   VirtualClock* clock = pq_->clock();
   const size_t T = workers_.size();
 

@@ -91,9 +91,10 @@ struct SkinnerCStats {
   std::vector<std::pair<uint64_t, size_t>> tree_growth;
   /// Slice count per distinct join order chosen; trace only.
   std::map<std::vector<int>, uint64_t> order_selections;
-  /// Bytes held in the workers' result buffers (exact — the flat
-  /// ResultSet tracks its own footprint) plus estimated progress-tree and
-  /// UCT-tree node costs.
+  /// Bytes held in the workers' result buffers (exact: the capacity of
+  /// their packed-key buffers, key_words() * 8 B per emitted tuple plus
+  /// geometric-growth slack) plus estimated progress-tree and UCT-tree
+  /// node costs.
   size_t auxiliary_bytes = 0;
   /// Per-slice auxiliary_bytes samples (trace only). Monotone
   /// non-decreasing: all three structures are append-only.
@@ -121,7 +122,8 @@ class SkinnerCEngine {
   /// Runs to completion (or deadline); appends the distinct result
   /// position tuples in canonical (lexicographically sorted) order —
   /// bit-identical for any num_threads or thread schedule.
-  /// Workers append every emitted tuple to private buffers without dedup;
+  /// Workers append every emitted tuple to private buffers in `out`'s
+  /// layout (so any `out` works) without dedup;
   /// ResultSet::MergeSortedUnique drops the duplicates once, at export.
   Status Run(ResultSet* out);
 
@@ -142,15 +144,17 @@ class SkinnerCEngine {
     JoinLoopStats loop_stats;
     double slice_reward = 0;
     bool slice_done = false;
-    /// Worker-private, append-only result buffer (no locks and no dedup on
-    /// the emit path); merged sorted-unique across workers at export.
+    /// Worker-private, append-only buffer of packed result keys in the
+    /// output's layout (no locks and no dedup on the emit path); merged
+    /// sorted-unique across workers at export.
     ResultSet local;
 
-    explicit Worker(int num_tables)
-        : progress(num_tables), local(num_tables) {}
+    Worker(int num_tables, const ResultSet& out)
+        : progress(num_tables), local(out.EmptyLike()) {}
   };
 
-  void InitWorkers();
+  /// Creates the workers; their result buffers take `out`'s layout.
+  void InitWorkers(const ResultSet& out);
   JoinCursor* CursorFor(Worker* w, const std::vector<int>& order);
 
   /// Resume state for `order` on the sequential worker: stored progress

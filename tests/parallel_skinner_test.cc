@@ -33,8 +33,11 @@ struct RunOutput {
   bool timed_out = false;
 };
 
+/// `pipeline_layout`: export into the packed layout the query pipeline
+/// uses (one field of bit_width(cardinality - 1) bits per table) instead
+/// of the any-int32 layout.
 RunOutput RunSkinnerC(Database* db, const std::string& sql, int num_threads,
-                      int64_t slice_budget) {
+                      int64_t slice_budget, bool pipeline_layout = false) {
   RunOutput out;
   auto bound = db->Bind(sql);
   EXPECT_TRUE(bound.ok()) << bound.status().ToString();
@@ -57,7 +60,12 @@ RunOutput RunSkinnerC(Database* db, const std::string& sql, int num_threads,
   opts.slice_budget = slice_budget;
   opts.scheduler = &sched;
   SkinnerCEngine engine(pq.value().get(), opts);
-  ResultSet rs(pq.value()->num_tables());
+  std::vector<int64_t> cards;
+  for (int t = 0; t < pq.value()->num_tables(); ++t) {
+    cards.push_back(pq.value()->cardinality(t));
+  }
+  ResultSet rs = pipeline_layout ? ResultSet(cards)
+                                 : ResultSet(pq.value()->num_tables());
   EXPECT_TRUE(engine.Run(&rs).ok());
   out.tuples = rs.ToVector();
   out.result_tuples = engine.stats().result_tuples;
@@ -199,6 +207,27 @@ TEST(SkewedStealingTest, ClaimWindowSizesAgreeBitIdentical) {
     RunOutput par = RunSkinnerC(&db, sql, threads, 9);
     ASSERT_FALSE(par.timed_out);
     EXPECT_EQ(base.tuples, par.tuples) << "threads=" << threads;
+  }
+}
+
+// The export in the query pipeline's packed layout, on a result large
+// enough (thousands of emitted tuples, re-emits included) for the MSD
+// partition: bit-identical at T = 1/2/4/8, and identical to the any-int32
+// layout's export.
+TEST(SkewedStealingTest, PipelineLayoutExportBitIdenticalAcrossThreads) {
+  Database db;
+  BuildSkewedDb(&db, 4, /*hot_keys=*/4, /*hot_fanout=*/6, /*tail_rows=*/300);
+  const std::string sql = SkewedChainSql(4);
+  const RunOutput wide = RunSkinnerC(&db, sql, 1, 13);
+  ASSERT_FALSE(wide.timed_out);
+  ASSERT_GT(wide.result_tuples, 2000u);
+  for (int threads : {1, 2, 4, 8}) {
+    const RunOutput packed = RunSkinnerC(&db, sql, threads, 13,
+                                         /*pipeline_layout=*/true);
+    ASSERT_FALSE(packed.timed_out);
+    EXPECT_EQ(packed.result_tuples, wide.result_tuples)
+        << "threads=" << threads;
+    EXPECT_EQ(packed.tuples, wide.tuples) << "threads=" << threads;
   }
 }
 

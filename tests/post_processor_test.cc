@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "api/database.h"
 
 namespace skinner {
@@ -179,19 +181,116 @@ TEST(AggAccumulatorTest, MinMaxOnStrings) {
     mn.Add(Value::String(s));
     mx.Add(Value::String(s));
   }
-  EXPECT_EQ(mn.Finish().AsString(), "apple");
-  EXPECT_EQ(mx.Finish().AsString(), "zebra");
+  EXPECT_EQ(mn.Finish().value().AsString(), "apple");
+  EXPECT_EQ(mx.Finish().value().AsString(), "zebra");
 }
 
 TEST(AggAccumulatorTest, SumStaysIntegerForInts) {
   AggAccumulator sum(AggKind::kSum);
   sum.Add(Value::Int(2));
   sum.Add(Value::Int(3));
-  Value v = sum.Finish();
+  Value v = sum.Finish().value();
   EXPECT_EQ(v.type(), DataType::kInt64);
   EXPECT_EQ(v.AsInt(), 5);
   sum.Add(Value::Double(0.5));
-  EXPECT_EQ(sum.Finish().type(), DataType::kDouble);
+  EXPECT_EQ(sum.Finish().value().type(), DataType::kDouble);
+}
+
+TEST(AggAccumulatorTest, IntegerSumOverflowFails) {
+  AggAccumulator up(AggKind::kSum);
+  up.Add(Value::Int(INT64_MAX));
+  up.Add(Value::Int(1));
+  Result<Value> v = up.Finish();
+  ASSERT_FALSE(v.ok());
+  EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+
+  AggAccumulator down(AggKind::kSum);
+  down.Add(Value::Int(INT64_MIN));
+  down.Add(Value::Int(-1));
+  EXPECT_FALSE(down.Finish().ok());
+}
+
+TEST(AggAccumulatorTest, IntegerSumReachesInt64Bounds) {
+  AggAccumulator max(AggKind::kSum);
+  max.Add(Value::Int(INT64_MAX - 1));
+  max.Add(Value::Int(1));
+  ASSERT_TRUE(max.Finish().ok());
+  EXPECT_EQ(max.Finish().value().AsInt(), INT64_MAX);
+
+  AggAccumulator min(AggKind::kSum);
+  min.Add(Value::Int(INT64_MIN + 5));
+  min.Add(Value::Int(-5));
+  ASSERT_TRUE(min.Finish().ok());
+  EXPECT_EQ(min.Finish().value().AsInt(), INT64_MIN);
+}
+
+TEST(AggAccumulatorTest, AvgOfHugeIntsIsAnExactDouble) {
+  // AVG sums in double, so inputs whose int64 sum would overflow still
+  // average correctly.
+  AggAccumulator avg(AggKind::kAvg);
+  avg.Add(Value::Int(INT64_MAX));
+  avg.Add(Value::Int(INT64_MAX));
+  avg.Add(Value::Int(INT64_MAX));
+  Result<Value> v = avg.Finish();
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v.value().type(), DataType::kDouble);
+  EXPECT_DOUBLE_EQ(v.value().AsDouble(), static_cast<double>(INT64_MAX));
+}
+
+TEST(PostProcessorOverflowTest, SumOverflowFailsTheQuery) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE a (x INT)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO a VALUES (9223372036854775807)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO a VALUES (1)").ok());
+  auto sum = db.Query("SELECT SUM(x) FROM a");
+  ASSERT_FALSE(sum.ok());
+  EXPECT_EQ(sum.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(sum.status().message().find("SUM(x)"), std::string::npos)
+      << sum.status().ToString();
+  // The grouped path fails the same way.
+  EXPECT_FALSE(db.Query("SELECT SUM(x) FROM a GROUP BY x > 0").ok());
+
+  // Exactly INT64_MAX is still an int.
+  auto at_max = db.Query("SELECT SUM(x) FROM a WHERE x > 1");
+  ASSERT_TRUE(at_max.ok()) << at_max.status().ToString();
+  EXPECT_EQ(at_max.value().result.rows[0][0].AsInt(), INT64_MAX);
+
+  // AVG over the same rows is a correct double.
+  auto avg = db.Query("SELECT AVG(x) FROM a");
+  ASSERT_TRUE(avg.ok()) << avg.status().ToString();
+  EXPECT_DOUBLE_EQ(avg.value().result.rows[0][0].AsDouble(),
+                   (static_cast<double>(INT64_MAX) + 1.0) / 2.0);
+}
+
+TEST_F(PostProcessorTest, GlobalAggregatesOverAJoin) {
+  // Global aggregates whose arguments reference one side of a join, a
+  // COUNT(*)-only select, and arithmetic over aggregates, with and
+  // without input rows.
+  ASSERT_TRUE(db_.Execute("CREATE TABLE t (g STRING, z INT)").ok());
+  ASSERT_TRUE(
+      db_.Execute("INSERT INTO t VALUES ('a', 10), ('b', 20), ('a', 30)")
+          .ok());
+  auto out = db_.Query(
+      "SELECT COUNT(*), SUM(t.z), MAX(s.y), COUNT(*) * 2 + SUM(s.x) "
+      "FROM s, t WHERE s.g = t.g");
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ASSERT_EQ(out.value().result.rows.size(), 1u);
+  const auto& row = out.value().result.rows[0];
+  EXPECT_EQ(row[0].AsInt(), 8);  // 3 'a' rows x 2 + 2 'b' rows x 1
+  EXPECT_EQ(row[1].AsInt(), 3 * 10 + 3 * 30 + 2 * 20);
+  EXPECT_DOUBLE_EQ(row[2].AsDouble(), 4.0);
+  EXPECT_EQ(row[3].AsInt(), 8 * 2 + 2 * (1 + 2) + 3 + 4);
+
+  auto count = db_.Query("SELECT COUNT(*) FROM s, t WHERE s.g = t.g");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count.value().result.rows[0][0].AsInt(), 8);
+
+  auto empty = db_.Query(
+      "SELECT COUNT(*), SUM(t.z) FROM s, t WHERE s.g = t.g AND t.z > 99");
+  ASSERT_TRUE(empty.ok());
+  ASSERT_EQ(empty.value().result.rows.size(), 1u);
+  EXPECT_EQ(empty.value().result.rows[0][0].AsInt(), 0);
+  EXPECT_TRUE(empty.value().result.rows[0][1].is_null());
 }
 
 TEST(SerializeValueKeyTest, DistinguishesTypesAndValues) {
