@@ -18,7 +18,11 @@
 // CI-gated via RESULT metrics (bench/compare_benchmarks.py):
 //   - preprocess_speedup_4w >= 2x is the acceptance floor (also enforced
 //     by the exit code);
-//   - preprocess_cost_1w is gated against cost regressions.
+//   - preprocess_cost_1w is gated against cost regressions;
+//   - compiled_filter_speedup: wall time of the per-row EvalPredicate
+//     filter scan over the compiled FilterProgram's, on the same tables
+//     and conjuncts (median of 5 alternating runs each; the surviving-row
+//     counts must match). The bench exits nonzero below 1.0.
 
 #include <algorithm>
 #include <chrono>
@@ -31,6 +35,7 @@
 #include "api/query_pipeline.h"
 #include "common/hash_util.h"
 #include "exec/prepared_query.h"
+#include "expr/filter_program.h"
 
 using namespace skinner;
 
@@ -117,6 +122,83 @@ Run PrepareAt(Database* db, bool parallel, int width) {
   return run;
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+struct FilterTiming {
+  double program_ms = 0;
+  double eval_ms = 0;
+  bool counts_match = true;
+};
+
+/// Times the filter scan of every table of Query() twice over the same
+/// rows: through a FilterProgram compiled per run, as pre-processing does,
+/// and through per-row EvalPredicate over the same conjuncts. Median of 5
+/// alternating runs each; the survivor counts and UDF ticks must match.
+FilterTiming TimeFilterScans(Database* db) {
+  QueryPipeline pipe(db->catalog(), db->udfs(), db->stats_manager(),
+                     /*cache=*/nullptr, db->scheduler());
+  auto stmt = pipe.Parse(Query());
+  auto bound = pipe.Bind(std::move(stmt.value()));
+  auto stage = pipe.Prepare(std::move(bound.value()), ExecOptions());
+  if (!stage.ok()) {
+    std::printf("ERROR: %s\n", stage.status().ToString().c_str());
+    std::exit(1);
+  }
+  const PreparedQuery& pq = *stage.value().pq;
+  const std::vector<const Table*>& tables = pq.tables();
+  const StringPool* pool = db->catalog()->string_pool();
+  std::vector<double> program_ms;
+  std::vector<double> eval_ms;
+  FilterTiming timing;
+  for (int run = 0; run < 5; ++run) {
+    VirtualClock program_clock;
+    size_t program_rows = 0;
+    double t0 = NowSeconds();
+    for (int t = 0; t < pq.num_tables(); ++t) {
+      const Table& table = *tables[static_cast<size_t>(t)];
+      const FilterProgram program(pq.info().unary_preds(t), table, t);
+      std::vector<int32_t> rows;
+      program.Filter(0, table.num_rows(), tables, pool, &program_clock, &rows);
+      program_rows += rows.size();
+    }
+    program_ms.push_back((NowSeconds() - t0) * 1e3);
+
+    VirtualClock eval_clock;
+    size_t eval_rows = 0;
+    t0 = NowSeconds();
+    for (int t = 0; t < pq.num_tables(); ++t) {
+      const Table& table = *tables[static_cast<size_t>(t)];
+      std::vector<int64_t> binding(tables.size(), 0);
+      EvalContext ctx = pq.MakeEvalContext(binding.data());
+      ctx.clock = &eval_clock;
+      std::vector<int32_t> rows;
+      for (int64_t r = 0; r < table.num_rows(); ++r) {
+        binding[static_cast<size_t>(t)] = r;
+        bool pass = true;
+        for (const Expr* e : pq.info().unary_preds(t)) {
+          if (!EvalPredicate(*e, ctx)) {
+            pass = false;
+            break;
+          }
+        }
+        if (pass) rows.push_back(static_cast<int32_t>(r));
+      }
+      eval_rows += rows.size();
+    }
+    eval_ms.push_back((NowSeconds() - t0) * 1e3);
+    if (program_rows != eval_rows ||
+        program_clock.now() != eval_clock.now()) {
+      timing.counts_match = false;
+    }
+  }
+  timing.program_ms = Median(program_ms);
+  timing.eval_ms = Median(eval_ms);
+  return timing;
+}
+
 }  // namespace
 
 int main() {
@@ -175,5 +257,24 @@ int main() {
               "preprocess_speedup_8w=%.3f\n",
               static_cast<unsigned long long>(runs[0].cost), speedup_2w,
               speedup_4w, speedup_8w);
+
+  const FilterTiming filters = TimeFilterScans(&db);
+  const double filter_speedup =
+      filters.program_ms > 0 ? filters.eval_ms / filters.program_ms : 0;
+  std::printf("\nfilter scan over %d x %lld rows: compiled program %.3f ms, "
+              "per-row EvalPredicate %.3f ms (median of 5), counts %s\n",
+              kTables, static_cast<long long>(kRows), filters.program_ms,
+              filters.eval_ms, filters.counts_match ? "match" : "MISMATCH");
+  std::printf("RESULT bench_preprocess compiled_filter_speedup=%.3f\n",
+              filter_speedup);
+  if (!filters.counts_match) {
+    std::printf("FAIL: the compiled program and EvalPredicate disagree\n");
+    ok = false;
+  }
+  if (filter_speedup < 1.0) {
+    std::printf("FAIL: compiled_filter_speedup %.3f is below the 1.0 floor\n",
+                filter_speedup);
+    ok = false;
+  }
   return ok ? 0 : 1;
 }

@@ -61,12 +61,13 @@ void EddyEngine::Extend(const Partial& partial, int t,
     if (!Contains(partial.mask, other->table_idx)) continue;
     const HashIndex* idx = pq_->index(t, mine->column_idx);
     if (idx == nullptr) continue;
-    const Column& col = pq_->table(other->table_idx)->column(other->column_idx);
+    const JoinKeyView& keys =
+        pq_->key_view(other->table_idx, other->column_idx);
     int64_t row = pq_->base_row(other->table_idx,
                                 partial.pos[static_cast<size_t>(other->table_idx)]);
-    if (col.IsNull(row)) return;  // NULL never matches: no extensions
+    if (keys.IsNull(row)) return;  // NULL never matches: no extensions
     index = idx;
-    probe_key = JoinKeyOf(col, row);
+    probe_key = keys.Key(row);
     break;
   }
 

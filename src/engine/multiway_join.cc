@@ -13,6 +13,8 @@ std::vector<JoinStep> BuildJoinSteps(const PreparedQuery& pq,
   for (int t : order) {
     JoinStep step;
     step.table = t;
+    step.rows = pq.filtered_rows(t).data();
+    step.card = pq.cardinality(t);
     TableSet with_t = prefix | TableBit(t);
     for (const PredInfo* p : info.NewlyApplicable(with_t, t)) {
       // Binary equality between t and an earlier table?
@@ -34,10 +36,10 @@ std::vector<JoinStep> BuildJoinSteps(const PreparedQuery& pq,
         }
         if (mine != nullptr) {
           EquiProbe probe;
-          probe.this_col = mine->column_idx;
           probe.other_table = other->table_idx;
-          probe.other_col = other->column_idx;
           probe.index = pq.index(t, mine->column_idx);
+          probe.this_keys = pq.key_view(t, mine->column_idx);
+          probe.other_keys = pq.key_view(other->table_idx, other->column_idx);
           step.eq.push_back(probe);
           is_equi = true;
         }
@@ -94,14 +96,13 @@ void JoinCursor::BatchProbeNext(int depth, const int32_t* cand, size_t n,
   if (guard.window_valid && guard.window == window_id) return;
   guard.window = window_id;
   guard.window_valid = true;
-  const Column& col = pq_->table(np.other_table)->column(np.other_col);
   uint64_t keys[Lookahead::kWay];
   size_t k = 0;
+  const int32_t* rows = steps_[static_cast<size_t>(depth)].rows;
   for (size_t i = 0; i < n && k < Lookahead::kWay; ++i) {
-    const int64_t row =
-        pq_->base_row(steps_[static_cast<size_t>(depth)].table, cand[i]);
-    if (col.IsNull(row)) continue;  // a NULL binding never probes
-    keys[k++] = JoinKeyOf(col, row);
+    const int64_t row = rows[cand[i]];
+    if (np.other_keys.IsNull(row)) continue;  // a NULL binding never probes
+    keys[k++] = np.other_keys.Key(row);
   }
   guard.count = 0;
   if (k == 0) return;
@@ -112,19 +113,18 @@ void JoinCursor::BatchProbeNext(int depth, const int32_t* cand, size_t n,
 }
 
 uint64_t JoinCursor::ProbeKey(const EquiProbe& p, bool* is_null) const {
-  const Column& col = pq_->table(p.other_table)->column(p.other_col);
-  int64_t row = binding_[static_cast<size_t>(p.other_table)];
-  if (col.IsNull(row)) {
+  const int64_t row = binding_[static_cast<size_t>(p.other_table)];
+  if (p.other_keys.IsNull(row)) {
     *is_null = true;
     return 0;
   }
   *is_null = false;
-  return JoinKeyOf(col, row);
+  return p.other_keys.Key(row);
 }
 
 int64_t JoinCursor::FirstCandidate(int depth, int64_t lower) const {
   const JoinStep& s = steps_[static_cast<size_t>(depth)];
-  int64_t card = pq_->cardinality(s.table);
+  const int64_t card = s.card;
   if (s.driver >= 0) {
     const EquiProbe& p = s.eq[static_cast<size_t>(s.driver)];
     bool null = false;
@@ -162,7 +162,7 @@ int64_t JoinCursor::FirstCandidate(int depth, int64_t lower) const {
 
 int64_t JoinCursor::NextCandidate(int depth, int64_t pos) const {
   const JoinStep& s = steps_[static_cast<size_t>(depth)];
-  int64_t card = pq_->cardinality(s.table);
+  const int64_t card = s.card;
   if (s.driver >= 0) {
     const EquiProbe& p = s.eq[static_cast<size_t>(s.driver)];
     bool null = false;
@@ -199,13 +199,12 @@ bool JoinCursor::Check(int depth) const {
   for (size_t i = 0; i < s.eq.size(); ++i) {
     if (static_cast<int>(i) == s.driver) continue;
     const EquiProbe& p = s.eq[i];
-    const Column& mine = pq_->table(s.table)->column(p.this_col);
-    int64_t my_row = binding_[static_cast<size_t>(s.table)];
-    if (mine.IsNull(my_row)) return false;
+    const int64_t my_row = binding_[static_cast<size_t>(s.table)];
+    if (p.this_keys.IsNull(my_row)) return false;
     bool null = false;
-    uint64_t other_key = ProbeKey(p, &null);
+    const uint64_t other_key = ProbeKey(p, &null);
     if (null) return false;
-    if (JoinKeyOf(mine, my_row) != other_key) return false;
+    if (p.this_keys.Key(my_row) != other_key) return false;
   }
   if (!s.checks.empty()) {
     EvalContext ctx = pq_->MakeEvalContext(binding_.data());

@@ -25,14 +25,14 @@ struct JoinState {
   }
 };
 
-/// An equality predicate instantiated for one join-order position: column
-/// `this_col` of the step's table equals column `other_col` of the earlier
-/// table `other_table`.
+/// An equality predicate instantiated for one join-order position: a
+/// column of the step's table equals a column of the earlier table
+/// `other_table`. Both columns are read through their join-key views.
 struct EquiProbe {
-  int this_col;
   int other_table;
-  int other_col;
-  const HashIndex* index;  // on (step table, this_col); nullptr if not built
+  const HashIndex* index;  // on the step table's column; null if not built
+  JoinKeyView this_keys;   // the step table's column
+  JoinKeyView other_keys;  // other_table's column
 };
 
 /// Everything needed to extend a join prefix by one table: the table, an
@@ -40,6 +40,10 @@ struct EquiProbe {
 /// generic (interpreted) predicate checks that become applicable here.
 struct JoinStep {
   int table;
+  /// The table's filtered base rows and their count, resolved once so the
+  /// step loop binds a position with one load.
+  const int32_t* rows = nullptr;
+  int64_t card = 0;
   /// Driving probe (index-backed); -1 in `driver` means scan all positions.
   int driver = -1;  // index into eq: which equality drives candidate jumps
   std::vector<EquiProbe> eq;          // all equality preds to earlier tables
@@ -68,8 +72,7 @@ class JoinCursor {
   /// for predicate evaluation). Must be called before Check/descend.
   void Bind(int depth, int64_t pos) {
     const JoinStep& s = steps_[static_cast<size_t>(depth)];
-    binding_[static_cast<size_t>(s.table)] =
-        pq_->base_row(s.table, pos);
+    binding_[static_cast<size_t>(s.table)] = s.rows[pos];
   }
 
   /// First candidate position >= `lower` at `depth` (given bindings for

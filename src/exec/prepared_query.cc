@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "common/hash_util.h"
 #include "common/scheduler.h"
 #include "exec/prepared_cache.h"
+#include "expr/filter_program.h"
 
 namespace skinner {
 
@@ -35,35 +37,106 @@ uint64_t JoinKeyOf(const Column& col, int64_t base_row) {
   return 0;
 }
 
+namespace {
+
+/// The (key, position) pairs of a key view over filtered rows: position p
+/// carries the key of base row rows[p], and NULL cells carry none. The
+/// pair source of HashIndex::BuildFrom, read in place of staged pairs.
+struct ViewPairs {
+  const JoinKeyView& keys;
+  const std::vector<int32_t>& rows;
+
+  template <class Fn>
+  void ForEach(Fn&& fn) const {
+    const int64_t* raw = keys.raw_keys();
+    if (raw != nullptr && keys.nulls() == nullptr) {
+      for (size_t p = 0; p < rows.size(); ++p) {
+        fn(static_cast<uint64_t>(raw[rows[p]]), static_cast<int32_t>(p));
+      }
+      return;
+    }
+    for (size_t p = 0; p < rows.size(); ++p) {
+      if (keys.IsNull(rows[p])) continue;
+      fn(keys.Key(rows[p]), static_cast<int32_t>(p));
+    }
+  }
+
+  template <class Fn>
+  void ForEachReverse(Fn&& fn) const {
+    const int64_t* raw = keys.raw_keys();
+    if (raw != nullptr && keys.nulls() == nullptr) {
+      for (size_t p = rows.size(); p-- > 0;) {
+        fn(static_cast<uint64_t>(raw[rows[p]]), static_cast<int32_t>(p));
+      }
+      return;
+    }
+    for (size_t p = rows.size(); p-- > 0;) {
+      if (keys.IsNull(rows[p])) continue;
+      fn(keys.Key(rows[p]), static_cast<int32_t>(p));
+    }
+  }
+};
+
+}  // namespace
+
 void HashIndex::Build(Scheduler* sched, int max_threads) {
   if (built_) return;
+  Freeze(staged_, staged_.size(), sched, max_threads);
+}
+
+size_t HashIndex::BuildFrom(const JoinKeyView& keys,
+                            const std::vector<int32_t>& rows, Scheduler* sched,
+                            int max_threads) {
+  assert(!built_ && staged_.empty() && "BuildFrom needs a fresh index");
+  // One counting pass: the key count and range that Add() would have
+  // tracked, which is all the layout choice reads.
+  const ViewPairs pairs{keys, rows};
+  size_t n = 0;
+  pairs.ForEach([&](uint64_t key, int32_t) {
+    ++n;
+    const int64_t k = static_cast<int64_t>(key);
+    if (k < key_min_) key_min_ = k;
+    if (k > key_max_) key_max_ = k;
+  });
+  Freeze(pairs, n, sched, max_threads);
+  return n;
+}
+
+template <class Pairs>
+void HashIndex::Freeze(const Pairs& pairs, size_t n, Scheduler* sched,
+                       int max_threads) {
   built_ = true;
-  if (staged_.empty()) {
+  if (n == 0) {
     num_keys_ = 0;
     // Release any staging blocks even on the empty path so bytes() never
     // charges the frozen index for build-time scratch.
     staged_.Release();
     return;
   }
-  // Swiss capacity: next power of two holding the staged pairs at or
-  // under kMaxLoadPercent occupancy (the distinct-key count is bounded by
-  // the pair count). This is the invariant that bounds every probe chain
-  // and guarantees Find() always reaches an empty tag.
+  // Swiss capacity: next power of two holding the pairs at or under
+  // kMaxLoadPercent occupancy (the distinct-key count is bounded by the
+  // pair count). This is the invariant that bounds every probe chain and
+  // guarantees Find() always reaches an empty tag.
   static_assert(kMaxLoadPercent == 50,
                 "capacity sizing below assumes the 50% load bound");
   size_t cap = 16;
-  while (cap < staged_.size() * 2) cap <<= 1;
+  while (cap < n * 2) cap <<= 1;
 
-  // Layout choice, from the staged keys alone: direct addressing whenever
-  // its span + 1 offsets take no more bytes than the Swiss slots and tags.
+  // Layout choice, from the keys alone: direct addressing whenever its
+  // span + 1 offsets take no more bytes than the Swiss slots and tags.
   // `gap` = span - 1, computed in wrapping arithmetic so no key range can
   // overflow the comparison.
   const uint64_t gap =
       static_cast<uint64_t>(key_max_) - static_cast<uint64_t>(key_min_);
   const uint64_t swiss_bytes = cap * (sizeof(Slot) + sizeof(uint8_t));
   if (gap <= swiss_bytes / sizeof(uint32_t) - 2) {
-    BuildDirect(static_cast<size_t>(gap) + 1);
+    BuildDirect(pairs, n, static_cast<size_t>(gap) + 1);
   } else {
+    // The Swiss builds read staged pairs: a view source stages here.
+    if constexpr (!std::is_same_v<Pairs, StagingShard>) {
+      pairs.ForEach(
+          [&](uint64_t key, int32_t pos) { staged_.Append(key, pos); });
+    }
     BuildSwiss(cap, sched, max_threads);
   }
   // Release the staging blocks: the "exact heap footprint" contract of
@@ -104,14 +177,12 @@ void HashIndex::BuildSwiss(size_t cap, Scheduler* sched, int max_threads) {
 #endif
 }
 
-void HashIndex::BuildDirect(size_t span) {
+template <class Pairs>
+void HashIndex::BuildDirect(const Pairs& pairs, size_t n, size_t span) {
   const uint64_t base = static_cast<uint64_t>(key_min_);
   // Count: offsets_[k] = run length of key base + k.
   offsets_.assign(span + 1, 0);
-  staged_.ForEach([&](uint64_t key, int32_t pos) {
-    (void)pos;
-    ++offsets_[key - base];
-  });
+  pairs.ForEach([&](uint64_t key, int32_t) { ++offsets_[key - base]; });
   // Inclusive prefix sum: offsets_[k] = end of key k's run.
   uint32_t end = 0;
   for (size_t k = 0; k < span; ++k) {
@@ -120,16 +191,13 @@ void HashIndex::BuildDirect(size_t span) {
     offsets_[k] = end;
   }
   offsets_[span] = end;
-  // Stable scatter, walking the staged stream backwards: pre-decrementing
-  // each key's end cursor lays its run out in staged (ascending) order and
+  // Stable scatter, walking the pairs backwards: pre-decrementing each
+  // key's end cursor lays its run out in position (ascending) order and
   // leaves offsets_[k] at the run's start.
-  arena_.resize(staged_.size());
-  for (size_t b = staged_.num_blocks(); b-- > 0;) {
-    const std::pair<uint64_t, int32_t>* pairs = staged_.block(b);
-    for (size_t i = staged_.block_size(b); i-- > 0;) {
-      arena_[--offsets_[pairs[i].first - base]] = pairs[i].second;
-    }
-  }
+  arena_.resize(n);
+  pairs.ForEachReverse([&](uint64_t key, int32_t pos) {
+    arena_[--offsets_[key - base]] = pos;
+  });
 #ifndef NDEBUG
   assert(offsets_[0] == 0 && offsets_[span] == arena_.size());
   for (size_t k = 0; k < span; ++k) {
@@ -431,45 +499,22 @@ void HashIndex::FindBatch(const uint64_t* keys, size_t n,
 
 namespace {
 
-/// Filters rows [begin, end) of one table by its unary predicates; returns
-/// the surviving base rows (ascending) and the cost units spent. One morsel
-/// of the (possibly parallel) filter scan. Costs are count-based — one unit
-/// per row plus predicate-evaluation ticks — so the morsel costs of a table
-/// sum to exactly what one sequential whole-table scan charges, regardless
-/// of how the range was split.
+/// Filters rows [begin, end) of one table by its compiled unary
+/// predicates; returns the surviving base rows (ascending) and the cost
+/// units spent. One morsel of the (possibly parallel) filter scan. Costs are
+/// count-based — one unit per row, deleted or not, plus the ticks of UDFs
+/// that fallback nodes call — so the morsel costs of a table sum to exactly
+/// what one sequential whole-table scan charges, regardless of how the
+/// range was split.
 std::pair<std::vector<int32_t>, uint64_t> FilterMorsel(
     const std::vector<const Table*>& tables, const StringPool* pool,
-    const std::vector<const Expr*>& preds, int t, int64_t begin, int64_t end) {
+    const FilterProgram& program, int64_t begin, int64_t end) {
   std::vector<int32_t> rows;
-  uint64_t cost = 0;
   rows.reserve(static_cast<size_t>(end - begin));
-  std::vector<int64_t> binding(tables.size(), 0);
   // Use a local clock so parallel filtering does not race on the shared one.
   VirtualClock local;
-  EvalContext ctx;
-  ctx.tables = &tables;
-  ctx.pool = pool;
-  ctx.rows = binding.data();
-  ctx.clock = &local;
-  // Deleted rows are filtered out here — every downstream consumer (join
-  // engines, indexes) sees artifact positions only. `masked` is hoisted so
-  // a fully-valid table takes the exact pre-mutation path and cost.
-  const Table* tab = tables[static_cast<size_t>(t)];
-  const bool masked = tab->has_deletes();
-  for (int64_t r = begin; r < end; ++r) {
-    ++cost;
-    if (masked && !tab->IsRowValid(r)) continue;
-    binding[static_cast<size_t>(t)] = r;
-    bool pass = true;
-    for (const Expr* p : preds) {
-      if (!EvalPredicate(*p, ctx)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) rows.push_back(static_cast<int32_t>(r));
-  }
-  return {std::move(rows), cost + local.now()};
+  program.Filter(begin, end, tables, pool, &local, &rows);
+  return {std::move(rows), static_cast<uint64_t>(end - begin) + local.now()};
 }
 
 /// Ascending, deduplicated equality-join columns of table `t` — the
@@ -494,14 +539,10 @@ std::pair<std::unique_ptr<HashIndex>, uint64_t> BuildColumnIndex(
     const std::vector<const Table*>& tables, int t, int col,
     const std::vector<int32_t>& filtered, Scheduler* sched, int max_threads) {
   auto index = std::make_unique<HashIndex>();
-  uint64_t cost = 0;
-  const Column& c = tables[static_cast<size_t>(t)]->column(col);
-  for (size_t p = 0; p < filtered.size(); ++p) {
-    if (c.IsNull(filtered[p])) continue;  // NULL never equi-joins
-    index->Add(JoinKeyOf(c, filtered[p]), static_cast<int32_t>(p));
-    ++cost;
-  }
-  index->Build(sched, max_threads);
+  // One unit per indexed key; NULL never equi-joins and is not indexed.
+  const uint64_t cost = index->BuildFrom(
+      JoinKeyView(tables[static_cast<size_t>(t)]->column(col)), filtered,
+      sched, max_threads);
   return {std::move(index), cost};
 }
 
@@ -527,9 +568,13 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
   };
   std::vector<FilterJob> jobs;
   std::vector<std::shared_ptr<TableArtifact>> built(tables.size());
+  // Each fresh table's unary conjuncts, compiled once for all its morsels.
+  std::vector<std::unique_ptr<FilterProgram>> programs(tables.size());
   int64_t total_rows = 0;
   for (int t : fresh) {
     built[static_cast<size_t>(t)] = std::make_shared<TableArtifact>();
+    programs[static_cast<size_t>(t)] = std::make_unique<FilterProgram>(
+        info.unary_preds(t), *tables[static_cast<size_t>(t)], t);
     const int64_t n = tables[static_cast<size_t>(t)]->num_rows();
     const int64_t morsel =
         width > 1 ? kFilterMorselRows : std::max<int64_t>(n, 1);
@@ -546,8 +591,9 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
       opts.scheduler, jobs.size(), width,
       [&](size_t i) {
         FilterJob& job = jobs[i];
-        auto [rows, cost] = FilterMorsel(tables, pool, info.unary_preds(job.t),
-                                         job.t, job.begin, job.end);
+        auto [rows, cost] =
+            FilterMorsel(tables, pool, *programs[static_cast<size_t>(job.t)],
+                         job.begin, job.end);
         job.rows = std::move(rows);
         job.cost = cost;
       },
@@ -682,6 +728,12 @@ Result<std::unique_ptr<PreparedQuery>> PreparedQuery::Prepare(
     pq->pool_ = pool;
     pq->clock_ = clock;
     pq->data_ = std::move(data);
+    for (const Table* table : pq->data_->tables) {
+      std::vector<JoinKeyView>& views = pq->key_views_.emplace_back();
+      for (int c = 0; c < table->schema().num_columns(); ++c) {
+        views.emplace_back(table->column(c));
+      }
+    }
     return pq;
   };
 

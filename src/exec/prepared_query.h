@@ -59,6 +59,18 @@ class StagingShard {
     }
   }
 
+  /// Visits every staged pair in reverse append order (the counting sort's
+  /// stable backward scatter).
+  template <class Fn>
+  void ForEachReverse(Fn&& fn) const {
+    for (size_t b = num_blocks(); b-- > 0;) {
+      const std::pair<uint64_t, int32_t>* pairs = block(b);
+      for (size_t i = block_size(b); i-- > 0;) {
+        fn(pairs[i].first, pairs[i].second);
+      }
+    }
+  }
+
   /// Block-granular random access (the partitioned Build routes staged
   /// pairs morsel-by-morsel, one block per morsel, so workers touch
   /// disjoint blocks). block(b) is valid for b < num_blocks().
@@ -91,6 +103,69 @@ class StagingShard {
 
   std::vector<std::unique_ptr<Block>> blocks_;
   size_t size_ = 0;
+};
+
+/// Join key of a cell, normalized so that any two equality-joinable columns
+/// produce comparable keys whenever `EvalPredicate` considers the values
+/// equal, and so that dense id columns produce dense keys (HashIndex then
+/// freezes them into its direct-address layout):
+///  - strings use their dictionary code (the pool is database-wide);
+///  - an int64 is its own two's-complement bits, exact over the whole
+///    range, so int64-int64 equi-joins match exactly as Value::Compare
+///    compares them;
+///  - an integral double inside int64 range keys as that integer, so it
+///    meets an int64 column on equal values, and -0.0 becomes 0 by
+///    construction (the two zeros compare equal);
+///  - any other double (fractional, beyond int64 range, infinite) takes a
+///    key mixed from its bit pattern with bit 62 forced to the complement
+///    of bit 63, i.e. a magnitude >= 2^62 read as int64: it can never
+///    collide with an integer in [-2^53, 2^53].
+///
+/// Two documented limits of the 64-bit key space: (a) an int64 beyond 2^53
+/// key-matches a double only when the double is exactly that integer,
+/// while Value::Compare's lossy double promotion can call further pairs
+/// equal; (b) a mixed key can in principle collide with an unrelated mixed
+/// key or with an int64 of magnitude >= 2^62 (~2^-63 per pair) — engines
+/// trust key equality on the driver predicate and do not re-verify with
+/// EvalPredicate. NaN compares equal to every value in Value::Compare and
+/// is out of the contract.
+uint64_t JoinKeyOf(const Column& col, int64_t base_row);
+
+/// The join keys of one column, resolved once per (table, column) so key
+/// readers skip JoinKeyOf's per-cell type switch. For int64 and string
+/// columns JoinKeyOf's key is the raw payload (the value, the dictionary
+/// code), so the view reads the column's int64 array directly; a double
+/// column keeps calling JoinKeyOf, the one definition of the key contract.
+/// Valid while the column is not appended to (a query holds the catalog's
+/// shared lock for its whole run).
+class JoinKeyView {
+ public:
+  JoinKeyView() = default;
+  explicit JoinKeyView(const Column& col)
+      : ints_(col.raw_ints().data()),
+        nulls_(col.raw_nulls().empty() ? nullptr : col.raw_nulls().data()),
+        doubles_(col.type() == DataType::kDouble ? &col : nullptr) {}
+
+  bool IsNull(int64_t row) const {
+    return nulls_ != nullptr && nulls_[static_cast<size_t>(row)] != 0;
+  }
+  uint64_t Key(int64_t row) const {
+    return doubles_ == nullptr
+               ? static_cast<uint64_t>(ints_[static_cast<size_t>(row)])
+               : JoinKeyOf(*doubles_, row);
+  }
+
+  /// The raw keys (int64 and string columns), or null for a double column.
+  const int64_t* raw_keys() const {
+    return doubles_ == nullptr ? ints_ : nullptr;
+  }
+  /// The validity bytes (1 = NULL), or null when the column has no NULLs.
+  const uint8_t* nulls() const { return nulls_; }
+
+ private:
+  const int64_t* ints_ = nullptr;
+  const uint8_t* nulls_ = nullptr;
+  const Column* doubles_ = nullptr;  // set for a double column only
 };
 
 /// Index over the *filtered positions* of one (table, column) pair: join
@@ -178,6 +253,15 @@ class HashIndex {
   /// workers of `sched` (caller participates; null scheduler or width 1
   /// runs the same algorithm inline). Output is bit-identical to Build().
   void Build(Scheduler* sched, int max_threads);
+
+  /// Builds the index of `keys` over the positions of `rows`: position p
+  /// carries keys.Key(rows[p]), and NULL cells are skipped. The frozen
+  /// layout is bit-identical to Add()-staging those pairs in position order
+  /// and calling Build(sched, max_threads); the direct layout counting-sorts
+  /// straight from the view and stages nothing. Call it on a fresh index,
+  /// instead of Add() and Build(). Returns the number of indexed keys.
+  size_t BuildFrom(const JoinKeyView& keys, const std::vector<int32_t>& rows,
+                   Scheduler* sched, int max_threads);
 
   /// The ascending position run for `key` (empty if no match). The
   /// single-key probe; the batch entry point is FindBatch().
@@ -282,9 +366,17 @@ class HashIndex {
     const size_t p = cap / kPartitionSlots;
     return p < kMaxPartitions ? p : kMaxPartitions;
   }
-  /// The counting-sort freeze into the direct layout over `span` keys
-  /// starting at key_min_.
-  void BuildDirect(size_t span);
+  /// Picks the layout for the `n` pairs of `pairs` (keys in [key_min_,
+  /// key_max_]) by the byte comparison and freezes them into it. `Pairs`
+  /// visits (key, position) in position order through ForEach and in
+  /// reverse through ForEachReverse: the staging shard, or a key view over
+  /// filtered rows. Releases the staging blocks.
+  template <class Pairs>
+  void Freeze(const Pairs& pairs, size_t n, Scheduler* sched, int max_threads);
+  /// The counting-sort freeze of `n` pairs into the direct layout over
+  /// `span` keys starting at key_min_.
+  template <class Pairs>
+  void BuildDirect(const Pairs& pairs, size_t n, size_t span);
   /// The Swiss-table freeze at capacity `cap`: sequential or partitioned.
   void BuildSwiss(size_t cap, Scheduler* sched, int max_threads);
   /// The classic 3-pass sequential freeze (small stagings).
@@ -307,32 +399,6 @@ class HashIndex {
   size_t num_keys_ = 0;
   bool built_ = false;
 };
-
-/// Join key of a cell, normalized so that any two equality-joinable columns
-/// produce comparable keys whenever `EvalPredicate` considers the values
-/// equal, and so that dense id columns produce dense keys (HashIndex then
-/// freezes them into its direct-address layout):
-///  - strings use their dictionary code (the pool is database-wide);
-///  - an int64 is its own two's-complement bits, exact over the whole
-///    range, so int64-int64 equi-joins match exactly as Value::Compare
-///    compares them;
-///  - an integral double inside int64 range keys as that integer, so it
-///    meets an int64 column on equal values, and -0.0 becomes 0 by
-///    construction (the two zeros compare equal);
-///  - any other double (fractional, beyond int64 range, infinite) takes a
-///    key mixed from its bit pattern with bit 62 forced to the complement
-///    of bit 63, i.e. a magnitude >= 2^62 read as int64: it can never
-///    collide with an integer in [-2^53, 2^53].
-///
-/// Two documented limits of the 64-bit key space: (a) an int64 beyond 2^53
-/// key-matches a double only when the double is exactly that integer,
-/// while Value::Compare's lossy double promotion can call further pairs
-/// equal; (b) a mixed key can in principle collide with an unrelated mixed
-/// key or with an int64 of magnitude >= 2^62 (~2^-63 per pair) — engines
-/// trust key equality on the driver predicate and do not re-verify with
-/// EvalPredicate. NaN compares equal to every value in Value::Compare and
-/// is out of the contract.
-uint64_t JoinKeyOf(const Column& col, int64_t base_row);
 
 /// The pre-processing artifact of ONE FROM-list table: the base rows
 /// surviving its unary predicates plus hash indexes on each of its
@@ -472,6 +538,12 @@ class PreparedQuery {
   /// Index over (table, column), or nullptr if none was built.
   const HashIndex* index(int t, int col) const;
 
+  /// Join keys of (table, column), resolved once per Prepare: every key
+  /// reader (index probes, join checks, the eddy baseline) reads these.
+  const JoinKeyView& key_view(int t, int col) const {
+    return key_views_[static_cast<size_t>(t)][static_cast<size_t>(col)];
+  }
+
   /// Virtual cost this execution's pre-processing charged (0 when every
   /// table came from the PreparedCache and no constant predicate ran).
   uint64_t preprocess_cost() const { return data_->preprocess_cost; }
@@ -494,6 +566,7 @@ class PreparedQuery {
   const StringPool* pool_ = nullptr;
   VirtualClock* clock_ = nullptr;
   std::shared_ptr<const Data> data_;
+  std::vector<std::vector<JoinKeyView>> key_views_;  // per table, per column
 };
 
 }  // namespace skinner

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 #include "common/str_util.h"
 #include "expr/udf.h"
@@ -30,14 +31,28 @@ Value EvalArithmetic(BinOp op, const Value& l, const Value& r) {
   bool both_int =
       l.type() == DataType::kInt64 && r.type() == DataType::kInt64;
   if (both_int) {
+    // Checked int64 math: an overflowing result is NULL, like a division
+    // by zero. INT64_MIN / -1 overflows (and traps on x86); its remainder
+    // is well defined as 0, but the hardware division would trap too.
     int64_t a = l.AsInt();
     int64_t b = r.AsInt();
+    int64_t out = 0;
     switch (op) {
-      case BinOp::kAdd: return Value::Int(a + b);
-      case BinOp::kSub: return Value::Int(a - b);
-      case BinOp::kMul: return Value::Int(a * b);
-      case BinOp::kDiv: return b == 0 ? Value::Null() : Value::Int(a / b);
-      case BinOp::kMod: return b == 0 ? Value::Null() : Value::Int(a % b);
+      case BinOp::kAdd:
+        return __builtin_add_overflow(a, b, &out) ? Value::Null()
+                                                  : Value::Int(out);
+      case BinOp::kSub:
+        return __builtin_sub_overflow(a, b, &out) ? Value::Null()
+                                                  : Value::Int(out);
+      case BinOp::kMul:
+        return __builtin_mul_overflow(a, b, &out) ? Value::Null()
+                                                  : Value::Int(out);
+      case BinOp::kDiv:
+        if (b == 0 || (a == INT64_MIN && b == -1)) return Value::Null();
+        return Value::Int(a / b);
+      case BinOp::kMod:
+        if (b == 0) return Value::Null();
+        return Value::Int(b == -1 ? 0 : a % b);
       default: break;
     }
     return Value::Null();
@@ -121,6 +136,8 @@ Value EvalExpr(const Expr& e, const EvalContext& ctx) {
         case UnOp::kNeg:
           if (c.is_null()) return Value::Null();
           if (c.type() == DataType::kDouble) return Value::Double(-c.AsDouble());
+          // -INT64_MIN overflows: NULL, as in EvalArithmetic.
+          if (c.AsInt() == INT64_MIN) return Value::Null();
           return Value::Int(-c.AsInt());
         case UnOp::kIsNull:
           return Value::Bool(c.is_null());

@@ -37,6 +37,43 @@ TEST(EvalTest, DivisionByZeroIsNull) {
   EXPECT_TRUE(Eval(*Bin(BinOp::kMod, Lit(Value::Int(1)), Lit(Value::Int(0)))).is_null());
 }
 
+// Checked int64 arithmetic: a result outside int64 is NULL (like a
+// division by zero), never a wrap or a SIGFPE. INT64_MIN % -1 is 0.
+TEST(EvalTest, Int64OverflowIsNull) {
+  auto arith = [](BinOp op, int64_t a, int64_t b) {
+    return Eval(*Bin(op, Lit(Value::Int(a)), Lit(Value::Int(b))));
+  };
+  EXPECT_TRUE(arith(BinOp::kAdd, INT64_MAX, 1).is_null());
+  EXPECT_TRUE(arith(BinOp::kAdd, INT64_MIN, -1).is_null());
+  EXPECT_EQ(arith(BinOp::kAdd, INT64_MAX, INT64_MIN).AsInt(), -1);
+  EXPECT_TRUE(arith(BinOp::kSub, INT64_MIN, 1).is_null());
+  EXPECT_TRUE(arith(BinOp::kSub, INT64_MAX, -1).is_null());
+  EXPECT_TRUE(arith(BinOp::kSub, 0, INT64_MIN).is_null());
+  EXPECT_EQ(arith(BinOp::kSub, -1, INT64_MAX).AsInt(), INT64_MIN);
+  EXPECT_TRUE(arith(BinOp::kMul, INT64_MAX, 2).is_null());
+  EXPECT_TRUE(arith(BinOp::kMul, INT64_MIN, -1).is_null());
+  EXPECT_TRUE(arith(BinOp::kMul, int64_t{1} << 32, int64_t{1} << 31).is_null());
+  EXPECT_EQ(arith(BinOp::kMul, INT64_MIN, 1).AsInt(), INT64_MIN);
+  EXPECT_TRUE(arith(BinOp::kDiv, INT64_MIN, -1).is_null());
+  EXPECT_EQ(arith(BinOp::kDiv, INT64_MIN, 1).AsInt(), INT64_MIN);
+  EXPECT_EQ(arith(BinOp::kDiv, INT64_MAX, -1).AsInt(), -INT64_MAX);
+  EXPECT_EQ(arith(BinOp::kMod, INT64_MIN, -1).AsInt(), 0);
+  EXPECT_EQ(arith(BinOp::kMod, INT64_MAX, -1).AsInt(), 0);
+  EXPECT_EQ(arith(BinOp::kMod, INT64_MIN, INT64_MAX).AsInt(), -1);
+  EXPECT_TRUE(
+      Eval(*Expr::MakeUnary(UnOp::kNeg, Lit(Value::Int(INT64_MIN)))).is_null());
+  EXPECT_EQ(Eval(*Expr::MakeUnary(UnOp::kNeg, Lit(Value::Int(INT64_MAX))))
+                .AsInt(),
+            -INT64_MAX);
+  // A NULL from an overflow propagates like any NULL: the comparison above
+  // it is NULL, so a WHERE clause drops the row.
+  EXPECT_TRUE(Eval(*Bin(BinOp::kGt,
+                        Bin(BinOp::kDiv, Lit(Value::Int(INT64_MIN)),
+                            Lit(Value::Int(-1))),
+                        Lit(Value::Int(0))))
+                  .is_null());
+}
+
 TEST(EvalTest, Comparisons) {
   EXPECT_TRUE(Eval(*Bin(BinOp::kLt, Lit(Value::Int(1)), Lit(Value::Int(2)))).IsTrue());
   EXPECT_FALSE(Eval(*Bin(BinOp::kGt, Lit(Value::Int(1)), Lit(Value::Int(2)))).IsTrue());

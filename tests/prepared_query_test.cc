@@ -4,11 +4,13 @@
 
 #include <limits>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/hash_util.h"
 
+#include "engine/multiway_join.h"
 #include "sql/parser.h"
 
 namespace skinner {
@@ -58,6 +60,64 @@ class PreparedQueryTest : public ::testing::Test {
     EXPECT_TRUE(pq.ok()) << pq.status().ToString();
     p.pq = pq.MoveValue();
     return p;
+  }
+
+  /// Tables t (300 rows) and u (200 rows) over every join-key shape:
+  /// dense and sparse ints, ints beyond 2^53, doubles, strings, ~10% NULLs.
+  void BuildMixedKeyTables() {
+    const std::vector<ColumnDef> cols = {
+        {"dense", DataType::kInt64},   {"sparse", DataType::kInt64},
+        {"big", DataType::kInt64},     {"bigdense", DataType::kInt64},
+        {"dbl", DataType::kDouble},    {"ddense", DataType::kDouble},
+        {"str", DataType::kString}};
+    constexpr int64_t kTwo53 = int64_t{1} << 53;
+    const std::vector<int64_t> bigs = {
+        kTwo53 + 1, kTwo53 + 2, -kTwo53 - 1, int64_t{1} << 62,
+        -(int64_t{1} << 62), INT64_MAX, INT64_MIN, INT64_MAX - 1};
+    const std::vector<double> dbls = {-0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.5,
+                                      3.0, -20.0, 1e300, -1e300, 5e-324,
+                                      1e19, 0.1, 0.30000000000000004};
+    std::mt19937_64 rng(77);
+    StringPool* pool = catalog_.string_pool();
+    for (const char* name : {"t", "u"}) {
+      auto made = catalog_.CreateTable(name, Schema(cols));
+      ASSERT_TRUE(made.ok());
+      Table* tab = made.value();
+      const int rows = name[0] == 't' ? 300 : 200;
+      for (int r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < cols.size(); ++c) {
+          Column* col = tab->mutable_column(static_cast<int>(c));
+          if (rng() % 10 == 0) {
+            col->AppendNull();
+            continue;
+          }
+          const int64_t small = static_cast<int64_t>(rng() % 41) - 20;
+          switch (c) {
+            case 0: col->AppendInt(small); break;
+            case 1:  // ~40 values spread over 2^44, both signs
+              col->AppendInt(
+                  static_cast<int64_t>(HashMix64(rng() % 40) >> 20) *
+                  (rng() % 2 ? 1 : -1));
+              break;
+            case 2: col->AppendInt(bigs[rng() % bigs.size()]); break;
+            case 3: col->AppendInt((int64_t{1} << 60) + small); break;
+            case 4:
+              col->AppendDouble(rng() % 2 ? dbls[rng() % dbls.size()]
+                                          : static_cast<double>(small));
+              break;
+            case 5:
+              col->AppendDouble(small == 0 && rng() % 2
+                                    ? -0.0
+                                    : static_cast<double>(small));
+              break;
+            default:
+              col->AppendString(
+                  std::string(1, static_cast<char>('a' + small + 20)), pool);
+          }
+        }
+        tab->CommitRow();
+      }
+    }
   }
 
   Catalog catalog_;
@@ -257,58 +317,7 @@ TEST_F(PreparedQueryTest, JoinKeyOfNormalizesTypes) {
 // beyond 2^53, strings, and int64-vs-double joins — and both frozen layouts
 // occur among the indexes.
 TEST_F(PreparedQueryTest, JoinKeysAndBothLayoutsMatchBruteForceEquality) {
-  const std::vector<ColumnDef> cols = {
-      {"dense", DataType::kInt64},   {"sparse", DataType::kInt64},
-      {"big", DataType::kInt64},     {"bigdense", DataType::kInt64},
-      {"dbl", DataType::kDouble},    {"ddense", DataType::kDouble},
-      {"str", DataType::kString}};
-  constexpr int64_t kTwo53 = int64_t{1} << 53;
-  const std::vector<int64_t> bigs = {
-      kTwo53 + 1, kTwo53 + 2, -kTwo53 - 1, int64_t{1} << 62,
-      -(int64_t{1} << 62), INT64_MAX, INT64_MIN, INT64_MAX - 1};
-  const std::vector<double> dbls = {-0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 2.5,
-                                    3.0, -20.0, 1e300, -1e300, 5e-324,
-                                    1e19, 0.1, 0.30000000000000004};
-  std::mt19937_64 rng(77);
-  StringPool* pool = catalog_.string_pool();
-  for (const char* name : {"t", "u"}) {
-    auto made = catalog_.CreateTable(name, Schema(cols));
-    ASSERT_TRUE(made.ok());
-    Table* tab = made.value();
-    const int rows = name[0] == 't' ? 300 : 200;
-    for (int r = 0; r < rows; ++r) {
-      for (size_t c = 0; c < cols.size(); ++c) {
-        Column* col = tab->mutable_column(static_cast<int>(c));
-        if (rng() % 10 == 0) {
-          col->AppendNull();
-          continue;
-        }
-        const int64_t small = static_cast<int64_t>(rng() % 41) - 20;
-        switch (c) {
-          case 0: col->AppendInt(small); break;
-          case 1:  // ~40 values spread over 2^44, both signs
-            col->AppendInt(static_cast<int64_t>(HashMix64(rng() % 40) >> 20) *
-                           (rng() % 2 ? 1 : -1));
-            break;
-          case 2: col->AppendInt(bigs[rng() % bigs.size()]); break;
-          case 3: col->AppendInt((int64_t{1} << 60) + small); break;
-          case 4:
-            col->AppendDouble(rng() % 2 ? dbls[rng() % dbls.size()]
-                                        : static_cast<double>(small));
-            break;
-          case 5:
-            col->AppendDouble(small == 0 && rng() % 2
-                                  ? -0.0
-                                  : static_cast<double>(small));
-            break;
-          default:
-            col->AppendString(std::string(1, static_cast<char>('a' + small + 20)),
-                              pool);
-        }
-      }
-      tab->CommitRow();
-    }
-  }
+  BuildMixedKeyTables();
 
   bool saw_direct = false;
   bool saw_swiss = false;
@@ -362,6 +371,69 @@ TEST_F(PreparedQueryTest, JoinKeysAndBothLayoutsMatchBruteForceEquality) {
   }
   EXPECT_TRUE(saw_direct);
   EXPECT_TRUE(saw_swiss);
+}
+
+// JoinCursor reads every join key through the per-Prepare key views: the
+// driving probe, the non-driving equality checks and the batched lookahead.
+// In both join orders its result over mixed-type key columns (NULLs,
+// doubles against ints, strings, values beyond 2^53), after unary filters,
+// must equal a brute-force EvalPredicate join over the filtered positions.
+TEST_F(PreparedQueryTest, JoinCursorOverKeyViewsMatchesBruteForceJoin) {
+  BuildMixedKeyTables();
+  for (const char* where :
+       {"t.dense = u.dense AND t.dbl = u.ddense",
+        "t.ddense = u.dense AND t.str = u.str AND t.big < u.big",
+        "t.sparse = u.sparse AND t.bigdense = u.bigdense AND u.dense > -12",
+        "t.dense = u.dbl AND t.ddense = u.ddense AND t.str <> u.str",
+        "t.big = u.big AND t.dense = u.ddense AND t.sparse <> 0"}) {
+    SCOPED_TRACE(where);
+    auto p = Prepare(std::string("SELECT COUNT(*) FROM t, u WHERE ") + where);
+    const PreparedQuery& pq = *p.pq;
+    std::set<std::pair<int32_t, int32_t>> expect;
+    int64_t rows[2];
+    const EvalContext ctx = pq.MakeEvalContext(rows);
+    for (int64_t a = 0; a < pq.cardinality(0); ++a) {
+      for (int64_t b = 0; b < pq.cardinality(1); ++b) {
+        rows[0] = pq.base_row(0, a);
+        rows[1] = pq.base_row(1, b);
+        bool pass = true;
+        for (const PredInfo& jp : p.info->join_preds()) {
+          pass = pass && EvalPredicate(*jp.expr, ctx);
+        }
+        if (pass) {
+          expect.emplace(static_cast<int32_t>(a), static_cast<int32_t>(b));
+        }
+      }
+    }
+    EXPECT_FALSE(expect.empty());
+    for (const std::vector<int>& order :
+         {std::vector<int>{0, 1}, std::vector<int>{1, 0}}) {
+      JoinCursor cursor(&pq, BuildJoinSteps(pq, order));
+      // The second table is driven by an index probe; any further
+      // equality is a Check against the views.
+      ASSERT_GE(cursor.steps()[1].driver, 0);
+      JoinState state;
+      state.pos.assign(2, 0);
+      MultiwayJoinSpec spec;
+      spec.left_to = pq.cardinality(order[0]);
+      VirtualClock clock;
+      spec.clock = &clock;
+      cursor.SetClock(&clock);
+      JoinLoopStats stats;
+      std::set<std::pair<int32_t, int32_t>> got;
+      size_t emitted = 0;
+      const JoinLoopExit exit = MultiwayJoinLoop(
+          &cursor, order, spec, &state, &stats,
+          [&](const PosTuple& tuple) {
+            ++emitted;
+            got.emplace(tuple[0], tuple[1]);
+          },
+          [](int64_t) {});
+      EXPECT_EQ(exit, JoinLoopExit::kCompleted);
+      EXPECT_EQ(emitted, got.size()) << "duplicate result tuples";
+      EXPECT_EQ(got, expect) << "order " << order[0] << "," << order[1];
+    }
+  }
 }
 
 }  // namespace

@@ -365,6 +365,122 @@ TEST(ParallelPreprocessTest, RandomizedResultsMatchSequential) {
   }
 }
 
+// ---- view-built artifacts vs an Add()-staged reference ---------------
+
+/// Two tables whose join columns cover every key shape the view serves:
+/// dense ints (direct layout), a sparse int image (Swiss layout, large
+/// enough for the partitioned build), negative dense ints, ints with NULLs,
+/// and doubles (integral, fractional, -0.0, NULL) joined both with doubles
+/// and with an int64 column.
+void BuildKeyShapesDb(Database* db, int64_t rows) {
+  for (int t = 0; t < 2; ++t) {
+    const std::string name = "v" + std::to_string(t);
+    ASSERT_TRUE(db->Execute("CREATE TABLE " + name +
+                            " (dense INT, sparse INT, neg INT, nul INT, "
+                            "dbl DOUBLE, f INT)")
+                    .ok());
+    Table* table = db->catalog()->FindTable(name);
+    ASSERT_NE(table, nullptr);
+    for (int64_t r = 0; r < rows; ++r) {
+      const int64_t k = (r * (t + 5) + r / 3) % 700;
+      table->mutable_column(0)->AppendInt(k);
+      table->mutable_column(1)->AppendInt(
+          static_cast<int64_t>(HashMix64(static_cast<uint64_t>(k % 3000))));
+      table->mutable_column(2)->AppendInt(-1 - (k % 500));
+      if (r % 7 == 3) {
+        table->mutable_column(3)->AppendNull();
+      } else {
+        table->mutable_column(3)->AppendInt(k % 90);
+      }
+      if (r % 11 == 5) {
+        table->mutable_column(4)->AppendNull();
+      } else if (k == 0) {
+        table->mutable_column(4)->AppendDouble(r % 2 ? -0.0 : 0.0);
+      } else {
+        table->mutable_column(4)->AppendDouble(
+            k % 4 == 1 ? static_cast<double>(k) + 0.5 : static_cast<double>(k));
+      }
+      table->mutable_column(5)->AppendInt(r % 97);
+      table->CommitRow();
+    }
+  }
+}
+
+// Pre-processing builds every index straight from the join-key view (the
+// direct layout without staging). At every width the filtered rows must
+// equal a per-row EvalPredicate scan, and every index must fingerprint
+// equal to an Add(JoinKeyOf)-staged reference built at the same width.
+TEST(ParallelPreprocessTest, ViewBuiltIndexesMatchAddStagedReference) {
+  Database db;
+  BuildKeyShapesDb(&db, 9000);
+  // A few deleted rows: the filter scan drops them in the same pass.
+  ASSERT_TRUE(db.Execute("DELETE FROM v1 WHERE f = 13").ok());
+  const std::string sql =
+      "SELECT COUNT(*) FROM v0, v1 WHERE v0.dense = v1.dense "
+      "AND v0.sparse = v1.sparse AND v0.neg = v1.neg AND v0.nul = v1.nul "
+      "AND v0.dbl = v1.dbl AND v0.dense = v1.dbl AND v0.f < 70 "
+      "AND (v1.f <> 3 OR v1.nul IS NULL)";
+  Scheduler sched;
+  for (int width : {1, 2, 4, 8}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    QueryPipeline pipe(db.catalog(), db.udfs(), db.stats_manager(),
+                       /*cache=*/nullptr, db.scheduler());
+    auto stmt = pipe.Parse(sql);
+    ASSERT_TRUE(stmt.ok());
+    auto bound = pipe.Bind(std::move(stmt.value()));
+    ASSERT_TRUE(bound.ok());
+    ExecOptions opts;
+    opts.parallel_preprocess = width > 1;
+    opts.num_threads = width;
+    auto stage = pipe.Prepare(std::move(bound.value()), opts);
+    ASSERT_TRUE(stage.ok()) << stage.status().message();
+    const PreparedQuery& pq = *stage.value().pq;
+    int direct = 0;
+    int swiss = 0;
+    int partitioned = 0;
+    for (int t = 0; t < pq.num_tables(); ++t) {
+      const Table& table = *pq.table(t);
+      std::vector<int32_t> expect_rows;
+      std::vector<int64_t> binding(static_cast<size_t>(pq.num_tables()), 0);
+      const EvalContext ctx = pq.MakeEvalContext(binding.data());
+      for (int64_t r = 0; r < table.num_rows(); ++r) {
+        if (!table.IsRowValid(r)) continue;
+        binding[static_cast<size_t>(t)] = r;
+        bool pass = true;
+        for (const Expr* e : pq.info().unary_preds(t)) {
+          pass = pass && EvalPredicate(*e, ctx);
+        }
+        if (pass) expect_rows.push_back(static_cast<int32_t>(r));
+      }
+      const std::vector<int32_t>& rows = pq.filtered_rows(t);
+      ASSERT_EQ(rows, expect_rows) << "table " << t;
+      for (int col = 0; col < 5; ++col) {
+        const HashIndex* idx = pq.index(t, col);
+        ASSERT_NE(idx, nullptr) << "table " << t << " column " << col;
+        const Column& c = table.column(col);
+        HashIndex ref;
+        for (size_t p = 0; p < rows.size(); ++p) {
+          if (c.IsNull(rows[p])) continue;
+          ref.Add(JoinKeyOf(c, rows[p]), static_cast<int32_t>(p));
+        }
+        ref.Build(&sched, width);
+        EXPECT_EQ(idx->Fingerprint(), ref.Fingerprint())
+            << "table " << t << " column " << col;
+        EXPECT_EQ(idx->bytes(), ref.bytes())
+            << "table " << t << " column " << col;
+        ++(idx->direct() ? direct : swiss);
+        partitioned += idx->num_slots() >= 8192;
+      }
+    }
+    // Both layouts occur: dense, neg and nul are direct; sparse and dbl
+    // (whose fractional values take mixed keys) take the partitioned Swiss
+    // build on both tables.
+    EXPECT_EQ(direct, 6);
+    EXPECT_EQ(swiss, 4);
+    EXPECT_EQ(partitioned, 4);
+  }
+}
+
 // ---- claim-all protocol ---------------------------------------------
 
 // The deadlock shape the protocol exists for: two builders each owning

@@ -104,6 +104,35 @@ TEST(ServerProtocolTest, DdlThenQuery) {
   EXPECT_EQ(lines[0], "ROW 2");
 }
 
+// A WHERE clause whose int64 arithmetic overflows (INT64_MIN / -1 traps in
+// hardware division) evaluates to NULL: the server answers the query with
+// a row and keeps serving.
+TEST(ServerProtocolTest, Int64OverflowInWhereIsAnsweredNotFatal) {
+  Database db;
+  ServerCore core(&db);
+  auto conn = core.Connect();
+  ASSERT_TRUE(conn.ok());
+  EXPECT_EQ(conn.value()->HandleLine("X CREATE TABLE a (x INT)").text, "OK\n");
+  EXPECT_EQ(conn.value()
+                ->HandleLine("X INSERT INTO a VALUES (-9223372036854775807)")
+                .text,
+            "OK\n");
+  for (const char* where : {"(x - 1) / -1 > 0", "x - 5 < 0", "-(x - 1) > 0",
+                            "(x - 1) % -1 <> 0", "x * 2 < 0"}) {
+    SCOPED_TRACE(where);
+    std::vector<std::string> lines = Lines(conn.value()->HandleLine(
+        std::string("Q SELECT COUNT(*) FROM a WHERE ") + where).text);
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(lines[0], "ROW 0");
+    EXPECT_EQ(lines[1].rfind("OK rows=1", 0), 0u);
+  }
+  std::vector<std::string> lines = Lines(
+      conn.value()->HandleLine("Q SELECT COUNT(*) FROM a WHERE x < 0").text);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], "ROW 1");
+  EXPECT_EQ(conn.value()->HandleLine("PING").text, "OK\n");
+}
+
 // DML over the wire, the CHECKPOINT verb, and the WAL counters that PR 7
 // surfaces through ServerStats and STATS.
 TEST(ServerProtocolTest, MutationCheckpointAndWalStats) {
