@@ -343,10 +343,8 @@ std::vector<Result<QueryOutput>> Database::QueryBatchInternal(
   PreparedCache* cache = bopts.use_prepared_cache ? &cache_ : &local_cache;
   QueryPipeline pipeline(&catalog_, &udfs_, &stats_, cache, scheduler_.get());
 
-  // Parse + bind every item in order: binding interns string literals
-  // into the shared pool, which is append-only but not thread-safe — and
-  // it is orders of magnitude cheaper than the prepare/execute work the
-  // batch core runs next.
+  // Parse + bind every item in order: binding is orders of magnitude
+  // cheaper than the prepare/execute work the batch core runs next.
   std::vector<PipelineItem> bound(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
     PipelineItem& item = bound[i];

@@ -12,10 +12,17 @@ namespace {
 
 /// Replaces every `?` below `e` with its bound value as a literal — the
 /// exact tree the binder would have produced for the literal-substituted
-/// SQL text (string values are interned like bound string literals).
+/// SQL text (string values are looked up, never interned, like bound
+/// string literals). A SQL-text string literal that was absent from the
+/// pool at Prepare is looked up again, so once the string is stored the
+/// statement's filters compare pool codes like the literal SQL does.
 void SubstituteParams(Expr* e, const std::vector<Value>& params,
-                      StringPool* pool) {
+                      const StringPool* pool) {
   for (auto& c : e->children) SubstituteParams(c.get(), params, pool);
+  if (e->kind == ExprKind::kLiteral && e->literal_pool_id < 0 &&
+      !e->literal.is_null() && e->literal.type() == DataType::kString) {
+    e->literal_pool_id = pool->Lookup(e->literal.AsString());
+  }
   if (e->kind != ExprKind::kParam) return;
   const Value& v = params[static_cast<size_t>(e->param_idx)];
   e->kind = ExprKind::kLiteral;
@@ -24,7 +31,7 @@ void SubstituteParams(Expr* e, const std::vector<Value>& params,
   if (!v.is_null()) {
     e->out_type = v.type();
     if (v.type() == DataType::kString) {
-      e->literal_pool_id = pool->Intern(v.AsString());
+      e->literal_pool_id = pool->Lookup(v.AsString());
     }
   }
 }
@@ -216,9 +223,8 @@ std::vector<Result<QueryOutput>> PreparedStatement::ExecuteMany(
   }
   QueryPipeline pipeline(db_->catalog(), db_->udfs(), db_->stats_manager(),
                          db_->prepared_cache(), db_->scheduler());
-  // Instantiate every parameter set in order (string parameters intern
-  // into the shared pool, which is not thread-safe), then run the batch
-  // core QueryBatch uses too.
+  // Instantiate every parameter set in order, then run the batch core
+  // QueryBatch uses too.
   std::vector<PipelineItem> items(n);
   for (size_t i = 0; i < n; ++i) {
     PipelineItem& item = items[i];

@@ -41,8 +41,8 @@ namespace skinner {
 /// the SELECT-side caching machinery above applies.
 ///
 /// Thread-safety: like a driver statement handle, one execution at a
-/// time per statement (string parameters intern into the shared pool);
-/// use Session::ExecuteBatch for concurrency — it serializes binding and
+/// time per statement (it belongs to one session); use
+/// Session::ExecuteBatch for concurrency — it serializes binding and
 /// parallelizes execution.
 class PreparedStatement {
  public:
@@ -89,7 +89,7 @@ class PreparedStatement {
 
   /// The executable query for one parameter set: validates the values,
   /// substitutes them into a clone of the template as literals and
-  /// re-typechecks it. Interns string values (serialize calls).
+  /// re-typechecks it. Looks string values up in the pool.
   Result<std::unique_ptr<BoundQuery>> Instantiate(
       const std::vector<Value>& params) const;
 

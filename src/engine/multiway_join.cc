@@ -53,6 +53,8 @@ std::vector<JoinStep> BuildJoinSteps(const PreparedQuery& pq,
         break;
       }
     }
+    step.residual = !step.checks.empty() ||
+                    step.eq.size() > (step.driver >= 0 ? 1u : 0u);
     steps.push_back(std::move(step));
     prefix = with_t;
   }
@@ -63,148 +65,20 @@ JoinCursor::JoinCursor(const PreparedQuery* pq, std::vector<JoinStep> steps)
     : pq_(pq),
       steps_(std::move(steps)),
       binding_(static_cast<size_t>(pq->num_tables()), 0),
-      probe_cache_(steps_.size()),
-      lookahead_(steps_.size()) {}
+      windows_(steps_.size()) {}
 
-HashIndex::Postings JoinCursor::ProbePostings(int depth, const EquiProbe& p,
-                                              uint64_t key,
-                                              bool* fresh) const {
-  ProbeCache& c = probe_cache_[static_cast<size_t>(depth)];
-  if (c.valid && c.key == key) {
-    if (fresh != nullptr) *fresh = false;
-    return c.postings;
-  }
-  const HashIndex::Postings* la =
-      lookahead_[static_cast<size_t>(depth)].Find(key);
-  const HashIndex::Postings postings = la != nullptr ? *la : p.index->Find(key);
-  c.valid = true;
-  c.key = key;
-  c.postings = postings;
-  if (fresh != nullptr) *fresh = true;
-  return postings;
-}
-
-void JoinCursor::BatchProbeNext(int depth, const int32_t* cand, size_t n,
-                                uint64_t window_id) const {
-  const size_t next = static_cast<size_t>(depth) + 1;
-  if (next >= steps_.size()) return;
-  const JoinStep& ns = steps_[next];
-  if (ns.driver < 0) return;
-  const EquiProbe& np = ns.eq[static_cast<size_t>(ns.driver)];
-  if (np.other_table != steps_[static_cast<size_t>(depth)].table) return;
-  Lookahead& guard = lookahead_[next];
-  if (guard.window_valid && guard.window == window_id) return;
-  guard.window = window_id;
-  guard.window_valid = true;
-  uint64_t keys[Lookahead::kWay];
-  size_t k = 0;
-  const int32_t* rows = steps_[static_cast<size_t>(depth)].rows;
-  for (size_t i = 0; i < n && k < Lookahead::kWay; ++i) {
-    const int64_t row = rows[cand[i]];
-    if (np.other_keys.IsNull(row)) continue;  // a NULL binding never probes
-    keys[k++] = np.other_keys.Key(row);
-  }
-  guard.count = 0;
-  if (k == 0) return;
-  HashIndex::Postings out[Lookahead::kWay];
-  np.index->FindBatch(keys, k, out);
-  for (size_t i = 0; i < k; ++i) guard.entries[i] = {keys[i], out[i]};
-  guard.count = k;
-}
-
-uint64_t JoinCursor::ProbeKey(const EquiProbe& p, bool* is_null) const {
-  const int64_t row = binding_[static_cast<size_t>(p.other_table)];
-  if (p.other_keys.IsNull(row)) {
-    *is_null = true;
-    return 0;
-  }
-  *is_null = false;
-  return p.other_keys.Key(row);
-}
-
-int64_t JoinCursor::FirstCandidate(int depth, int64_t lower) const {
+bool JoinCursor::CheckResidual(int depth) const {
   const JoinStep& s = steps_[static_cast<size_t>(depth)];
-  const int64_t card = s.card;
-  if (s.driver >= 0) {
-    const EquiProbe& p = s.eq[static_cast<size_t>(s.driver)];
-    bool null = false;
-    uint64_t key = ProbeKey(p, &null);
-    if (null) return -1;
-    bool fresh = false;
-    HashIndex::Postings postings = ProbePostings(depth, p, key, &fresh);
-    const int32_t* it = std::lower_bound(postings.begin(), postings.end(),
-                                         static_cast<int32_t>(lower));
-    if (it == postings.end()) return -1;
-    // A freshly fetched candidate window: batch-probe the next table's
-    // driving keys over it before descending (prefetched descent). Never
-    // charged — candidate enumeration does not tick the clock.
-    if (fresh) {
-      BatchProbeNext(depth, it, static_cast<size_t>(postings.end() - it),
-                     /*window_id=*/key);
-    }
-    return *it;
-  }
-  if (lower >= card) return -1;
-  if (depth + 1 < static_cast<int>(steps_.size())) {
-    // Scan-driven window (leftmost table or no usable index): the
-    // candidates are simply the next positions in order.
-    int32_t scan[Lookahead::kWay];
-    const size_t n = static_cast<size_t>(
-        std::min<int64_t>(card - lower, Lookahead::kWay));
-    for (size_t i = 0; i < n; ++i) {
-      scan[i] = static_cast<int32_t>(lower + static_cast<int64_t>(i));
-    }
-    BatchProbeNext(depth, scan, n,
-                   /*window_id=*/static_cast<uint64_t>(lower));
-  }
-  return lower;
-}
-
-int64_t JoinCursor::NextCandidate(int depth, int64_t pos) const {
-  const JoinStep& s = steps_[static_cast<size_t>(depth)];
-  const int64_t card = s.card;
-  if (s.driver >= 0) {
-    const EquiProbe& p = s.eq[static_cast<size_t>(s.driver)];
-    bool null = false;
-    uint64_t key = ProbeKey(p, &null);
-    if (null) return -1;
-    HashIndex::Postings postings = ProbePostings(depth, p, key);
-    const int32_t* it = std::upper_bound(postings.begin(), postings.end(),
-                                         static_cast<int32_t>(pos));
-    return it == postings.end() ? -1 : *it;
-  }
-  const int64_t next = pos + 1;
-  if (next >= card) return -1;
-  // Long scans (the forced-order executor's leftmost table advances here,
-  // not through FirstCandidate) refresh the lookahead at every aligned
-  // window boundary: batch-probe the next table's driving keys for the
-  // upcoming kWay positions. A pure accelerator — never charged, results
-  // unchanged — exactly like FirstCandidate's scan-driven window.
-  if (depth + 1 < static_cast<int>(steps_.size()) &&
-      (next & static_cast<int64_t>(Lookahead::kWay - 1)) == 0) {
-    int32_t scan[Lookahead::kWay];
-    const size_t n =
-        static_cast<size_t>(std::min<int64_t>(card - next, Lookahead::kWay));
-    for (size_t i = 0; i < n; ++i) {
-      scan[i] = static_cast<int32_t>(next + static_cast<int64_t>(i));
-    }
-    BatchProbeNext(depth, scan, n, /*window_id=*/static_cast<uint64_t>(next));
-  }
-  return next;
-}
-
-bool JoinCursor::Check(int depth) const {
-  const JoinStep& s = steps_[static_cast<size_t>(depth)];
+  const int64_t my_row = binding_[static_cast<size_t>(s.table)];
   // Equality checks beyond the driver (or all of them when scanning).
   for (size_t i = 0; i < s.eq.size(); ++i) {
     if (static_cast<int>(i) == s.driver) continue;
     const EquiProbe& p = s.eq[i];
-    const int64_t my_row = binding_[static_cast<size_t>(s.table)];
-    if (p.this_keys.IsNull(my_row)) return false;
-    bool null = false;
-    const uint64_t other_key = ProbeKey(p, &null);
-    if (null) return false;
-    if (p.this_keys.Key(my_row) != other_key) return false;
+    const int64_t other_row = binding_[static_cast<size_t>(p.other_table)];
+    if (p.this_keys.IsNull(my_row) || p.other_keys.IsNull(other_row) ||
+        p.this_keys.Key(my_row) != p.other_keys.Key(other_row)) {
+      return false;
+    }
   }
   if (!s.checks.empty()) {
     EvalContext ctx = pq_->MakeEvalContext(binding_.data());

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -48,6 +49,9 @@ struct JoinStep {
   int driver = -1;  // index into eq: which equality drives candidate jumps
   std::vector<EquiProbe> eq;          // all equality preds to earlier tables
   std::vector<const Expr*> checks;    // generic newly applicable conjuncts
+  /// Check() has anything to test: equalities beyond the driver, or
+  /// generic checks.
+  bool residual = false;
 };
 
 /// Compiles a left-deep join order into per-position steps. Step k joins
@@ -58,9 +62,10 @@ std::vector<JoinStep> BuildJoinSteps(const PreparedQuery& pq,
 
 /// Candidate enumeration and predicate checking for one join order. Used
 /// by the traditional engines (run to completion) and by Skinner-C (run in
-/// budgeted slices with suspend/resume). The cursor itself is stateless
-/// with respect to progress: all execution state lives in the caller's
-/// position vector, which is what makes Skinner-C's backup/restore cheap.
+/// budgeted slices with suspend/resume). All execution progress lives in
+/// the caller's position vector, which is what makes Skinner-C's
+/// backup/restore cheap; the cursor keeps only a per-depth postings window
+/// that is a pure accelerator (any call pattern gets the same answers).
 class JoinCursor {
  public:
   JoinCursor(const PreparedQuery* pq, std::vector<JoinStep> steps);
@@ -76,17 +81,59 @@ class JoinCursor {
   }
 
   /// First candidate position >= `lower` at `depth` (given bindings for
-  /// all earlier depths), or -1 if none. Uses the driving index probe when
-  /// available, otherwise a plain scan start. Candidates satisfy the
-  /// driving equality only; remaining predicates are left to Check().
-  int64_t FirstCandidate(int depth, int64_t lower) const;
+  /// all earlier depths), or -1 if none. With a driving index this is the
+  /// descend's one probe: it opens the depth's postings window on the
+  /// driving key's run. Without one it is a plain scan start. Candidates
+  /// satisfy the driving equality only; remaining predicates are left to
+  /// Check().
+  int64_t FirstCandidate(int depth, int64_t lower) const {
+    const JoinStep& s = steps_[static_cast<size_t>(depth)];
+    if (s.driver < 0) return lower < s.card ? lower : -1;
+    const EquiProbe& p = s.eq[static_cast<size_t>(s.driver)];
+    HashIndex::Postings run = Run(p);
+    if (lower > 0) {
+      const int32_t* it = std::lower_bound(run.begin(), run.end(),
+                                           static_cast<int32_t>(lower));
+      run = {it, static_cast<size_t>(run.end() - it)};
+    }
+    return Open(depth, p, run);
+  }
 
-  /// Next candidate position strictly greater than `pos`, or -1.
-  int64_t NextCandidate(int depth, int64_t pos) const;
+  /// Next candidate position strictly greater than `pos`, or -1. O(1) when
+  /// `pos` is the candidate the depth's window returned last and the
+  /// driver's other table is still bound to the row the window was opened
+  /// for; any other call (a caller that re-bound a shallower depth, or
+  /// resumed at an arbitrary position) probes afresh and reopens the
+  /// window.
+  int64_t NextCandidate(int depth, int64_t pos) const {
+    const JoinStep& s = steps_[static_cast<size_t>(depth)];
+    if (s.driver < 0) return pos + 1 < s.card ? pos + 1 : -1;
+    const EquiProbe& p = s.eq[static_cast<size_t>(s.driver)];
+    Window& w = windows_[static_cast<size_t>(depth)];
+    if (w.row != binding_[static_cast<size_t>(p.other_table)] ||
+        *w.cur != pos) {
+      return Open(depth, p, After(p, pos));
+    }
+    int64_t next = -1;
+    if (++w.cur == w.end) {
+      w.row = -1;
+    } else {
+      next = *w.cur;
+    }
+#ifndef NDEBUG
+    const HashIndex::Postings fresh = After(p, pos);
+    assert(next == (fresh.empty() ? -1 : fresh[0]) &&
+           "postings window disagrees with a fresh probe");
+#endif
+    return next;
+  }
 
   /// Checks all non-driving predicates of `depth` against the current
   /// bindings (depth's own position must already be bound).
-  bool Check(int depth) const;
+  bool Check(int depth) const {
+    return !steps_[static_cast<size_t>(depth)].residual ||
+           CheckResidual(depth);
+  }
 
   /// Base-row bindings indexed by table (valid for bound tables only).
   const std::vector<int64_t>& bindings() const { return binding_; }
@@ -97,68 +144,56 @@ class JoinCursor {
   void SetClock(VirtualClock* clock) { clock_override_ = clock; }
 
  private:
-  uint64_t ProbeKey(const EquiProbe& p, bool* is_null) const;
-
-  /// Single-key postings with a per-depth cache. NextCandidate re-derives
-  /// the driving key and would otherwise re-probe the index on every
-  /// advance within one candidate window; postings are a pure function of
-  /// the key (the index is frozen), so the cache never needs invalidation
-  /// — a stale entry for a different key simply misses. `fresh` (optional)
-  /// reports whether this call actually fetched a new window.
-  HashIndex::Postings ProbePostings(int depth, const EquiProbe& p,
-                                    uint64_t key, bool* fresh = nullptr) const;
-
-  /// Prefetched descent: batch-probes the next step's driving index for a
-  /// window of this step's candidate positions (`cand`, positions of
-  /// steps_[depth].table). FindBatch overlaps the probe cache misses and
-  /// prefetches each hit's postings head, so by the time the loop descends
-  /// with one of these candidates bound, its postings run is (likely)
-  /// resident; the results land in the next depth's lookahead and are
-  /// consumed by ProbePostings without probing the index again.
-  /// No-op unless the next step's driver probes this step's table, or if
-  /// the next depth's lookahead was already gathered for `window_id`
-  /// (driver paths pass the probe key, scan paths the window start — the
-  /// identity of the candidate window, so repeated descents into one
-  /// window don't re-probe).
-  void BatchProbeNext(int depth, const int32_t* cand, size_t n,
-                      uint64_t window_id) const;
-
-  struct ProbeCache {
-    bool valid = false;
-    uint64_t key = 0;
-    HashIndex::Postings postings;
+  /// One depth's open postings window: [cur, end) is a suffix of the
+  /// driving key's postings run for the driver's other table's base row
+  /// `row`, with *cur the candidate returned last. The index is frozen and
+  /// a row's key never changes during a query, so a window stays valid for
+  /// as long as `row` is bound: there is nothing to invalidate, only a row
+  /// to compare.
+  struct Window {
+    const int32_t* cur = nullptr;
+    const int32_t* end = nullptr;
+    int64_t row = -1;  // -1: no open window
   };
 
-  /// Per-depth store of batch-probed (key, postings) pairs. Entries are
-  /// only ever compared by key, and key -> postings is immutable, so
-  /// leftover entries from an earlier window are harmless.
-  struct Lookahead {
-    /// Candidates batch-probed per window. Must be a power of two: scan
-    /// paths refill the lookahead at window-aligned positions.
-    static constexpr size_t kWay = 16;
-    struct Entry {
-      uint64_t key;
-      HashIndex::Postings postings;
-    };
-    Entry entries[kWay];
-    size_t count = 0;
-    /// Identity of the candidate window the entries were gathered for.
-    uint64_t window = 0;
-    bool window_valid = false;
+  /// The driving key's postings run for the other table's current binding
+  /// (empty for a NULL key): the one index probe.
+  HashIndex::Postings Run(const EquiProbe& p) const {
+    const int64_t row = binding_[static_cast<size_t>(p.other_table)];
+    if (p.other_keys.IsNull(row)) return {};  // a NULL key matches nothing
+    return p.index->Find(p.other_keys.Key(row));
+  }
 
-    const HashIndex::Postings* Find(uint64_t key) const {
-      for (size_t i = 0; i < count; ++i) {
-        if (entries[i].key == key) return &entries[i].postings;
-      }
-      return nullptr;
+  /// The part of Run(p) strictly after `pos`.
+  HashIndex::Postings After(const EquiProbe& p, int64_t pos) const {
+    const HashIndex::Postings run = Run(p);
+    const int32_t* it =
+        std::upper_bound(run.begin(), run.end(), static_cast<int32_t>(pos));
+    return {it, static_cast<size_t>(run.end() - it)};
+  }
+
+  /// Opens `depth`'s window on `rest` for the current binding of `p`'s
+  /// other table and returns its first candidate, or closes it and returns
+  /// -1 when `rest` is empty.
+  int64_t Open(int depth, const EquiProbe& p,
+               HashIndex::Postings rest) const {
+    Window& w = windows_[static_cast<size_t>(depth)];
+    if (rest.empty()) {
+      w.row = -1;
+      return -1;
     }
-  };
+    w.cur = rest.begin();
+    w.end = rest.end();
+    w.row = binding_[static_cast<size_t>(p.other_table)];
+    return *w.cur;
+  }
+
+  bool CheckResidual(int depth) const;
 
   const PreparedQuery* pq_;
   std::vector<JoinStep> steps_;
-  mutable std::vector<int64_t> binding_;  // base row per table
-  mutable std::vector<ProbeCache> probe_cache_;  // per depth
-  mutable std::vector<Lookahead> lookahead_;     // per depth
+  std::vector<int64_t> binding_;        // base row per table
+  mutable std::vector<Window> windows_;  // per depth
   VirtualClock* clock_override_ = nullptr;
 };
 

@@ -173,7 +173,8 @@ class JoinKeyView {
 /// column that appears in an equality join predicate (paper 4.5: "we
 /// create hash tables on all columns subject to equality predicates").
 /// Sorted postings make Skinner-C's "jump to the next matching tuple index"
-/// a single binary search, so execution state stays a plain index vector.
+/// a step along one run (one binary search when resuming at an arbitrary
+/// position), so execution state stays a plain index vector.
 ///
 /// Build() freezes the staged pairs into one of two layouts over a single
 /// postings arena that holds every key's ascending position run

@@ -47,7 +47,8 @@ struct Expr {
 
   // -- kLiteral --------------------------------------------------------
   Value literal;
-  int32_t literal_pool_id = -1;  // bound string literals: id in StringPool
+  // Bound string literals: id in StringPool, or -1 when absent from it.
+  int32_t literal_pool_id = -1;
 
   // -- kParam ----------------------------------------------------------
   int param_idx = -1;  // 0-based ordinal in SQL-text order

@@ -14,8 +14,7 @@ bool ProgressTree::LexLess(const std::vector<int64_t>& a,
 void ProgressTree::Backup(const std::vector<int>& order,
                           const JoinState& state) {
   Node* node = &root_;
-  std::vector<int64_t> frontier;
-  frontier.reserve(static_cast<size_t>(state.depth) + 1);
+  frontier_.clear();
   for (int k = 0; k <= state.depth; ++k) {
     int t = order[static_cast<size_t>(k)];
     auto it = node->children.find(t);
@@ -24,48 +23,45 @@ void ProgressTree::Backup(const std::vector<int>& order,
       ++num_nodes_;
     }
     node = it->second.get();
-    frontier.push_back(state.pos[static_cast<size_t>(k)]);
-    if (!node->has_frontier || LexLess(node->frontier, frontier)) {
-      node->frontier = frontier;
+    frontier_.push_back(state.pos[static_cast<size_t>(k)]);
+    if (!node->has_frontier || LexLess(node->frontier, frontier_)) {
+      node->frontier = frontier_;
       node->has_frontier = true;
     }
   }
   // Exact state on the deepest node reached for this order. We key the
   // exact state by the bound prefix (not the full order): resuming needs
   // exactly the bound positions.
-  node->exact = state;
-  node->exact.pos.resize(static_cast<size_t>(state.depth) + 1);
+  node->exact.depth = state.depth;
+  node->exact.pos.assign(state.pos.begin(),
+                         state.pos.begin() + state.depth + 1);
   node->has_exact = true;
 }
 
 bool ProgressTree::Restore(const std::vector<int>& order,
                            JoinState* state) const {
   const Node* node = &root_;
-  bool found = false;
-  std::vector<int64_t> best;   // resume positions
-  bool best_exact = false;
-  int exact_depth = 0;
+  const std::vector<int64_t>* best = nullptr;  // resume positions
+  int depth = 0;
   for (size_t k = 0; k < order.size(); ++k) {
     auto it = node->children.find(order[k]);
     if (it == node->children.end()) break;
     node = it->second.get();
     if (node->has_frontier &&
-        (!found || LexLess(best, node->frontier))) {
-      best = node->frontier;
-      best_exact = false;
-      found = true;
+        (best == nullptr || LexLess(*best, node->frontier))) {
+      best = &node->frontier;
+      depth = static_cast<int>(best->size()) - 1;
     }
-    if (node->has_exact && (!found || !LexLess(node->exact.pos, best))) {
-      best = node->exact.pos;
-      best_exact = true;
-      exact_depth = node->exact.depth;
-      found = true;
+    if (node->has_exact &&
+        (best == nullptr || !LexLess(node->exact.pos, *best))) {
+      best = &node->exact.pos;
+      depth = node->exact.depth;
     }
   }
-  if (!found) return false;
+  if (best == nullptr) return false;
   state->pos.assign(order.size(), -1);
-  for (size_t i = 0; i < best.size(); ++i) state->pos[i] = best[i];
-  state->depth = best_exact ? exact_depth : static_cast<int>(best.size()) - 1;
+  std::copy(best->begin(), best->end(), state->pos.begin());
+  state->depth = depth;
   return true;
 }
 

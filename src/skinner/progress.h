@@ -56,6 +56,7 @@ class ProgressTree {
   int num_tables_;
   Node root_;
   size_t num_nodes_ = 1;
+  std::vector<int64_t> frontier_;  // Backup's scratch prefix
 };
 
 /// Shared work-distribution and offset-publication board for parallel

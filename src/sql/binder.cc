@@ -124,7 +124,11 @@ Status Binder::BindExpr(Expr* e) {
       if (!e->literal.is_null()) {
         e->out_type = e->literal.type();
         if (e->literal.type() == DataType::kString) {
-          e->literal_pool_id = catalog_->string_pool()->Intern(e->literal.AsString());
+          // Lookup, not Intern: reads must not grow the database-wide pool.
+          // An absent literal (-1) equals no stored code; filters compare
+          // it by content instead.
+          e->literal_pool_id =
+              catalog_->string_pool()->Lookup(e->literal.AsString());
         }
       }
       return Status::OK();

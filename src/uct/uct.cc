@@ -21,13 +21,14 @@ JoinOrderUct::Node* JoinOrderUct::MakeNode(TableSet chosen) {
 
 int JoinOrderUct::SelectAction(const Node& node) {
   // Untried actions first (infinite upper confidence bound); random among
-  // them to avoid systematic bias.
-  std::vector<int> untried;
-  for (size_t a = 0; a < node.actions.size(); ++a) {
-    if (node.action_visits[a] == 0) untried.push_back(static_cast<int>(a));
-  }
-  if (!untried.empty()) {
-    return untried[rng_.Uniform(untried.size())];
+  // them to avoid systematic bias: draw r, then take the r-th untried one.
+  uint64_t untried = 0;
+  for (int64_t v : node.action_visits) untried += v == 0 ? 1 : 0;
+  if (untried > 0) {
+    uint64_t r = rng_.Uniform(untried);
+    for (size_t a = 0;; ++a) {
+      if (node.action_visits[a] == 0 && r-- == 0) return static_cast<int>(a);
+    }
   }
   double log_vp = std::log(static_cast<double>(std::max<int64_t>(node.visits, 1)));
   double best = -1;

@@ -99,14 +99,23 @@ TEST_F(BinderTest, TypeErrors) {
   EXPECT_FALSE(Bind("SELECT -b FROM t").ok());          // negate string
 }
 
-TEST_F(BinderTest, StringLiteralsInterned) {
-  auto q = Bind("SELECT * FROM t WHERE b = 'hello'");
-  ASSERT_TRUE(q.ok());
-  std::vector<Expr*> conjuncts;
-  SplitConjuncts(q.value().where.get(), &conjuncts);
-  const Expr& lit = *conjuncts[0]->children[1];
-  EXPECT_GE(lit.literal_pool_id, 0);
-  EXPECT_EQ(catalog_.string_pool()->Get(lit.literal_pool_id), "hello");
+// Binding looks string literals up in the pool and never interns them, so
+// read traffic cannot grow it: a stored string binds to its code, an absent
+// one to -1 (which equals no stored code).
+TEST_F(BinderTest, StringLiteralsLookedUpNotInterned) {
+  StringPool* pool = catalog_.string_pool();
+  const int32_t hello = pool->Intern("hello");
+  const size_t size = pool->size();
+  auto literal_id = [&](const std::string& sql) {
+    auto q = Bind(sql);
+    EXPECT_TRUE(q.ok());
+    std::vector<Expr*> conjuncts;
+    SplitConjuncts(q.value().where.get(), &conjuncts);
+    return conjuncts[0]->children[1]->literal_pool_id;
+  };
+  EXPECT_EQ(literal_id("SELECT * FROM t WHERE b = 'hello'"), hello);
+  EXPECT_EQ(literal_id("SELECT * FROM t WHERE b = 'absent'"), -1);
+  EXPECT_EQ(pool->size(), size);
 }
 
 TEST_F(BinderTest, UdfBinding) {

@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <random>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "baselines/reopt.h"
 #include "common/hash_util.h"
-
+#include "engine/block.h"
+#include "engine/forced_order.h"
 #include "engine/multiway_join.h"
+#include "skinner/skinner_c.h"
 #include "sql/parser.h"
 
 namespace skinner {
@@ -117,6 +121,142 @@ class PreparedQueryTest : public ::testing::Test {
         }
         tab->CommitRow();
       }
+    }
+  }
+
+  /// Table z (240 rows): a Zipf-distributed key over [0, 12) (long
+  /// postings runs: key 0 holds about a third of the rows), the same key as
+  /// a fractional double (Swiss layout) and as an integral double, ~10%
+  /// NULLs.
+  void BuildZipfTable() {
+    auto made = catalog_.CreateTable("z", Schema({{"zk", DataType::kInt64},
+                                                  {"zd", DataType::kDouble},
+                                                  {"zi", DataType::kDouble}}));
+    ASSERT_TRUE(made.ok());
+    Table* tab = made.value();
+    std::mt19937_64 rng(91);
+    double total = 0;
+    for (int k = 0; k < 12; ++k) total += 1.0 / (k + 1);
+    for (int r = 0; r < 240; ++r) {
+      if (rng() % 10 == 0) {
+        for (int c = 0; c < 3; ++c) tab->mutable_column(c)->AppendNull();
+        tab->CommitRow();
+        continue;
+      }
+      double u = std::uniform_real_distribution<double>(0, total)(rng);
+      int k = 0;
+      while (k < 11 && (u -= 1.0 / (k + 1)) > 0) ++k;
+      tab->mutable_column(0)->AppendInt(k);
+      tab->mutable_column(1)->AppendDouble(k + 0.5);
+      tab->mutable_column(2)->AppendDouble(k);
+      tab->CommitRow();
+    }
+  }
+
+  /// Every tuple of filtered positions (table-indexed) passing all join
+  /// predicates, by EvalPredicate. Enumerates depth-first in FROM order and
+  /// tests each predicate as soon as its tables are bound.
+  static std::set<std::vector<int32_t>> BruteForceJoin(
+      const QueryInfo& info, const PreparedQuery& pq) {
+    const int m = pq.num_tables();
+    std::set<std::vector<int32_t>> rows;
+    std::vector<int32_t> pos(static_cast<size_t>(m), -1);
+    std::vector<int64_t> base(static_cast<size_t>(m), 0);
+    const EvalContext ctx = pq.MakeEvalContext(base.data());
+    auto descend = [&](auto&& self, int t) -> void {
+      if (t == m) {
+        rows.insert(pos);
+        return;
+      }
+      for (int64_t p = 0; p < pq.cardinality(t); ++p) {
+        pos[static_cast<size_t>(t)] = static_cast<int32_t>(p);
+        base[static_cast<size_t>(t)] = pq.base_row(t, p);
+        bool pass = true;
+        for (const PredInfo& jp : info.join_preds()) {
+          const TableSet bound = (TableSet{1} << (t + 1)) - 1;
+          if ((jp.tables & TableBit(t)) != 0 && (jp.tables & ~bound) == 0) {
+            pass = pass && EvalPredicate(*jp.expr, ctx);
+          }
+        }
+        if (pass) self(self, t + 1);
+      }
+    };
+    descend(descend, 0);
+    return rows;
+  }
+
+  /// A result set's tuples; also expects no tuple to appear twice.
+  static std::set<std::vector<int32_t>> Rows(const ResultSet& out) {
+    std::set<std::vector<int32_t>> rows;
+    out.ForEach([&](const int32_t* t) {
+      rows.emplace(t, t + out.width());
+    });
+    EXPECT_EQ(rows.size(), out.size()) << "duplicate result tuples";
+    return rows;
+  }
+
+  static std::string OrderString(const std::vector<int>& order) {
+    std::string s;
+    for (int t : order) s += std::to_string(t);
+    return s;
+  }
+
+  /// Random Bind / FirstCandidate / NextCandidate call patterns on `order`
+  /// against the driving equality evaluated by brute force over the step's
+  /// positions. Each round opens a depth's postings window, then re-binds
+  /// a shallower depth without calling FirstCandidate again and asks for
+  /// the candidate after the window's current one — exactly where a stale
+  /// window's *cur equals the position passed in.
+  static void CheckRebindsAgainstFreshProbes(const PreparedQuery& pq,
+                                             const std::vector<int>& order) {
+    const int m = static_cast<int>(order.size());
+    JoinCursor cursor(&pq, BuildJoinSteps(pq, order));
+    std::mt19937_64 rng(static_cast<uint64_t>(order[0]) * 131 + 7);
+    auto bind_random = [&](int d) {
+      const int64_t card = pq.cardinality(order[static_cast<size_t>(d)]);
+      if (card > 0) cursor.Bind(d, static_cast<int64_t>(rng() % card));
+      return card > 0;
+    };
+    // The driving equality's next match after `pos`, by brute force.
+    auto oracle_next = [&](int d, int64_t pos) -> int64_t {
+      const JoinStep& s = cursor.steps()[static_cast<size_t>(d)];
+      if (s.driver < 0) return pos + 1 < s.card ? pos + 1 : -1;
+      const EquiProbe& e = s.eq[static_cast<size_t>(s.driver)];
+      const int64_t other =
+          cursor.bindings()[static_cast<size_t>(e.other_table)];
+      if (e.other_keys.IsNull(other)) return -1;
+      for (int64_t q = pos + 1; q < s.card; ++q) {
+        if (!e.this_keys.IsNull(s.rows[q]) &&
+            e.this_keys.Key(s.rows[q]) == e.other_keys.Key(other)) {
+          return q;
+        }
+      }
+      return -1;
+    };
+    for (int round = 0; round < 300; ++round) {
+      bool bound = true;
+      for (int d = 0; d + 1 < m; ++d) bound = bound && bind_random(d);
+      if (!bound) return;
+      const int depth = 1 + static_cast<int>(rng() % (m - 1));
+      int64_t p = cursor.FirstCandidate(depth, 0);
+      ASSERT_EQ(p, oracle_next(depth, -1));
+      // Walk a few steps through the window, then re-bind a shallower
+      // depth (or not) and continue from the same position.
+      for (int step = static_cast<int>(rng() % 4); step > 0 && p >= 0;
+           --step) {
+        const int64_t next = cursor.NextCandidate(depth, p);
+        ASSERT_EQ(next, oracle_next(depth, p));
+        p = next;
+      }
+      if (p < 0) continue;
+      if (rng() % 4 != 0) bind_random(static_cast<int>(rng() % depth));
+      ASSERT_EQ(cursor.NextCandidate(depth, p), oracle_next(depth, p))
+          << "depth " << depth << " after re-bind";
+      // An arbitrary position, not the window's, must also be answered.
+      const uint64_t card = static_cast<uint64_t>(
+          pq.cardinality(order[static_cast<size_t>(depth)]));
+      const int64_t any = static_cast<int64_t>(rng() % card);
+      ASSERT_EQ(cursor.NextCandidate(depth, any), oracle_next(depth, any));
     }
   }
 
@@ -374,66 +514,117 @@ TEST_F(PreparedQueryTest, JoinKeysAndBothLayoutsMatchBruteForceEquality) {
 }
 
 // JoinCursor reads every join key through the per-Prepare key views: the
-// driving probe, the non-driving equality checks and the batched lookahead.
-// In both join orders its result over mixed-type key columns (NULLs,
-// doubles against ints, strings, values beyond 2^53), after unary filters,
-// must equal a brute-force EvalPredicate join over the filtered positions.
+// driving probe and the non-driving equality checks. In every join order
+// its result over mixed-type key columns (NULLs, doubles against ints,
+// strings, values beyond 2^53, Swiss-layout double keys, Zipf-long postings
+// runs), after unary filters, must equal a brute-force EvalPredicate join
+// over the filtered positions — and so must every engine built on it
+// (forced order, Block, Reopt, Skinner-C at one and four workers).
+// NextCandidate's postings window must also survive callers that re-bind a
+// shallower depth without a fresh FirstCandidate.
 TEST_F(PreparedQueryTest, JoinCursorOverKeyViewsMatchesBruteForceJoin) {
   BuildMixedKeyTables();
-  for (const char* where :
-       {"t.dense = u.dense AND t.dbl = u.ddense",
-        "t.ddense = u.dense AND t.str = u.str AND t.big < u.big",
-        "t.sparse = u.sparse AND t.bigdense = u.bigdense AND u.dense > -12",
-        "t.dense = u.dbl AND t.ddense = u.ddense AND t.str <> u.str",
-        "t.big = u.big AND t.dense = u.ddense AND t.sparse <> 0"}) {
-    SCOPED_TRACE(where);
-    auto p = Prepare(std::string("SELECT COUNT(*) FROM t, u WHERE ") + where);
+  BuildZipfTable();
+  bool saw_swiss_driver = false;
+  bool saw_long_run = false;
+  for (const char* query :
+       {"FROM t, u WHERE t.dense = u.dense AND t.dbl = u.ddense",
+        "FROM t, u WHERE t.ddense = u.dense AND t.str = u.str AND "
+        "t.big < u.big",
+        "FROM t, u WHERE t.sparse = u.sparse AND t.bigdense = u.bigdense AND "
+        "u.dense > -12",
+        "FROM t, u WHERE t.dense = u.dbl AND t.ddense = u.ddense AND "
+        "t.str <> u.str",
+        "FROM t, u WHERE t.big = u.big AND t.dense = u.ddense AND "
+        "t.sparse <> 0",
+        // Swiss-layout double keys, and int against double on that layout.
+        "FROM t, u WHERE t.dbl = u.dbl",
+        "FROM t, u WHERE t.dbl = u.dense AND u.str <> 'q'",
+        // Zipf-long postings runs, three tables (shallower re-binds).
+        "FROM t, z, u WHERE t.dense = z.zk AND z.zk = u.dense",
+        "FROM z, t, u WHERE z.zd = t.dbl AND z.zi = u.dense AND "
+        "t.sparse <> 0",
+        "FROM z a, z b WHERE a.zk = b.zk AND a.zd = b.zd",
+        "FROM z a, u, z b WHERE a.zi = u.ddense AND u.dense = b.zk AND "
+        "a.zk < b.zk"}) {
+    SCOPED_TRACE(query);
+    auto p = Prepare(std::string("SELECT COUNT(*) ") + query);
     const PreparedQuery& pq = *p.pq;
-    std::set<std::pair<int32_t, int32_t>> expect;
-    int64_t rows[2];
-    const EvalContext ctx = pq.MakeEvalContext(rows);
-    for (int64_t a = 0; a < pq.cardinality(0); ++a) {
-      for (int64_t b = 0; b < pq.cardinality(1); ++b) {
-        rows[0] = pq.base_row(0, a);
-        rows[1] = pq.base_row(1, b);
-        bool pass = true;
-        for (const PredInfo& jp : p.info->join_preds()) {
-          pass = pass && EvalPredicate(*jp.expr, ctx);
-        }
-        if (pass) {
-          expect.emplace(static_cast<int32_t>(a), static_cast<int32_t>(b));
+    const int m = pq.num_tables();
+    const std::set<std::vector<int32_t>> expect = BruteForceJoin(*p.info, pq);
+    EXPECT_FALSE(expect.empty());
+
+    std::vector<int> order(static_cast<size_t>(m));
+    for (int i = 0; i < m; ++i) order[static_cast<size_t>(i)] = i;
+    do {
+      SCOPED_TRACE("order " + OrderString(order));
+      JoinCursor cursor(&pq, BuildJoinSteps(pq, order));
+      // Every table joined to an earlier one by an equality is driven by
+      // an index probe; any further equality is a Check against the views.
+      for (int d = 1; d < m; ++d) {
+        const JoinStep& step = cursor.steps()[static_cast<size_t>(d)];
+        if (step.eq.empty()) continue;
+        ASSERT_GE(step.driver, 0);
+        const HashIndex* idx =
+            step.eq[static_cast<size_t>(step.driver)].index;
+        saw_swiss_driver = saw_swiss_driver || !idx->direct();
+        for (int64_t pos = 0; pos < step.card && !saw_long_run; ++pos) {
+          const JoinKeyView& keys =
+              step.eq[static_cast<size_t>(step.driver)].this_keys;
+          saw_long_run = !keys.IsNull(step.rows[pos]) &&
+                         idx->Find(keys.Key(step.rows[pos])).size() >= 40;
         }
       }
-    }
-    EXPECT_FALSE(expect.empty());
-    for (const std::vector<int>& order :
-         {std::vector<int>{0, 1}, std::vector<int>{1, 0}}) {
-      JoinCursor cursor(&pq, BuildJoinSteps(pq, order));
-      // The second table is driven by an index probe; any further
-      // equality is a Check against the views.
-      ASSERT_GE(cursor.steps()[1].driver, 0);
       JoinState state;
-      state.pos.assign(2, 0);
+      state.pos.assign(static_cast<size_t>(m), 0);
       MultiwayJoinSpec spec;
       spec.left_to = pq.cardinality(order[0]);
       VirtualClock clock;
       spec.clock = &clock;
       cursor.SetClock(&clock);
       JoinLoopStats stats;
-      std::set<std::pair<int32_t, int32_t>> got;
+      std::set<std::vector<int32_t>> got;
       size_t emitted = 0;
       const JoinLoopExit exit = MultiwayJoinLoop(
           &cursor, order, spec, &state, &stats,
           [&](const PosTuple& tuple) {
             ++emitted;
-            got.emplace(tuple[0], tuple[1]);
+            got.insert(tuple);
           },
           [](int64_t) {});
       EXPECT_EQ(exit, JoinLoopExit::kCompleted);
       EXPECT_EQ(emitted, got.size()) << "duplicate result tuples";
-      EXPECT_EQ(got, expect) << "order " << order[0] << "," << order[1];
+      EXPECT_EQ(got, expect);
+
+      CheckRebindsAgainstFreshProbes(pq, order);
+
+      ResultSet forced(m);
+      EXPECT_TRUE(ExecuteForcedOrder(pq, order, {}, &forced).completed);
+      EXPECT_EQ(Rows(forced), expect) << "forced";
+      ResultSet block(m);
+      EXPECT_TRUE(ExecuteBlock(pq, order, {}, &block).completed);
+      EXPECT_EQ(Rows(block), expect) << "block";
+    } while (std::next_permutation(order.begin(), order.end()));
+
+    for (int threads : {1, 4}) {
+      SkinnerCOptions opts;
+      opts.num_threads = threads;
+      opts.slice_budget = 7;  // many suspensions and order switches
+      SkinnerCEngine engine(&pq, opts);
+      ResultSet out(m);
+      ASSERT_TRUE(engine.Run(&out).ok());
+      EXPECT_EQ(Rows(out), expect)
+          << "skinner-c T=" << threads;
     }
+    StatsManager stats_mgr;
+    Estimator estimator(&stats_mgr);
+    ReoptEngine reopt(&pq, &estimator, ReoptOptions{});
+    ResultSet out(m);
+    ASSERT_TRUE(reopt.Run(&out).ok());
+    EXPECT_EQ(Rows(out), expect) << "reopt";
   }
+  EXPECT_TRUE(saw_swiss_driver);
+  EXPECT_TRUE(saw_long_run);
 }
 
 }  // namespace

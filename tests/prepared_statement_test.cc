@@ -407,5 +407,66 @@ TEST_F(PreparedStatementTest, RandomizedTemplatesMatchLiteralQueries) {
   }
 }
 
+// Read traffic never grows the database-wide string pool: string literals
+// and string parameters are looked up, not interned. A string absent from
+// the pool binds to id -1 and is compared by content, so the counts for
+// present, absent and later-inserted strings equal the interpreter's
+// (BruteForceCount evaluates the bound WHERE clause row by row), through
+// Query and through a PreparedStatement alike.
+TEST_F(PreparedStatementTest, ReadsDoNotGrowTheStringPool) {
+  ASSERT_TRUE(db_.Execute("CREATE TABLE strs (s STRING)").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO strs VALUES ('lit_1'), ('lit_2'), "
+                          "('lit_2'), (NULL)")
+                  .ok());
+  const StringPool* pool = db_.catalog()->string_pool();
+  auto stmt = db_.default_session()->Prepare(
+      "SELECT COUNT(*) FROM strs WHERE s = ?");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  // Prepared while 'late' is in no row and not in the pool.
+  auto late_stmt = db_.default_session()->Prepare(
+      "SELECT COUNT(*) FROM strs WHERE s = 'late'");
+  ASSERT_TRUE(late_stmt.ok()) << late_stmt.status().ToString();
+  auto interpreter = [&](const std::string& sql) -> int64_t {
+    auto bound = db_.Bind(sql);
+    EXPECT_TRUE(bound.ok()) << sql;
+    return bound.ok() ? testing::BruteForceCount(&db_, *bound.value()) : -1;
+  };
+  auto execute = [](PreparedStatement* ps,
+                    std::vector<Value> params) -> int64_t {
+    auto out = ps->Execute(std::move(params));
+    if (!out.ok() || out.value().result.rows.size() != 1) return -1;
+    return out.value().result.rows[0][0].AsInt();
+  };
+  auto sql_for = [](const std::string& lit) {
+    return "SELECT COUNT(*) FROM strs WHERE s = '" + lit + "'";
+  };
+
+  const size_t size = pool->size();
+  for (int i = 0; i < 10000; ++i) {
+    const std::string lit = "lit_" + std::to_string(i);
+    const int64_t expect = interpreter(sql_for(lit));
+    ASSERT_EQ(expect, i == 1 ? 1 : i == 2 ? 2 : 0) << lit;
+    ASSERT_EQ(testing::RunCount(&db_, sql_for(lit), {}), expect) << lit;
+    if (i % 10 == 0 || i < 3) {
+      ASSERT_EQ(execute(stmt.value().get(), {Value::String(lit)}), expect)
+          << lit;
+    }
+  }
+  EXPECT_EQ(pool->size(), size);
+
+  // Strings inserted after the reads (and after a statement was prepared
+  // with one of them as an absent literal) are found by every path.
+  ASSERT_TRUE(
+      db_.Execute("INSERT INTO strs VALUES ('lit_77'), ('late')").ok());
+  for (const std::string lit : {"lit_77", "late", "lit_2", "lit_78"}) {
+    const int64_t expect = interpreter(sql_for(lit));
+    EXPECT_EQ(expect, lit == "lit_2" ? 2 : lit == "lit_78" ? 0 : 1) << lit;
+    EXPECT_EQ(testing::RunCount(&db_, sql_for(lit), {}), expect) << lit;
+    EXPECT_EQ(execute(stmt.value().get(), {Value::String(lit)}), expect)
+        << lit;
+  }
+  EXPECT_EQ(execute(late_stmt.value().get(), {}), 1);
+}
+
 }  // namespace
 }  // namespace skinner
