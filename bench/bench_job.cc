@@ -22,13 +22,13 @@ constexpr uint64_t kDeadline = 30'000'000;  // virtual units per query
 
 /// One paper claim checked against this run's totals: Skinner-C's value
 /// should be lower than Volcano's (the optimizer-driven stand-in).
-void PrintShapeCheck(const char* label, const char* what, uint64_t skinner,
-                     uint64_t volcano) {
-  std::printf("Shape check (%s): Skinner-C should lead on %s: Skinner-C %s, "
-              "Volcano %s: %s\n",
-              label, what, FormatCount(skinner).c_str(),
-              FormatCount(volcano).c_str(),
-              skinner < volcano ? "holds" : "does not reproduce");
+void CheckLeadsVolcano(const char* label, const char* what, uint64_t skinner,
+                       uint64_t volcano) {
+  PrintShapeCheck(label, StrFormat("Skinner-C should lead on %s", what),
+                  StrFormat("Skinner-C %s, Volcano %s",
+                            FormatCount(skinner).c_str(),
+                            FormatCount(volcano).c_str()),
+                  skinner < volcano);
 }
 
 void RunConfig(Database* db, const JobWorkload& w, const char* label,
@@ -132,10 +132,10 @@ void RunConfig(Database* db, const JobWorkload& w, const char* label,
               metric_prefix,
               static_cast<unsigned long long>(all_totals[4].total_cost));
   // The paper's headline, computed from the totals above.
-  PrintShapeCheck(label, "Total Card.", all_totals[0].total_intermediate,
-                  all_totals[1].total_intermediate);
-  PrintShapeCheck(label, "Max Cost", all_totals[0].max_cost,
-                  all_totals[1].max_cost);
+  CheckLeadsVolcano(label, "Total Card.", all_totals[0].total_intermediate,
+                    all_totals[1].total_intermediate);
+  CheckLeadsVolcano(label, "Max Cost", all_totals[0].max_cost,
+                    all_totals[1].max_cost);
 }
 
 }  // namespace

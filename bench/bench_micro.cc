@@ -83,12 +83,14 @@ void BM_ProgressBackupRestore(benchmark::State& state) {
 BENCHMARK(BM_ProgressBackupRestore)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_HashIndexProbe(benchmark::State& state) {
-  HashIndex index;
   const int64_t n = state.range(0);
+  Column keys(DataType::kInt64);
+  std::vector<int32_t> rows(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
-    index.Add(static_cast<uint64_t>(i % 97), static_cast<int32_t>(i));
+    keys.AppendInt(i % 97);
+    rows[static_cast<size_t>(i)] = static_cast<int32_t>(i);
   }
-  index.Build();
+  const HashIndex index(JoinKeyView(keys), rows);
   uint64_t key = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.Find(key));

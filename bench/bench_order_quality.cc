@@ -5,7 +5,10 @@
 // Paper shape: Skinner's final orders improve every engine relative to its
 // own optimizer, and land close to the true optimum.
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "benchgen/job.h"
 #include "benchgen/runner.h"
@@ -18,6 +21,8 @@ using namespace skinner::bench;
 namespace {
 
 constexpr uint64_t kDeadline = 30'000'000;
+/// "Close to the true optimum" in the paper's shape, as a cost ratio.
+constexpr double kNearOptimal = 1.5;
 
 struct OrderSource {
   const char* label;
@@ -92,20 +97,50 @@ int main() {
   TablePrinter table({"Engine", "Order", "Total Cost", "Max Cost"});
   table.AddRow({"Skinner", "Skinner", FormatCount(skinner_total),
                 FormatCount(skinner_max)});
+  struct EngineTotals {
+    const char* name;
+    uint64_t original = 0;
+    uint64_t skinner = 0;
+    uint64_t optimal = 0;
+  };
+  std::vector<EngineTotals> checks;
   for (EngineKind engine : {EngineKind::kVolcano, EngineKind::kBlock}) {
-    const char* engine_name =
-        engine == EngineKind::kVolcano ? "Volcano (PG-like)" : "Block (MDB-like)";
-    for (const OrderSource* src :
-         {&optimizer_orders, &skinner_orders, &optimal_orders}) {
+    EngineTotals& e = checks.emplace_back();
+    e.name = engine == EngineKind::kVolcano ? "Volcano (PG-like)"
+                                            : "Block (MDB-like)";
+    const std::pair<const OrderSource*, uint64_t*> sources[] = {
+        {&optimizer_orders, &e.original},
+        {&skinner_orders, &e.skinner},
+        {&optimal_orders, &e.optimal}};
+    for (const auto& [src, total] : sources) {
       uint64_t max_cost = 0;
-      uint64_t total = RunOrders(&db, w, engine, src->orders, &max_cost);
-      table.AddRow({engine_name, src->label, FormatCount(total),
-                    FormatCount(max_cost)});
+      *total = RunOrders(&db, w, engine, src->orders, &max_cost);
+      table.AddRow(
+          {e.name, src->label, FormatCount(*total), FormatCount(max_cost)});
     }
   }
   table.Print();
-  std::printf(
-      "\nShape check vs paper: within each engine, Skinner orders beat the\n"
-      "original optimizer and sit close to the Optimal row.\n");
+  // The paper's shape, computed per engine from the totals above.
+  std::printf("\n");
+  for (const EngineTotals& e : checks) {
+    PrintShapeCheck(e.name,
+                    "Skinner orders should beat the original optimizer's "
+                    "on Total Cost",
+                    StrFormat("Skinner %s, Original %s",
+                              FormatCount(e.skinner).c_str(),
+                              FormatCount(e.original).c_str()),
+                    e.skinner < e.original);
+    const double over_optimal =
+        static_cast<double>(e.skinner) /
+        std::max(1.0, static_cast<double>(e.optimal));
+    PrintShapeCheck(e.name,
+                    StrFormat("Skinner orders should land within %.1fx of "
+                              "Optimal on Total Cost",
+                              kNearOptimal),
+                    StrFormat("Skinner %s, Optimal %s (%.2fx)",
+                              FormatCount(e.skinner).c_str(),
+                              FormatCount(e.optimal).c_str(), over_optimal),
+                    over_optimal <= kNearOptimal);
+  }
   return 0;
 }

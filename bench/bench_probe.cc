@@ -1,30 +1,21 @@
-// Microbenchmark for the batched HashIndex probe path (paper Section 4.5:
-// the execution core must be "as fast as the hardware allows" for learning
+// Microbenchmark for the HashIndex probe path (paper Section 4.5: the
+// execution core must be "as fast as the hardware allows" for learning
 // overhead to stay negligible):
-//  (a) single-key Find() vs FindBatch() probes/sec on a cache-cold index
-//      over uniform random keys. The Find() baseline models the join step
-//      loop's access pattern — each probe key is produced from the
-//      previous probe's postings, a dependent chain — while FindBatch
-//      probes a candidate window whose keys are known up front, winning on
-//      memory-level parallelism (32 hashed probes prefetched ahead of
-//      resolution). An independent-key Find() loop (out-of-order execution
-//      overlapping probes on its own) is also reported for transparency;
-//  (b) adaptive chunk splitting on a Zipf-skewed parallel query: the
-//      number of publication-board splits the skew triggers;
-//  (c) the direct-address layout against the Swiss table: the same ids
-//      staged once as dense keys (direct layout) and once scrambled by
+//  (a) the direct-address layout against the Swiss table: the same ids
+//      indexed once as dense keys (direct layout) and once scrambled by
 //      HashMix64 (Swiss layout), equal key and posting counts, both probed
-//      through FindBatch with the same id stream.
+//      through Find() — the join cursor's probe — with the same id stream;
+//  (b) adaptive chunk splitting on a Zipf-skewed parallel query: the
+//      number of publication-board splits the skew triggers.
 //
-// Every path must produce the identical checksum: batching and the layout
-// are never allowed to be observable in results, only in wall time.
+// Both layouts must produce the identical checksum: the layout is never
+// allowed to be observable in results, only in wall time.
 //
 // CI-gated via RESULT metrics (bench/compare_benchmarks.py):
-//   - batch_vs_scalar_ratio >= 2x is the acceptance floor (also enforced
-//     by the exit code), gated against >25% regressions;
-//   - dense_vs_hash_batch_ratio >= 1x: the direct layout is a fast path
-//     and must keep measuring faster than the Swiss table it replaces
-//     (exit code), gated against >25% regressions;
+//   - dense_vs_hash_ratio >= 1x: the direct layout is a fast path and must
+//     keep measuring faster than the Swiss table it replaces (exit code),
+//     gated against >25% regressions;
+//   - chunk_splits >= 1 (exit code): the skewed query must split;
 //   - probes/sec values are recorded for trajectory tracking (wall-clock,
 //     not gated).
 
@@ -54,10 +45,10 @@ double NowSeconds() {
       .count();
 }
 
-/// Sum over the probe results that every probe path must reproduce
-/// exactly: posting counts plus the first posting of each non-empty run
-/// (reading the run head makes the arena access part of the measured
-/// dependency chain, as it is in the join's descent).
+/// Sum over the probe results that both layouts must reproduce exactly:
+/// posting counts plus the first posting of each non-empty run (reading
+/// the run head makes the arena access part of the measured probe, as it
+/// is in the join's descent).
 uint64_t Checksum(const HashIndex::Postings& p) {
   return p.count + (p.empty() ? 0 : static_cast<uint64_t>(p.data[0]) + 1);
 }
@@ -67,48 +58,9 @@ struct ProbeRate {
   uint64_t checksum = 0;
 };
 
-/// Scalar Find() the way the join's step loop issues it: each probe's key
-/// is only known after the previous probe's postings were read (the
-/// descent selects the next candidate row from the run it just fetched),
-/// so consecutive probes form a dependent chain the CPU cannot overlap.
-/// `dep` is always zero, but it flows from the previous checksum through
-/// an opaque AND into the next key, reproducing that dependence without
-/// changing any key. This is the baseline FindBatch exists to beat: the
-/// batch path probes a whole candidate window whose keys are known up
-/// front, with no such chain.
-ProbeRate MeasureScalarChained(const HashIndex& idx,
-                               const std::vector<uint64_t>& probes,
-                               int rounds) {
-  ProbeRate out;
-  uint64_t dep = 0;
-  double t0 = NowSeconds();
-  for (int r = 0; r < rounds; ++r) {
-    for (uint64_t key : probes) {
-      out.checksum += Checksum(idx.Find(key ^ dep));
-      dep = out.checksum;
-#if defined(__x86_64__)
-      // dep := 0, but only after `out.checksum` (and thus the probe's
-      // postings read) resolves; `and $0` is not a dependency-breaking
-      // idiom, so the address of the next probe waits on this.
-      asm volatile("andq $0, %0" : "+r"(dep));
-#else
-      dep &= 0;
-#endif
-    }
-  }
-  double secs = NowSeconds() - t0;
-  out.mprobes_per_sec =
-      static_cast<double>(probes.size()) * rounds / secs / 1e6;
-  return out;
-}
-
-/// Scalar Find() over an array of pre-known keys: iterations are
-/// independent, so out-of-order execution already overlaps several probes
-/// (an optimistic upper bound the step loop never reaches; reported for
-/// transparency).
-ProbeRate MeasureScalarIndependent(const HashIndex& idx,
-                                   const std::vector<uint64_t>& probes,
-                                   int rounds) {
+/// Find() over an array of keys, `rounds` passes.
+ProbeRate MeasureFind(const HashIndex& idx, const std::vector<uint64_t>& probes,
+                      int rounds) {
   ProbeRate out;
   double t0 = NowSeconds();
   for (int r = 0; r < rounds; ++r) {
@@ -120,29 +72,10 @@ ProbeRate MeasureScalarIndependent(const HashIndex& idx,
   return out;
 }
 
-ProbeRate MeasureBatch(const HashIndex& idx,
-                       const std::vector<uint64_t>& probes, int rounds) {
-  constexpr size_t kChunk = 1024;
-  std::vector<HashIndex::Postings> out_buf(kChunk);
-  ProbeRate out;
-  double t0 = NowSeconds();
-  for (int r = 0; r < rounds; ++r) {
-    for (size_t i = 0; i < probes.size(); i += kChunk) {
-      size_t n = std::min(kChunk, probes.size() - i);
-      idx.FindBatch(probes.data() + i, n, out_buf.data());
-      for (size_t j = 0; j < n; ++j) out.checksum += Checksum(out_buf[j]);
-    }
-  }
-  double secs = NowSeconds() - t0;
-  out.mprobes_per_sec =
-      static_cast<double>(probes.size()) * rounds / secs / 1e6;
-  return out;
-}
-
-/// Median probe rate of `runs` alternating FindBatch passes over two
-/// indexes (alternation spreads host drift over both), with each index's
-/// checksum from its last pass.
-std::pair<ProbeRate, ProbeRate> MeasureBatchPair(
+/// Median probe rate of `runs` alternating Find passes over two indexes
+/// (alternation spreads host drift over both), with each index's checksum
+/// from its last pass.
+std::pair<ProbeRate, ProbeRate> MeasureFindPair(
     const HashIndex& a, const std::vector<uint64_t>& probes_a,
     const HashIndex& b, const std::vector<uint64_t>& probes_b, int runs,
     int rounds) {
@@ -151,8 +84,8 @@ std::pair<ProbeRate, ProbeRate> MeasureBatchPair(
   ProbeRate out_a;
   ProbeRate out_b;
   for (int r = 0; r < runs; ++r) {
-    out_a = MeasureBatch(a, probes_a, rounds);
-    out_b = MeasureBatch(b, probes_b, rounds);
+    out_a = MeasureFind(a, probes_a, rounds);
+    out_b = MeasureFind(b, probes_b, rounds);
     rate_a.push_back(out_a.mprobes_per_sec);
     rate_b.push_back(out_b.mprobes_per_sec);
   }
@@ -202,90 +135,49 @@ void BuildZipfDb(Database* db, int m, int64_t rows, int64_t domain, double s,
 }  // namespace
 
 int main() {
-  std::printf("bench_probe: batched HashIndex probe path\n");
+  std::printf("bench_probe: HashIndex probe layouts\n");
 
-  // (a) Cache-cold probe rates: 1M distinct keys -> a 2M-slot table
-  // (~38 MiB of slots+tags+arena), straddling the LLC, probed with
-  // uniform random present keys. (Much larger tables become page-walk
-  // bound — three random pages per probe — which caps the scalar and
-  // batch paths identically and measures the TLB, not the probe path.)
+  // (a) Direct-address vs Swiss layout: ids 0..kKeys-1, one posting each,
+  // indexed as themselves (dense) and as HashMix64(id) (scrambled), both
+  // built from an int64 column over identity rows and probed with the same
+  // uniform id stream. 1M ids make a ~38 MiB Swiss table straddling the
+  // LLC, so probes are cache-cold. (Much larger tables become page-walk
+  // bound and measure the TLB, not the probe path.)
   constexpr int64_t kKeys = 1'000'000;
   constexpr size_t kProbes = 2'000'000;
   constexpr int kRounds = 3;
-  HashIndex idx;
+  Column dense_keys(DataType::kInt64);
+  Column hash_keys(DataType::kInt64);
+  std::vector<int32_t> rows(static_cast<size_t>(kKeys));
   for (int64_t i = 0; i < kKeys; ++i) {
-    idx.Add(static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull,
-            static_cast<int32_t>(i % 1'000'000));
+    dense_keys.AppendInt(i);
+    hash_keys.AppendInt(
+        static_cast<int64_t>(HashMix64(static_cast<uint64_t>(i))));
+    rows[static_cast<size_t>(i)] = static_cast<int32_t>(i);
   }
-  idx.Build();
-  std::printf("index: %zu keys, %zu slots, %.1f MiB\n", idx.num_keys(),
-              idx.num_slots(), static_cast<double>(idx.bytes()) / (1 << 20));
-
+  const HashIndex dense_idx(JoinKeyView(dense_keys), rows);
+  const HashIndex hash_idx(JoinKeyView(hash_keys), rows);
   std::mt19937_64 rng(42);
-  std::vector<uint64_t> probes(kProbes);
-  for (auto& k : probes) {
-    k = static_cast<uint64_t>(rng() % kKeys) * 0x9E3779B97F4A7C15ull;
-  }
-
-  // Warm the page tables (not the caches: the working set does not fit).
-  MeasureScalarIndependent(idx, probes, 1);
-
-  ProbeRate scalar = MeasureScalarChained(idx, probes, kRounds);
-  ProbeRate scalar_indep = MeasureScalarIndependent(idx, probes, kRounds);
-  ProbeRate batch = MeasureBatch(idx, probes, kRounds);
-
-  TablePrinter rates({"Path", "Mprobes/s", "vs chained Find"});
-  auto row = [&](const char* name, const ProbeRate& r) {
-    rates.AddRow({name, StrFormat("%.2f", r.mprobes_per_sec),
-                  StrFormat("%.2fx",
-                            r.mprobes_per_sec / scalar.mprobes_per_sec)});
-  };
-  row("Find (step-loop chain)", scalar);
-  row("Find (independent keys)", scalar_indep);
-  row("FindBatch", batch);
-  rates.Print();
-
-  bool checksums_ok = scalar.checksum == batch.checksum &&
-                      scalar.checksum == scalar_indep.checksum;
-  std::printf("checksums: find=%llu batch=%llu %s\n",
-              static_cast<unsigned long long>(scalar.checksum),
-              static_cast<unsigned long long>(batch.checksum),
-              checksums_ok ? "(identical)" : "(MISMATCH)");
-
-  double batch_ratio = batch.mprobes_per_sec / scalar.mprobes_per_sec;
-  double batch_vs_independent =
-      batch.mprobes_per_sec / scalar_indep.mprobes_per_sec;
-
-  // (c) Direct-address vs Swiss layout: ids 0..kKeys-1, one posting each,
-  // staged as themselves (dense) and as HashMix64(id) (scrambled), probed
-  // with the same uniform id stream through the batch path.
-  HashIndex dense_idx;
-  HashIndex hash_idx;
-  for (int64_t i = 0; i < kKeys; ++i) {
-    dense_idx.Add(static_cast<uint64_t>(i), static_cast<int32_t>(i));
-    hash_idx.Add(HashMix64(static_cast<uint64_t>(i)), static_cast<int32_t>(i));
-  }
-  dense_idx.Build();
-  hash_idx.Build();
   std::vector<uint64_t> dense_probes(kProbes);
   std::vector<uint64_t> hash_probes(kProbes);
   for (size_t i = 0; i < kProbes; ++i) {
     dense_probes[i] = rng() % kKeys;
     hash_probes[i] = HashMix64(dense_probes[i]);
   }
-  std::printf("\ndense index: %s, %.1f MiB; scrambled index: %s, %.1f MiB\n",
+  std::printf("dense index: %s, %.1f MiB; scrambled index: %s, %zu slots, "
+              "%.1f MiB\n",
               dense_idx.direct() ? "direct" : "swiss",
               static_cast<double>(dense_idx.bytes()) / (1 << 20),
-              hash_idx.direct() ? "direct" : "swiss",
+              hash_idx.direct() ? "direct" : "swiss", hash_idx.num_slots(),
               static_cast<double>(hash_idx.bytes()) / (1 << 20));
-  MeasureBatch(dense_idx, dense_probes, 1);  // warm the page tables
-  MeasureBatch(hash_idx, hash_probes, 1);
-  const auto [dense, hashed] = MeasureBatchPair(
+  MeasureFind(dense_idx, dense_probes, 1);  // warm the page tables
+  MeasureFind(hash_idx, hash_probes, 1);
+  const auto [dense, hashed] = MeasureFindPair(
       dense_idx, dense_probes, hash_idx, hash_probes, /*runs=*/5, kRounds);
   const bool layouts_ok = dense_idx.direct() && !hash_idx.direct() &&
                           dense.checksum == hashed.checksum;
   const double dense_ratio = dense.mprobes_per_sec / hashed.mprobes_per_sec;
-  TablePrinter layouts({"Layout", "FindBatch Mprobes/s", "vs Swiss"});
+  TablePrinter layouts({"Layout", "Find Mprobes/s", "vs Swiss"});
   layouts.AddRow({"direct (dense ids)", StrFormat("%.2f", dense.mprobes_per_sec),
                   StrFormat("%.2fx", dense_ratio)});
   layouts.AddRow({"Swiss (HashMix64 ids)",
@@ -303,8 +195,6 @@ int main() {
   ExecOptions opts;
   opts.engine = EngineKind::kSkinnerC;
   opts.skinner_threads = 4;
-  uint64_t chunk_splits = 0;
-  uint64_t skew_cost = 0;
   auto out = db.Query(
       "SELECT COUNT(*) FROM z0, z1, z2, z3 "
       "WHERE z0.k = z1.k AND z1.k = z2.k AND z2.k = z3.k",
@@ -313,27 +203,18 @@ int main() {
     std::printf("ERROR: %s\n", out.status().ToString().c_str());
     return 1;
   }
-  chunk_splits = out.value().stats.chunk_splits;
-  skew_cost = out.value().stats.total_cost;
+  const uint64_t chunk_splits = out.value().stats.chunk_splits;
   std::printf("skewed 4-worker query: cost=%llu chunk_splits=%llu\n",
-              static_cast<unsigned long long>(skew_cost),
+              static_cast<unsigned long long>(out.value().stats.total_cost),
               static_cast<unsigned long long>(chunk_splits));
 
-  std::printf("\nbatch_vs_scalar: %.2fx (target >= 2x on uniform keys; "
-              "vs independent-key loop: %.2fx)\n",
-              batch_ratio, batch_vs_independent);
-  std::printf("RESULT bench_probe scalar_mprobes_per_sec=%.2f "
-              "scalar_independent_mprobes_per_sec=%.2f "
-              "batch_mprobes_per_sec=%.2f batch_vs_scalar_ratio=%.2f\n",
-              scalar.mprobes_per_sec, scalar_indep.mprobes_per_sec,
-              batch.mprobes_per_sec, batch_ratio);
+  std::printf("RESULT bench_probe direct_mprobes_per_sec=%.2f "
+              "swiss_mprobes_per_sec=%.2f dense_vs_hash_ratio=%.2f\n",
+              dense.mprobes_per_sec, hashed.mprobes_per_sec, dense_ratio);
   std::printf("RESULT bench_probe chunk_splits=%llu\n",
               static_cast<unsigned long long>(chunk_splits));
-  std::printf("RESULT bench_probe dense_vs_hash_batch_ratio=%.2f\n",
-              dense_ratio);
 
-  bool ok = checksums_ok && batch_ratio >= 2.0 && chunk_splits >= 1 &&
-            layouts_ok && dense_ratio >= 1.0;
+  bool ok = layouts_ok && dense_ratio >= 1.0 && chunk_splits >= 1;
   if (!ok) std::printf("FAILED acceptance check\n");
   return ok ? 0 : 1;
 }

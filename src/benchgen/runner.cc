@@ -87,5 +87,11 @@ std::string FormatCount(uint64_t n) {
   return std::to_string(n);
 }
 
+void PrintShapeCheck(const std::string& label, const std::string& claim,
+                     const std::string& values, bool holds) {
+  std::printf("Shape check (%s): %s: %s: %s\n", label.c_str(), claim.c_str(),
+              values.c_str(), holds ? "holds" : "does not reproduce");
+}
+
 }  // namespace bench
 }  // namespace skinner

@@ -57,6 +57,12 @@ class TablePrinter {
 /// Formats a cost-unit count compactly (12345678 -> "12.3M").
 std::string FormatCount(uint64_t n);
 
+/// Prints one paper-shape check computed from measured numbers, as
+/// "Shape check (<label>): <claim>: <values>: holds" or "... does not
+/// reproduce".
+void PrintShapeCheck(const std::string& label, const std::string& claim,
+                     const std::string& values, bool holds);
+
 }  // namespace bench
 }  // namespace skinner
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <type_traits>
 
 #include "common/hash_util.h"
 #include "common/scheduler.h"
@@ -41,7 +40,7 @@ namespace {
 
 /// The (key, position) pairs of a key view over filtered rows: position p
 /// carries the key of base row rows[p], and NULL cells carry none. The
-/// pair source of HashIndex::BuildFrom, read in place of staged pairs.
+/// pair source every HashIndex build pass reads.
 struct ViewPairs {
   const JoinKeyView& keys;
   const std::vector<int32_t>& rows;
@@ -79,40 +78,18 @@ struct ViewPairs {
 
 }  // namespace
 
-void HashIndex::Build(Scheduler* sched, int max_threads) {
-  if (built_) return;
-  Freeze(staged_, staged_.size(), sched, max_threads);
-}
-
-size_t HashIndex::BuildFrom(const JoinKeyView& keys,
-                            const std::vector<int32_t>& rows, Scheduler* sched,
-                            int max_threads) {
-  assert(!built_ && staged_.empty() && "BuildFrom needs a fresh index");
-  // One counting pass: the key count and range that Add() would have
-  // tracked, which is all the layout choice reads.
-  const ViewPairs pairs{keys, rows};
+HashIndex::HashIndex(const JoinKeyView& keys,
+                     const std::vector<int32_t>& rows) {
+  // One counting pass: the pair count and key range, which is all the
+  // layout choice reads.
   size_t n = 0;
-  pairs.ForEach([&](uint64_t key, int32_t) {
+  ViewPairs{keys, rows}.ForEach([&](uint64_t key, int32_t) {
     ++n;
     const int64_t k = static_cast<int64_t>(key);
     if (k < key_min_) key_min_ = k;
     if (k > key_max_) key_max_ = k;
   });
-  Freeze(pairs, n, sched, max_threads);
-  return n;
-}
-
-template <class Pairs>
-void HashIndex::Freeze(const Pairs& pairs, size_t n, Scheduler* sched,
-                       int max_threads) {
-  built_ = true;
-  if (n == 0) {
-    num_keys_ = 0;
-    // Release any staging blocks even on the empty path so bytes() never
-    // charges the frozen index for build-time scratch.
-    staged_.Release();
-    return;
-  }
+  if (n == 0) return;
   // Swiss capacity: next power of two holding the pairs at or under
   // kMaxLoadPercent occupancy (the distinct-key count is bounded by the
   // pair count). This is the invariant that bounds every probe chain and
@@ -130,55 +107,16 @@ void HashIndex::Freeze(const Pairs& pairs, size_t n, Scheduler* sched,
       static_cast<uint64_t>(key_max_) - static_cast<uint64_t>(key_min_);
   const uint64_t swiss_bytes = cap * (sizeof(Slot) + sizeof(uint8_t));
   if (gap <= swiss_bytes / sizeof(uint32_t) - 2) {
-    BuildDirect(pairs, n, static_cast<size_t>(gap) + 1);
+    BuildDirect(keys, rows, n, static_cast<size_t>(gap) + 1);
   } else {
-    // The Swiss builds read staged pairs: a view source stages here.
-    if constexpr (!std::is_same_v<Pairs, StagingShard>) {
-      pairs.ForEach(
-          [&](uint64_t key, int32_t pos) { staged_.Append(key, pos); });
-    }
-    BuildSwiss(cap, sched, max_threads);
+    BuildSwiss(keys, rows, n, cap);
   }
-  // Release the staging blocks: the "exact heap footprint" contract of
-  // bytes() must not keep charging for scratch the index no longer needs.
-  staged_.Release();
 }
 
-void HashIndex::BuildSwiss(size_t cap, Scheduler* sched, int max_threads) {
-  mask_ = cap - 1;
-  slots_.assign(cap, Slot{});
-  tags_.assign(cap, 0);
-
-  // The algorithm is chosen by the data alone: worker count must never
-  // leak into the frozen layout (bit-identity across thread counts).
-  const size_t parts = NumPartitions(cap);
-  if (parts >= 2) {
-    BuildPartitioned(cap, parts, sched, max_threads);
-  } else {
-    BuildSequential();
-  }
-#ifndef NDEBUG
-  // Swiss-table invariants, independent of which build path ran: the load
-  // bound, tag/payload agreement, and chain reachability (every occupied
-  // slot is reachable from its key's home slot over occupied slots only,
-  // or Find() would stop at an empty tag and miss it).
-  assert(num_keys_ * 2 <= cap && "HashIndex load factor above 50%");
-  for (size_t i = 0; i < cap; ++i) {
-    if (slots_[i].len == 0) {
-      assert(tags_[i] == 0 && "empty slot carries a non-empty tag");
-      continue;
-    }
-    const uint64_t h = HashMix64(slots_[i].key);
-    assert(tags_[i] == TagOf(h) && "tag does not match the slot key");
-    for (size_t j = h & mask_; j != i; j = (j + 1) & mask_) {
-      assert(slots_[j].len != 0 && "probe chain crosses an empty slot");
-    }
-  }
-#endif
-}
-
-template <class Pairs>
-void HashIndex::BuildDirect(const Pairs& pairs, size_t n, size_t span) {
+void HashIndex::BuildDirect(const JoinKeyView& keys,
+                            const std::vector<int32_t>& rows, size_t n,
+                            size_t span) {
+  const ViewPairs pairs{keys, rows};
   const uint64_t base = static_cast<uint64_t>(key_min_);
   // Count: offsets_[k] = run length of key base + k.
   offsets_.assign(span + 1, 0);
@@ -209,12 +147,16 @@ void HashIndex::BuildDirect(const Pairs& pairs, size_t n, size_t span) {
 #endif
 }
 
-void HashIndex::BuildSequential() {
-  const size_t cap = slots_.size();
+void HashIndex::BuildSwiss(const JoinKeyView& keys,
+                           const std::vector<int32_t>& rows, size_t n,
+                           size_t cap) {
+  const ViewPairs pairs{keys, rows};
+  mask_ = cap - 1;
+  slots_.assign(cap, Slot{});
+  tags_.assign(cap, 0);
   // Pass 1: count the run length of every distinct key. Insertion probes
-  // linearly from h & mask — the same sequence every Find path walks.
-  staged_.ForEach([&](uint64_t key, int32_t pos) {
-    (void)pos;
+  // linearly from h & mask — the same sequence Find() walks.
+  pairs.ForEach([&](uint64_t key, int32_t) {
     const uint64_t h = HashMix64(key);
     size_t i = h & mask_;
     while (slots_[i].len != 0 && slots_[i].key != key) i = (i + 1) & mask_;
@@ -225,7 +167,6 @@ void HashIndex::BuildSequential() {
     }
     ++slots_[i].len;
   });
-  assert(num_keys_ * 2 <= cap && "HashIndex load factor above 50%");
   // Pass 2: assign arena offsets (prefix sum in slot order).
   uint32_t offset = 0;
   for (Slot& s : slots_) {
@@ -233,186 +174,37 @@ void HashIndex::BuildSequential() {
     s.offset = offset;
     offset += s.len;
   }
-  // Pass 3: scatter positions; insertion order per key is ascending, and a
-  // stable scatter preserves it, keeping every run sorted.
-  arena_.resize(staged_.size());
+  // Pass 3: scatter positions; pairs arrive in ascending position order,
+  // and a stable scatter preserves it, keeping every run sorted.
+  arena_.resize(n);
   std::vector<uint32_t> cursor(cap, 0);
-  staged_.ForEach([&](uint64_t key, int32_t pos) {
+  pairs.ForEach([&](uint64_t key, int32_t pos) {
     size_t i = HashMix64(key) & mask_;
     while (slots_[i].key != key) i = (i + 1) & mask_;
     arena_[slots_[i].offset + cursor[i]] = pos;
     ++cursor[i];
   });
-}
-
-void HashIndex::BuildPartitioned(size_t cap, size_t parts, Scheduler* sched,
-                                 int max_threads) {
-  // Deterministic partitioned freeze. The slot array splits into `parts`
-  // contiguous home-slot ranges (cap and parts are powers of two, so the
-  // ranges are equal); every staged pair belongs to the partition of its
-  // home slot. Each phase's output is a pure function of the staged data
-  // — parallel phases write disjoint state and sequential phases run in a
-  // fixed order — so the frozen layout is bit-identical for every worker
-  // count, including fully inline execution.
-  const size_t part_slots = cap / parts;
-  const size_t num_blocks = staged_.num_blocks();
-
-  // Pass 0 (parallel over staging blocks): count pairs per (block,
-  // partition) so routing below can scatter without contention.
-  std::vector<uint32_t> counts(num_blocks * parts, 0);
-  SchedParallelFor(sched, num_blocks, max_threads, [&](size_t b) {
-    const std::pair<uint64_t, int32_t>* pairs = staged_.block(b);
-    const size_t n = staged_.block_size(b);
-    uint32_t* row = counts.data() + b * parts;
-    for (size_t i = 0; i < n; ++i) {
-      ++row[(HashMix64(pairs[i].first) & mask_) / part_slots];
-    }
-  });
-
-  // Pass 1 (parallel over staging blocks): route pairs into one
-  // partition-major array. Within a partition, block regions appear in
-  // block order and pairs in append order, so partition p's stream is
-  // exactly the staged stream restricted to p — per-key ascending
-  // position order is preserved.
-  struct Routed {
-    uint64_t key;
-    int32_t pos;
-  };
-  std::vector<Routed> routed(staged_.size());
-  std::vector<size_t> part_begin(parts + 1, 0);
-  std::vector<size_t> offs(num_blocks * parts);
-  {
-    size_t off = 0;
-    for (size_t p = 0; p < parts; ++p) {
-      part_begin[p] = off;
-      for (size_t b = 0; b < num_blocks; ++b) {
-        offs[b * parts + p] = off;
-        off += counts[b * parts + p];
-      }
-    }
-    part_begin[parts] = off;
-    assert(off == staged_.size());
-  }
-  SchedParallelFor(sched, num_blocks, max_threads, [&](size_t b) {
-    const std::pair<uint64_t, int32_t>* pairs = staged_.block(b);
-    const size_t n = staged_.block_size(b);
-    size_t* cursor = offs.data() + b * parts;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t p = (HashMix64(pairs[i].first) & mask_) / part_slots;
-      routed[cursor[p]++] = {pairs[i].first, pairs[i].second};
-    }
-  });
-
-  // Pass 2 (parallel over partitions): linear-probe insert each
-  // partition's stream into its own slot range. Ranges are disjoint, so
-  // no two workers touch one slot. A probe chain reaching the range end
-  // is DEFERRED (not wrapped): whether it may continue depends on the
-  // next partition's occupancy, which is being built concurrently — the
-  // sequential spill pass below resolves all such chains in a fixed
-  // order instead.
-  std::vector<std::vector<size_t>> spill(parts);  // routed indices, in order
-  std::vector<size_t> part_keys(parts, 0);
-  SchedParallelFor(sched, parts, max_threads, [&](size_t p) {
-    const size_t end = (p + 1) * part_slots;
-    size_t keys = 0;
-    for (size_t r = part_begin[p]; r < part_begin[p + 1]; ++r) {
-      const uint64_t key = routed[r].key;
-      const uint64_t h = HashMix64(key);
-      size_t i = h & mask_;
-      for (;;) {
-        if (i == end) {
-          spill[p].push_back(r);
-          break;
-        }
-        if (slots_[i].len == 0) {
-          slots_[i].key = key;
-          tags_[i] = TagOf(h);
-          slots_[i].len = 1;
-          ++keys;
-          break;
-        }
-        if (slots_[i].key == key) {
-          ++slots_[i].len;
-          break;
-        }
-        ++i;
-      }
-    }
-    part_keys[p] = keys;
-  });
-  for (size_t p = 0; p < parts; ++p) num_keys_ += part_keys[p];
-
-  // Pass 3 (sequential): insert the spilled chains — partition order,
-  // stream order within a partition — probing the whole table with
-  // wraparound. Every partition-local placement already happened, so
-  // this order is fixed and the placements deterministic. Spills are
-  // rare: a chain must run from its home slot to a partition boundary
-  // unbroken, against the <= 50% load bound.
-  for (size_t p = 0; p < parts; ++p) {
-    for (size_t r : spill[p]) {
-      const uint64_t key = routed[r].key;
-      const uint64_t h = HashMix64(key);
-      size_t i = h & mask_;
-      while (slots_[i].len != 0 && slots_[i].key != key) i = (i + 1) & mask_;
-      if (slots_[i].len == 0) {
-        slots_[i].key = key;
-        tags_[i] = TagOf(h);
-        ++num_keys_;
-      }
-      ++slots_[i].len;
-    }
-  }
+#ifndef NDEBUG
+  // Swiss-table invariants: the load bound, tag/payload agreement, and
+  // chain reachability (every occupied slot is reachable from its key's
+  // home slot over occupied slots only, or Find() would stop at an empty
+  // tag and miss it).
   assert(num_keys_ * 2 <= cap && "HashIndex load factor above 50%");
-
-  // Pass 4 (sequential): arena offsets — prefix sum in slot order.
-  uint32_t offset = 0;
-  for (Slot& s : slots_) {
-    if (s.len == 0) continue;
-    s.offset = offset;
-    offset += s.len;
-  }
-
-  // Pass 5 (parallel over partitions, then sequential spill): stable
-  // scatter. A pair whose key stayed in-partition has its slot inside the
-  // partition's own range, so per-partition cursors never race; spilled
-  // pairs (whose slots may live anywhere) scatter afterwards in the same
-  // fixed order as pass 3. Either way each key's pairs arrive in staged
-  // order, keeping every posting run ascending.
-  arena_.resize(staged_.size());
-  std::vector<uint32_t> cursor(cap, 0);
-  SchedParallelFor(sched, parts, max_threads, [&](size_t p) {
-    const size_t end = (p + 1) * part_slots;
-    (void)end;  // assertion-only outside debug builds
-    const std::vector<size_t>& sp = spill[p];
-    size_t snext = 0;  // spill[p] is ascending: built in stream order
-    for (size_t r = part_begin[p]; r < part_begin[p + 1]; ++r) {
-      if (snext < sp.size() && sp[snext] == r) {
-        ++snext;  // spilled pair: the sequential pass below owns it
-        continue;
-      }
-      const uint64_t key = routed[r].key;
-      size_t i = HashMix64(key) & mask_;
-      while (slots_[i].len == 0 || slots_[i].key != key) {
-        ++i;
-        assert(i < end && "in-partition key not found in its own range");
-      }
-      arena_[slots_[i].offset + cursor[i]] = routed[r].pos;
-      ++cursor[i];
+  for (size_t i = 0; i < cap; ++i) {
+    if (slots_[i].len == 0) {
+      assert(tags_[i] == 0 && "empty slot carries a non-empty tag");
+      continue;
     }
-  });
-  for (size_t p = 0; p < parts; ++p) {
-    for (size_t r : spill[p]) {
-      const uint64_t key = routed[r].key;
-      size_t i = HashMix64(key) & mask_;
-      while (slots_[i].len == 0 || slots_[i].key != key) i = (i + 1) & mask_;
-      arena_[slots_[i].offset + cursor[i]] = routed[r].pos;
-      ++cursor[i];
+    const uint64_t h = HashMix64(slots_[i].key);
+    assert(tags_[i] == TagOf(h) && "tag does not match the slot key");
+    for (size_t j = h & mask_; j != i; j = (j + 1) & mask_) {
+      assert(slots_[j].len != 0 && "probe chain crosses an empty slot");
     }
   }
+#endif
 }
 
 uint64_t HashIndex::Fingerprint() const {
-  assert(built_ && "Fingerprint before Build() is meaningless");
   uint64_t h = 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(mask_);
   const auto mix = [&h](uint64_t v) { h = HashMix64(h ^ v); };
   mix(num_keys_);
@@ -433,68 +225,6 @@ uint64_t HashIndex::Fingerprint() const {
   // reads them, so a corrupt tag array must not fingerprint as identical.
   for (const uint8_t t : tags_) mix(t);
   return h;
-}
-
-namespace {
-/// Batch-kernel prefetch distance: hashing + tag/slot prefetching runs
-/// this many probes ahead of resolution, so by the time probe i resolves,
-/// its (random, usually cold) tag and payload lines have had a full
-/// pipeline's worth of work to arrive. A grouped prefetch-then-resolve
-/// scheme stalls at every group boundary — the first resolution starts
-/// one cycle after its own prefetch; the steady-state pipeline never
-/// does. This memory-level parallelism, not instruction count, is what
-/// makes the batch path several times faster than looped Find() on
-/// cache-cold tables. Must be a power of two (ring indexing).
-constexpr size_t kPrefetchDist = 32;
-}  // namespace
-
-void HashIndex::FindBatch(const uint64_t* keys, size_t n,
-                          Postings* out) const {
-  assert(built_ && "HashIndex::FindBatch before Build() misses every key");
-  if (direct()) {
-    const uint64_t base = static_cast<uint64_t>(key_min_);
-    const size_t span = offsets_.size() - 1;
-    for (size_t i = 0; i < n; ++i) {
-      if (i + kPrefetchDist < n) {
-        const uint64_t k = keys[i + kPrefetchDist] - base;
-        if (k < span) __builtin_prefetch(offsets_.data() + k, 0, 1);
-      }
-      const Postings p = FindDirect(keys[i]);
-      if (p.count != 0) __builtin_prefetch(p.data, 0, 1);
-      out[i] = p;
-    }
-    return;
-  }
-  if (slots_.empty()) {
-    for (size_t i = 0; i < n; ++i) out[i] = {};
-    return;
-  }
-  uint64_t hashes[kPrefetchDist];
-  const size_t lead = n < kPrefetchDist ? n : kPrefetchDist;
-  for (size_t i = 0; i < lead; ++i) {
-    const uint64_t h = HashMix64(keys[i]);
-    hashes[i] = h;
-    const size_t s = h & mask_;
-    __builtin_prefetch(tags_.data() + s, 0, 1);
-    __builtin_prefetch(slots_.data() + s, 0, 1);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    // Read the current probe's hash BEFORE the ahead-write: slot i of the
-    // ring is exactly the slot probe i + kPrefetchDist re-fills.
-    const uint64_t h = hashes[i & (kPrefetchDist - 1)];
-    const size_t ahead = i + kPrefetchDist;
-    if (ahead < n) {
-      const uint64_t ha = HashMix64(keys[ahead]);
-      hashes[ahead & (kPrefetchDist - 1)] = ha;
-      const size_t s = ha & mask_;
-      __builtin_prefetch(tags_.data() + s, 0, 1);
-      __builtin_prefetch(slots_.data() + s, 0, 1);
-    }
-    const Postings p = FindHashed(keys[i], h);
-    // Prefetch the postings head for the caller's binary-search jump.
-    if (p.data != nullptr) __builtin_prefetch(p.data, 0, 1);
-    out[i] = p;
-  }
 }
 
 namespace {
@@ -529,21 +259,6 @@ std::vector<int> EquiJoinColumns(const QueryInfo& info, int t) {
   std::sort(cols.begin(), cols.end());
   cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
   return cols;
-}
-
-/// Builds the frozen index of one (table, column) pair over the filtered
-/// positions; returns it with the virtual cost of the inserts. The unit of
-/// parallelism for pre-processing index builds: each call stages into its
-/// own HashIndex shard, so concurrent jobs share no growing allocation.
-std::pair<std::unique_ptr<HashIndex>, uint64_t> BuildColumnIndex(
-    const std::vector<const Table*>& tables, int t, int col,
-    const std::vector<int32_t>& filtered, Scheduler* sched, int max_threads) {
-  auto index = std::make_unique<HashIndex>();
-  // One unit per indexed key; NULL never equi-joins and is not indexed.
-  const uint64_t cost = index->BuildFrom(
-      JoinKeyView(tables[static_cast<size_t>(t)]->column(col)), filtered,
-      sched, max_threads);
-  return {std::move(index), cost};
 }
 
 /// Builds the artifacts of the tables in `fresh` into (*out)[t] and returns
@@ -620,22 +335,19 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
     filter_costs.push_back(job.cost);
   }
   // Phase B: one job per (table, column) index, so a single wide table
-  // cannot serialize the build and each worker stages into its own
-  // HashIndex shard (no contended/false-shared growing vector). Large
-  // indexes additionally run their partitioned Build phases on the same
-  // pool (nested ParallelFor; the caller participates).
+  // cannot serialize the build. Each job builds its own HashIndex straight
+  // from the column's key view, so concurrent jobs share no allocation.
   struct IndexJob {
     int t;
     int col;
     std::unique_ptr<HashIndex> index;
-    uint64_t cost = 0;
   };
   std::vector<IndexJob> ijobs;
   if (opts.build_hash_indexes) {
     for (int t : fresh) {
       if (built[static_cast<size_t>(t)]->filtered.empty()) continue;
       for (int col : EquiJoinColumns(info, t)) {
-        ijobs.push_back(IndexJob{t, col, nullptr, 0});
+        ijobs.push_back(IndexJob{t, col, nullptr});
       }
     }
   }
@@ -643,11 +355,9 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
       opts.scheduler, ijobs.size(), width,
       [&](size_t i) {
         IndexJob& job = ijobs[i];
-        auto [index, cost] = BuildColumnIndex(
-            tables, job.t, job.col, built[static_cast<size_t>(job.t)]->filtered,
-            opts.scheduler, width);
-        job.index = std::move(index);
-        job.cost = cost;
+        job.index = std::make_unique<HashIndex>(
+            JoinKeyView(tables[static_cast<size_t>(job.t)]->column(job.col)),
+            built[static_cast<size_t>(job.t)]->filtered);
       },
       /*min_grain=*/1);
   // Attach sequentially — unordered_map insertion is not thread-safe.
@@ -656,10 +366,12 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
   std::vector<uint64_t> index_costs;
   index_costs.reserve(ijobs.size());
   for (IndexJob& job : ijobs) {
+    // One unit per indexed key; NULL never equi-joins and is not indexed.
+    const uint64_t cost = job.index->num_postings();
     TableArtifact& a = *built[static_cast<size_t>(job.t)];
-    a.build_cost += job.cost;
+    a.build_cost += cost;
     a.indexes.emplace(job.col, std::move(job.index));
-    index_costs.push_back(job.cost);
+    index_costs.push_back(cost);
   }
   for (int t : fresh) {
     (*out)[static_cast<size_t>(t)] = std::move(built[static_cast<size_t>(t)]);

@@ -19,92 +19,6 @@ namespace skinner {
 class PreparedCache;
 class Scheduler;
 
-/// Per-builder staging shard for HashIndex construction. Append-only
-/// (key, position) pairs stored in fixed-size heap blocks, so concurrent
-/// index builds (parallel pre-processing builds one index per worker at
-/// (table, column) granularity) never share a growing allocation: a
-/// std::vector staging area reallocates-and-copies on growth and lets hot
-/// append cursors of different workers land on one cache line, while each
-/// shard here owns its blocks outright. Frozen into the index's single
-/// contiguous postings arena by HashIndex::Build().
-class StagingShard {
- public:
-  /// 2048 pairs * 12-16 bytes ~= one 24 KiB block: large enough that
-  /// block turnover is negligible, small enough that a tiny index does not
-  /// overallocate by more than one block.
-  static constexpr size_t kBlockPairs = 2048;
-
-  void Append(uint64_t key, int32_t pos) {
-    if (size_ == blocks_.size() * kBlockPairs) {
-      blocks_.push_back(std::make_unique<Block>());
-    }
-    Block& b = *blocks_.back();
-    b.pairs[size_ % kBlockPairs] = {key, pos};
-    ++size_;
-  }
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  /// Visits every staged pair in append order.
-  template <class Fn>
-  void ForEach(Fn&& fn) const {
-    size_t remaining = size_;
-    for (const auto& block : blocks_) {
-      const size_t n = remaining < kBlockPairs ? remaining : kBlockPairs;
-      for (size_t i = 0; i < n; ++i) {
-        fn(block->pairs[i].first, block->pairs[i].second);
-      }
-      remaining -= n;
-    }
-  }
-
-  /// Visits every staged pair in reverse append order (the counting sort's
-  /// stable backward scatter).
-  template <class Fn>
-  void ForEachReverse(Fn&& fn) const {
-    for (size_t b = num_blocks(); b-- > 0;) {
-      const std::pair<uint64_t, int32_t>* pairs = block(b);
-      for (size_t i = block_size(b); i-- > 0;) {
-        fn(pairs[i].first, pairs[i].second);
-      }
-    }
-  }
-
-  /// Block-granular random access (the partitioned Build routes staged
-  /// pairs morsel-by-morsel, one block per morsel, so workers touch
-  /// disjoint blocks). block(b) is valid for b < num_blocks().
-  size_t num_blocks() const { return (size_ + kBlockPairs - 1) / kBlockPairs; }
-  const std::pair<uint64_t, int32_t>* block(size_t b) const {
-    return blocks_[b]->pairs;
-  }
-  size_t block_size(size_t b) const {
-    const size_t remaining = size_ - b * kBlockPairs;
-    return remaining < kBlockPairs ? remaining : kBlockPairs;
-  }
-
-  /// Exact heap footprint (whole blocks; the unit of allocation).
-  size_t bytes() const {
-    return blocks_.size() * sizeof(Block) +
-           blocks_.capacity() * sizeof(std::unique_ptr<Block>);
-  }
-
-  /// Frees every block (Build() releases staging so frozen indexes stop
-  /// charging for build-time scratch).
-  void Release() {
-    std::vector<std::unique_ptr<Block>>().swap(blocks_);
-    size_ = 0;
-  }
-
- private:
-  struct Block {
-    std::pair<uint64_t, int32_t> pairs[kBlockPairs];
-  };
-
-  std::vector<std::unique_ptr<Block>> blocks_;
-  size_t size_ = 0;
-};
-
 /// Join key of a cell, normalized so that any two equality-joinable columns
 /// produce comparable keys whenever `EvalPredicate` considers the values
 /// equal, and so that dense id columns produce dense keys (HashIndex then
@@ -176,9 +90,10 @@ class JoinKeyView {
 /// a step along one run (one binary search when resuming at an arbitrary
 /// position), so execution state stays a plain index vector.
 ///
-/// Build() freezes the staged pairs into one of two layouts over a single
-/// postings arena that holds every key's ascending position run
-/// contiguously. The choice is a pure function of the staged keys:
+/// The constructor reads the (key, position) pairs of a join-key view over
+/// the filtered rows and freezes them into one of two layouts over a
+/// single postings arena that holds every key's ascending position run
+/// contiguously. The choice is a pure function of the keys:
 ///  - Direct-address (dense keys): an offsets array of span + 1 uint32_t,
 ///    where span = max key - min key + 1 (keys read as int64); key k's
 ///    run is arena[offsets[k - min], offsets[k - min + 1]). Built by one
@@ -190,22 +105,19 @@ class JoinKeyView {
 ///    array (0 = empty, else the key hash's top 7 bits with the high bit
 ///    set) split from the {key, offset, len} payload slots. The split
 ///    layout keeps the probe path touching one dense byte per rejected
-///    slot instead of a 16-byte payload, and FindBatch() pipelines many
-///    keys' probes so their cache misses overlap.
-/// Either layout is one cache miss per probe, allocation-free after
-/// Build(), and safely shareable read-only across engines and worker
-/// threads.
+///    slot instead of a 16-byte payload.
+/// Either layout is one cache miss per probe, allocation-free, and safely
+/// shareable read-only across engines and worker threads.
 ///
 /// Load factor: the Swiss table is sized to the next power of two holding
-/// the staged pairs at <= kMaxLoadPercent occupancy, so probe chains stay
+/// the indexed pairs at <= kMaxLoadPercent occupancy, so probe chains stay
 /// short and every probe loop is guaranteed to hit an empty tag — Find()
 /// can never spin on a full table (debug builds additionally assert a
 /// probe counter never exceeds the capacity).
 class HashIndex {
  public:
-  /// Maximum Swiss-table occupancy enforced by Build(): capacity is at
-  /// least twice the staged pair count (distinct keys <= pairs), i.e. load
-  /// <= 50%.
+  /// Maximum Swiss-table occupancy: capacity is at least twice the indexed
+  /// pair count (distinct keys <= pairs), i.e. load <= 50%.
   static constexpr size_t kMaxLoadPercent = 50;
 
   /// A key's ascending position run inside the shared arena. Empty (count
@@ -221,71 +133,26 @@ class HashIndex {
     int32_t operator[](size_t i) const { return data[i]; }
   };
 
-  /// Stages one (key, position) pair. Positions for a given key must be
-  /// added in ascending order (pre-processing scans positions 0..n), and
-  /// all adds must precede Build() — a late Add would be silently dropped.
-  void Add(uint64_t key, int32_t pos) {
-    assert(!built_ && "HashIndex::Add after Build() would be dropped");
-    staged_.Append(key, pos);
-    const int64_t k = static_cast<int64_t>(key);
-    if (k < key_min_) key_min_ = k;
-    if (k > key_max_) key_max_ = k;
-  }
-
-  /// Freezes the staged pairs into the direct-address or the Swiss-table
-  /// layout (see the class comment) over the postings arena. Idempotent;
-  /// must be called before Find().
-  ///
-  /// Layout and algorithm selection are a pure function of the DATA, never
-  /// of the execution width: dense keys run the sequential counting sort;
-  /// otherwise small stagings run the classic 3-pass sequential Swiss
-  /// build, and stagings large enough for >= 2 home-slot partitions run the
-  /// deterministic partitioned build (hash-partition the staged stream by
-  /// home-slot range, fill each partition's slot range independently,
-  /// spill boundary-crossing probe chains to a sequential pass), which the
-  /// scheduler overload below can execute morsel-parallel. Either way the
-  /// frozen layout — offsets, tags, slots, arena, bytes() — is
-  /// bit-identical for every worker count, because the layout, the
-  /// partition count and every insertion order within the algorithm depend
-  /// only on the staged pairs.
-  void Build() { Build(nullptr, 1); }
-
-  /// As Build(), executing the partitioned phases on up to `max_threads`
-  /// workers of `sched` (caller participates; null scheduler or width 1
-  /// runs the same algorithm inline). Output is bit-identical to Build().
-  void Build(Scheduler* sched, int max_threads);
-
   /// Builds the index of `keys` over the positions of `rows`: position p
-  /// carries keys.Key(rows[p]), and NULL cells are skipped. The frozen
-  /// layout is bit-identical to Add()-staging those pairs in position order
-  /// and calling Build(sched, max_threads); the direct layout counting-sorts
-  /// straight from the view and stages nothing. Call it on a fresh index,
-  /// instead of Add() and Build(). Returns the number of indexed keys.
-  size_t BuildFrom(const JoinKeyView& keys, const std::vector<int32_t>& rows,
-                   Scheduler* sched, int max_threads);
+  /// carries keys.Key(rows[p]), and NULL cells are skipped. The layout
+  /// (see the class comment) is a pure function of those pairs, so an
+  /// index is bit-identical however many pre-processing workers run.
+  HashIndex(const JoinKeyView& keys, const std::vector<int32_t>& rows);
 
-  /// The ascending position run for `key` (empty if no match). The
-  /// single-key probe; the batch entry point is FindBatch().
+  /// The ascending position run for `key` (empty if no match).
   Postings Find(uint64_t key) const {
-    assert(built_ && "HashIndex::Find before Build() misses every key");
     if (direct()) return FindDirect(key);
     if (slots_.empty()) return {};
     return FindHashed(key, HashMix64(key));
   }
 
-  /// Batch probe: out[i] = Find(keys[i]) for i in [0, n). A software
-  /// pipeline: hashing and tag/slot prefetching (offsets prefetching on
-  /// the direct layout) run a fixed distance ahead of resolution
-  /// (overlapping the cache misses that bound single-key probe latency),
-  /// and each hit's postings head is prefetched for the caller's
-  /// binary-search jump. Results are bit-identical to per-key Find().
-  void FindBatch(const uint64_t* keys, size_t n, Postings* out) const;
-
   size_t num_keys() const { return num_keys_; }
-  /// True when Build() chose the direct-address layout.
+  /// Indexed (key, position) pairs: one per non-NULL key cell of the rows,
+  /// i.e. the arena size. Pre-processing charges one cost unit per pair.
+  size_t num_postings() const { return arena_.size(); }
+  /// True when the constructor chose the direct-address layout.
   bool direct() const { return !offsets_.empty(); }
-  /// Swiss-table slots (0 before Build, for an empty index, or on the
-  /// direct layout).
+  /// Swiss-table slots (0 for an empty index or on the direct layout).
   size_t num_slots() const { return slots_.size(); }
 
   /// Order-sensitive hash of the frozen layout (offsets and key range, tags,
@@ -295,15 +162,13 @@ class HashIndex {
   /// through this.
   uint64_t Fingerprint() const;
 
-  /// Exact heap footprint. Before Build() this is dominated by the staging
-  /// shard's blocks; Build() releases the staging blocks, so the frozen
-  /// index accounts for exactly its offsets array (direct layout) or its
-  /// tag array and probe table (Swiss table), plus the postings arena.
+  /// Exact heap footprint: the offsets array (direct layout) or the tag
+  /// array and probe table (Swiss table), plus the postings arena.
   size_t bytes() const {
     return arena_.capacity() * sizeof(int32_t) +
            offsets_.capacity() * sizeof(uint32_t) +
            slots_.capacity() * sizeof(Slot) +
-           tags_.capacity() * sizeof(uint8_t) + staged_.bytes();
+           tags_.capacity() * sizeof(uint8_t);
   }
 
  private:
@@ -330,8 +195,8 @@ class HashIndex {
   }
 
   /// Single-key probe with a precomputed hash. The probe sequence (linear
-  /// from h & mask) is shared with Build()'s insertion, which is what makes
-  /// the tag filter a pure accelerator with identical results.
+  /// from h & mask) is shared with BuildSwiss()'s insertion, which is what
+  /// makes the tag filter a pure accelerator with identical results.
   Postings FindHashed(uint64_t key, uint64_t h) const {
     const uint8_t tag = TagOf(h);
     size_t i = h & mask_;
@@ -355,40 +220,15 @@ class HashIndex {
     }
   }
 
-  /// Slots per home-slot partition of the partitioned build; the staged
-  /// stream is routed by home slot / kPartitionSlots. Chosen so one
-  /// partition's slot+tag region (~64 KiB slots + 4 KiB tags) stays
-  /// cache-resident while a worker fills it.
-  static constexpr size_t kPartitionSlots = size_t{1} << 12;
-  static constexpr size_t kMaxPartitions = 64;
-  /// Partition count for a capacity: a pure function of the data-derived
-  /// table size (NEVER of worker count — determinism depends on it).
-  static size_t NumPartitions(size_t cap) {
-    const size_t p = cap / kPartitionSlots;
-    return p < kMaxPartitions ? p : kMaxPartitions;
-  }
-  /// Picks the layout for the `n` pairs of `pairs` (keys in [key_min_,
-  /// key_max_]) by the byte comparison and freezes them into it. `Pairs`
-  /// visits (key, position) in position order through ForEach and in
-  /// reverse through ForEachReverse: the staging shard, or a key view over
-  /// filtered rows. Releases the staging blocks.
-  template <class Pairs>
-  void Freeze(const Pairs& pairs, size_t n, Scheduler* sched, int max_threads);
-  /// The counting-sort freeze of `n` pairs into the direct layout over
+  /// The counting-sort freeze of the `n` pairs into the direct layout over
   /// `span` keys starting at key_min_.
-  template <class Pairs>
-  void BuildDirect(const Pairs& pairs, size_t n, size_t span);
-  /// The Swiss-table freeze at capacity `cap`: sequential or partitioned.
-  void BuildSwiss(size_t cap, Scheduler* sched, int max_threads);
-  /// The classic 3-pass sequential freeze (small stagings).
-  void BuildSequential();
-  /// The deterministic partitioned freeze (>= 2 partitions; optionally
-  /// morsel-parallel over `sched`).
-  void BuildPartitioned(size_t cap, size_t parts, Scheduler* sched,
-                        int max_threads);
+  void BuildDirect(const JoinKeyView& keys, const std::vector<int32_t>& rows,
+                   size_t n, size_t span);
+  /// The 3-pass Swiss-table freeze of the `n` pairs at capacity `cap`.
+  void BuildSwiss(const JoinKeyView& keys, const std::vector<int32_t>& rows,
+                  size_t n, size_t cap);
 
-  StagingShard staged_;  // released by Build()
-  // Staged key range, read as int64 (so small negative keys stay dense).
+  // Indexed key range, read as int64 (so small negative keys stay dense).
   int64_t key_min_ = INT64_MAX;
   int64_t key_max_ = INT64_MIN;
   // Direct layout: run bounds of keys key_min_ .. key_min_ + span - 1.
@@ -398,7 +238,6 @@ class HashIndex {
   std::vector<int32_t> arena_;
   size_t mask_ = 0;
   size_t num_keys_ = 0;
-  bool built_ = false;
 };
 
 /// The pre-processing artifact of ONE FROM-list table: the base rows
@@ -439,9 +278,9 @@ struct PrepareOptions {
   bool build_hash_indexes = true;
   /// Pre-processing width (paper Table 2/6: SkinnerDB parallelizes the
   /// pre-processing step only). Every fresh table's scan splits into
-  /// kFilterMorselRows morsels and every large index build partitions, so
-  /// even a single-table query scales; at width 1 each table is one filter
-  /// job. The charged virtual cost is the deterministic list-scheduled
+  /// kFilterMorselRows morsels, so even a single-table query scales, and
+  /// every (table, column) index is one build job; at width 1 each table
+  /// is one filter job. The charged virtual cost is the deterministic list-scheduled
   /// makespan of the build tasks at exactly this width
   /// (ListScheduleMakespan), whatever else the scheduler is running.
   int width = 1;

@@ -16,6 +16,7 @@
 #include "engine/multiway_join.h"
 #include "skinner/skinner_c.h"
 #include "sql/parser.h"
+#include "test_util.h"
 
 namespace skinner {
 namespace {
@@ -337,24 +338,19 @@ TEST_F(PreparedQueryTest, PreprocessCostCharged) {
   EXPECT_GE(clock_.now(), before + p.pq->preprocess_cost());
 }
 
-TEST(HashIndexBytesTest, BuildReleasesTheStagingBlocksExactly) {
-  // bytes() promises the *exact* heap footprint. Before Build() the
-  // staging blocks dominate; Build() releases them, so the frozen index is
+TEST(HashIndexBytesTest, SwissLayoutChargesSlotsTagsAndArenaExactly) {
+  // bytes() promises the *exact* heap footprint: a Swiss-table index is
   // charged for exactly the probe table, the tag array, and the postings
   // arena. Mixed keys keep the index on the Swiss-table layout.
   constexpr size_t kPairs = 1000;
-  constexpr size_t kStagedPairBytes = sizeof(std::pair<uint64_t, int32_t>);
-  HashIndex idx;
+  Column col(DataType::kInt64);
   for (size_t i = 0; i < kPairs; ++i) {
-    idx.Add(/*key=*/HashMix64(i % 100), /*pos=*/static_cast<int32_t>(i));
+    col.AppendInt(static_cast<int64_t>(HashMix64(i % 100)));
   }
-  EXPECT_GE(idx.bytes(), kPairs * kStagedPairBytes);  // staging dominates
-
-  idx.Build();
+  const HashIndex idx = testing::IndexOfColumn(col);
   ASSERT_FALSE(idx.direct());
-  // Frozen layout: a power-of-two slot table at <= 50% load over the
-  // staged pair count, one tag byte per slot, plus one arena int per
-  // staged pair — and zero staging bytes.
+  // A power-of-two slot table at <= 50% load over the pair count, one tag
+  // byte per slot, plus one arena int per pair.
   // Slot = {uint64 key, uint32 offset, uint32 len}.
   size_t cap = 16;
   while (cap < kPairs * 2) cap <<= 1;
@@ -363,27 +359,32 @@ TEST(HashIndexBytesTest, BuildReleasesTheStagingBlocksExactly) {
                              kPairs * sizeof(int32_t));
   EXPECT_EQ(idx.num_keys(), 100u);
   EXPECT_EQ(idx.num_slots(), cap);
+  EXPECT_EQ(idx.num_postings(), kPairs);
 }
 
 TEST(HashIndexBytesTest, DirectLayoutChargesOffsetsAndArenaExactly) {
-  // Dense keys (here -50 .. 49, with key 7 absent) freeze into the direct
-  // layout: span + 1 offsets and one arena int per staged pair, nothing
-  // else — no slots, no tags, no staging.
+  // Dense keys (here -50 .. 49, with key 7's cells NULL) freeze into the
+  // direct layout: span + 1 offsets and one arena int per indexed pair,
+  // nothing else — no slots, no tags.
   constexpr size_t kPairs = 1000;
-  HashIndex idx;
+  Column col(DataType::kInt64);
   for (size_t i = 0; i < kPairs; ++i) {
     const int64_t key = static_cast<int64_t>(i % 100) - 50;
-    if (key == 7) continue;
-    idx.Add(static_cast<uint64_t>(key), static_cast<int32_t>(i));
+    if (key == 7) {
+      col.AppendNull();
+    } else {
+      col.AppendInt(key);
+    }
   }
-  idx.Build();
+  const HashIndex idx = testing::IndexOfColumn(col);
   ASSERT_TRUE(idx.direct());
-  constexpr size_t kStaged = kPairs - kPairs / 100;
+  constexpr size_t kIndexed = kPairs - kPairs / 100;
   constexpr size_t kSpan = 100;
   EXPECT_EQ(idx.bytes(),
-            (kSpan + 1) * sizeof(uint32_t) + kStaged * sizeof(int32_t));
+            (kSpan + 1) * sizeof(uint32_t) + kIndexed * sizeof(int32_t));
   EXPECT_EQ(idx.num_keys(), 99u);
   EXPECT_EQ(idx.num_slots(), 0u);
+  EXPECT_EQ(idx.num_postings(), kIndexed);
   EXPECT_TRUE(idx.Find(7).empty());
   EXPECT_TRUE(idx.Find(static_cast<uint64_t>(int64_t{-51})).empty());
   EXPECT_TRUE(idx.Find(50).empty());
@@ -398,22 +399,27 @@ TEST(HashIndexBytesTest, LayoutFollowsTheByteComparison) {
   // 100 pairs -> a 256-slot Swiss table of 256 * 17 bytes, i.e. room for
   // 1088 uint32 offsets: a span of 1087 keys still goes direct, 1088 not.
   for (const auto& [span, direct] :
-       {std::pair<uint64_t, bool>{1087, true}, {1088, false}}) {
-    HashIndex idx;
-    for (int32_t i = 0; i < 99; ++i) idx.Add(static_cast<uint64_t>(i), i);
-    idx.Add(span - 1, 99);
-    idx.Build();
+       {std::pair<int64_t, bool>{1087, true}, {1088, false}}) {
+    Column col(DataType::kInt64);
+    for (int64_t i = 0; i < 99; ++i) col.AppendInt(i);
+    col.AppendInt(span - 1);
+    const HashIndex idx = testing::IndexOfColumn(col);
     EXPECT_EQ(idx.direct(), direct) << "span " << span;
-    EXPECT_EQ(idx.Find(span - 1).size(), 1u);
+    EXPECT_EQ(idx.Find(static_cast<uint64_t>(span - 1)).size(), 1u);
     EXPECT_EQ(idx.Find(98).size(), 1u);
-    EXPECT_TRUE(idx.Find(span).empty());
+    EXPECT_TRUE(idx.Find(static_cast<uint64_t>(span)).empty());
   }
 }
 
-TEST(HashIndexBytesTest, EmptyBuildHoldsNoHeap) {
-  HashIndex idx;
-  idx.Build();
+TEST(HashIndexBytesTest, EmptyIndexHoldsNoHeap) {
+  EXPECT_EQ(testing::IndexOfColumn(Column(DataType::kInt64)).bytes(), 0u);
+  // Every cell NULL: no pair is indexed, so nothing is allocated either.
+  Column nulls(DataType::kInt64);
+  for (int i = 0; i < 10; ++i) nulls.AppendNull();
+  const HashIndex idx = testing::IndexOfColumn(nulls);
   EXPECT_EQ(idx.bytes(), 0u);
+  EXPECT_EQ(idx.num_postings(), 0u);
+  EXPECT_TRUE(idx.Find(0).empty());
 }
 
 TEST_F(PreparedQueryTest, JoinKeyOfNormalizesTypes) {
@@ -450,9 +456,9 @@ TEST_F(PreparedQueryTest, JoinKeyOfNormalizesTypes) {
   }
 }
 
-// The key contract, end to end: for every probed value, Find and
-// FindBatch return exactly the positions a brute-force EvalPredicate
-// equality scan accepts — over dense and sparse ints, negatives, NULLs,
+// The key contract, end to end: for every probed value, Find returns
+// exactly the positions a brute-force EvalPredicate equality scan accepts
+// — over dense and sparse ints, negatives, NULLs,
 // doubles (signed zeros, fractions, denormals, huge values), int64 values
 // beyond 2^53, strings, and int64-vs-double joins — and both frozen layouts
 // occur among the indexes.
@@ -488,8 +494,6 @@ TEST_F(PreparedQueryTest, JoinKeysAndBothLayoutsMatchBruteForceEquality) {
         keys.push_back(JoinKeyOf(probe_col, r));
         probe_rows.push_back(r);
       }
-      std::vector<HashIndex::Postings> batch(keys.size());
-      idx->FindBatch(keys.data(), keys.size(), batch.data());
       for (size_t i = 0; i < keys.size(); ++i) {
         std::vector<int32_t> expect;
         int64_t rows[2];
@@ -502,9 +506,6 @@ TEST_F(PreparedQueryTest, JoinKeysAndBothLayoutsMatchBruteForceEquality) {
         }
         const HashIndex::Postings found = idx->Find(keys[i]);
         EXPECT_EQ(std::vector<int32_t>(found.begin(), found.end()), expect)
-            << "side " << side << " probe row " << probe_rows[i];
-        EXPECT_EQ(std::vector<int32_t>(batch[i].begin(), batch[i].end()),
-                  expect)
             << "side " << side << " probe row " << probe_rows[i];
       }
     }

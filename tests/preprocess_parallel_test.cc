@@ -1,7 +1,9 @@
 // Morsel-parallel pre-processing (paper 4.5: "pre-processing is
-// parallelized"): thread-count bit-identity of filter scans and
-// partitioned hash-index builds, the makespan cost model's sequential
-// anchor, and the PreparedCache claim-all protocol under contention.
+// parallelized"): hash-index builds against ground truth, thread-count
+// bit-identity of filter scans and of the artifacts built from them (one
+// index build job per (table, column)), the makespan cost model's
+// sequential anchor, and the PreparedCache claim-all protocol under
+// contention.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +20,6 @@
 #include "api/query_pipeline.h"
 #include "api/session.h"
 #include "common/hash_util.h"
-#include "common/scheduler.h"
 #include "exec/prepared_cache.h"
 #include "exec/prepared_query.h"
 #include "test_util.h"
@@ -26,39 +27,37 @@
 namespace skinner {
 namespace {
 
-// ---- hash-index build determinism -----------------------------------
+// ---- hash-index builds ----------------------------------------------
 
-/// Key of staged pair i: a fixed pseudo-random stream over `domain`
-/// distinct values, scrambled by HashMix64 (sparse keys: the Swiss-table
-/// layout) unless `dense`, which keeps them in [0, domain) (the
-/// direct-address layout).
-uint64_t StagedKey(int64_t i, int64_t domain, bool dense) {
+/// Key of position i: a fixed pseudo-random stream over `domain` distinct
+/// values, scrambled by HashMix64 (sparse keys: the Swiss-table layout)
+/// unless `dense`, which keeps them in [0, domain) (the direct-address
+/// layout).
+uint64_t IndexedKey(int64_t i, int64_t domain, bool dense) {
   const uint64_t id = HashMix64(static_cast<uint64_t>(i)) % domain;
   return dense ? id : HashMix64(id);
 }
 
-/// Stages n (key, position) pairs (positions ascending per key by
-/// construction) and freezes the index on `sched` at `threads` workers.
-std::unique_ptr<HashIndex> BuildIndex(int64_t n, int64_t domain,
-                                      Scheduler* sched, int threads,
-                                      bool dense = false) {
-  auto idx = std::make_unique<HashIndex>();
+/// The index of n positions, position i carrying IndexedKey(i, ...)
+/// (positions ascending per key by construction).
+HashIndex BuildIndex(int64_t n, int64_t domain, bool dense = false) {
+  Column col(DataType::kInt64);
   for (int64_t i = 0; i < n; ++i) {
-    idx->Add(StagedKey(i, domain, dense), static_cast<int32_t>(i));
+    col.AppendInt(static_cast<int64_t>(IndexedKey(i, domain, dense)));
   }
-  idx->Build(sched, threads);
-  return idx;
+  return testing::IndexOfColumn(col);
 }
 
-/// Every staged key's full ascending run, and no phantom postings for
+/// Every indexed key's full ascending run, and no phantom postings for
 /// absent keys.
 void ExpectMatchesGroundTruth(const HashIndex& idx, int64_t n, int64_t domain,
                               bool dense) {
   std::map<uint64_t, std::vector<int32_t>> truth;
   for (int64_t i = 0; i < n; ++i) {
-    truth[StagedKey(i, domain, dense)].push_back(static_cast<int32_t>(i));
+    truth[IndexedKey(i, domain, dense)].push_back(static_cast<int32_t>(i));
   }
   EXPECT_EQ(idx.num_keys(), truth.size());
+  EXPECT_EQ(idx.num_postings(), static_cast<size_t>(n));
   for (const auto& [key, rows] : truth) {
     HashIndex::Postings p = idx.Find(key);
     ASSERT_EQ(p.size(), rows.size()) << "key " << key;
@@ -71,78 +70,53 @@ void ExpectMatchesGroundTruth(const HashIndex& idx, int64_t n, int64_t domain,
   }
 }
 
-// 20k pairs force the partitioned algorithm (capacity 65536 => 16
-// home-slot partitions); the frozen layout must be bit-identical for
-// every worker count, including the sequential entry point.
-TEST(HashIndexParallelBuildTest, PartitionedBuildBitIdentical) {
+// 20k pairs over 3001 sparse keys: a 65536-slot Swiss table.
+TEST(HashIndexBuildTest, SwissBuildMatchesGroundTruth) {
   const int64_t n = 20000;
   const int64_t domain = 3001;
-  auto seq = BuildIndex(n, domain, nullptr, 1);
-  ASSERT_FALSE(seq->direct());
-  ASSERT_GT(seq->num_slots(), 0u);
-
-  Scheduler sched;
-  for (int threads : {2, 4, 8}) {
-    auto par = BuildIndex(n, domain, &sched, threads);
-    EXPECT_EQ(par->Fingerprint(), seq->Fingerprint()) << threads << " workers";
-    EXPECT_EQ(par->num_keys(), seq->num_keys());
-    EXPECT_EQ(par->num_slots(), seq->num_slots());
-  }
-  ExpectMatchesGroundTruth(*BuildIndex(n, domain, &sched, 8), n, domain,
-                           /*dense=*/false);
+  const HashIndex idx = BuildIndex(n, domain);
+  ASSERT_FALSE(idx.direct());
+  EXPECT_EQ(idx.num_slots(), size_t{1} << 16);
+  ExpectMatchesGroundTruth(idx, n, domain, /*dense=*/false);
 }
 
-// The same staging with dense keys freezes into the direct-address layout
-// (a counting sort), bit-identical for every worker count too.
-TEST(HashIndexParallelBuildTest, DirectBuildBitIdentical) {
+// The same stream with dense keys freezes into the direct-address layout
+// (a counting sort).
+TEST(HashIndexBuildTest, DirectBuildMatchesGroundTruth) {
   const int64_t n = 20000;
   const int64_t domain = 3001;
-  auto seq = BuildIndex(n, domain, nullptr, 1, /*dense=*/true);
-  ASSERT_TRUE(seq->direct());
-  EXPECT_EQ(seq->num_slots(), 0u);
-
-  Scheduler sched;
-  for (int threads : {2, 4, 8}) {
-    auto par = BuildIndex(n, domain, &sched, threads, /*dense=*/true);
-    EXPECT_EQ(par->Fingerprint(), seq->Fingerprint()) << threads << " workers";
-    EXPECT_EQ(par->bytes(), seq->bytes());
-  }
-  ExpectMatchesGroundTruth(*seq, n, domain, /*dense=*/true);
+  const HashIndex idx = BuildIndex(n, domain, /*dense=*/true);
+  ASSERT_TRUE(idx.direct());
+  EXPECT_EQ(idx.num_slots(), 0u);
+  ExpectMatchesGroundTruth(idx, n, domain, /*dense=*/true);
   // The two layouts over the same postings never fingerprint equal.
-  EXPECT_NE(BuildIndex(n, domain, nullptr, 1)->Fingerprint(),
-            seq->Fingerprint());
+  EXPECT_NE(BuildIndex(n, domain).Fingerprint(), idx.Fingerprint());
 }
 
-// Small stagings select the classic sequential algorithm whatever the
-// scheduler — algorithm choice is a function of the data, not the width.
-TEST(HashIndexParallelBuildTest, SmallIndexIdenticalWithScheduler) {
-  Scheduler sched;
-  auto seq = BuildIndex(500, 97, nullptr, 1);
-  auto par = BuildIndex(500, 97, &sched, 8);
-  EXPECT_FALSE(seq->direct());
-  EXPECT_EQ(par->Fingerprint(), seq->Fingerprint());
+TEST(HashIndexBuildTest, SmallSwissIndexMatchesGroundTruth) {
+  const HashIndex idx = BuildIndex(500, 97);
+  EXPECT_FALSE(idx.direct());
+  ExpectMatchesGroundTruth(idx, 500, 97, /*dense=*/false);
+  EXPECT_EQ(BuildIndex(500, 97).Fingerprint(), idx.Fingerprint());
 }
 
-TEST(HashIndexParallelBuildTest, EmptyAndSingleKeyIndexes) {
-  Scheduler sched;
-  HashIndex empty;
-  empty.Build(&sched, 8);
+TEST(HashIndexBuildTest, EmptyAndSingleKeyIndexes) {
+  const HashIndex empty = BuildIndex(0, 1);
   EXPECT_EQ(empty.num_keys(), 0u);
   EXPECT_TRUE(empty.Find(7).empty());
 
   // One key, 10k postings: a one-key span is always direct.
-  auto one_seq = BuildIndex(10000, 1, nullptr, 1);
-  auto one_par = BuildIndex(10000, 1, &sched, 8);
-  EXPECT_TRUE(one_seq->direct());
-  EXPECT_EQ(one_par->Fingerprint(), one_seq->Fingerprint());
-  EXPECT_EQ(one_par->Find(HashMix64(0)).size(), 10000u);
+  const HashIndex one = BuildIndex(10000, 1);
+  EXPECT_TRUE(one.direct());
+  EXPECT_EQ(one.Find(HashMix64(0)).size(), 10000u);
+  ExpectMatchesGroundTruth(one, 10000, 1, /*dense=*/false);
 }
 
 // ---- pipeline pre-processing bit-identity ---------------------------
 
 /// Filter-heavy chain workload: m tables large enough for several filter
-/// morsels and partitioned index builds. `k` is a dense join key (direct
-/// layout) and `s` a sparse image of it (Swiss-table layout).
+/// morsels each. `k` is a dense join key (direct layout) and `s` a sparse
+/// image of it (Swiss-table layout).
 void BuildFilterHeavyDb(Database* db, int m, int64_t rows, int64_t domain) {
   for (int t = 0; t < m; ++t) {
     const std::string name = "p" + std::to_string(t);
@@ -365,11 +339,11 @@ TEST(ParallelPreprocessTest, RandomizedResultsMatchSequential) {
   }
 }
 
-// ---- view-built artifacts vs an Add()-staged reference ---------------
+// ---- view-built artifacts vs brute force ----------------------------
 
 /// Two tables whose join columns cover every key shape the view serves:
-/// dense ints (direct layout), a sparse int image (Swiss layout, large
-/// enough for the partitioned build), negative dense ints, ints with NULLs,
+/// dense ints (direct layout), a sparse int image (Swiss layout), negative
+/// dense ints, ints with NULLs,
 /// and doubles (integral, fractional, -0.0, NULL) joined both with doubles
 /// and with an int64 column.
 void BuildKeyShapesDb(Database* db, int64_t rows) {
@@ -406,11 +380,11 @@ void BuildKeyShapesDb(Database* db, int64_t rows) {
   }
 }
 
-// Pre-processing builds every index straight from the join-key view (the
-// direct layout without staging). At every width the filtered rows must
-// equal a per-row EvalPredicate scan, and every index must fingerprint
-// equal to an Add(JoinKeyOf)-staged reference built at the same width.
-TEST(ParallelPreprocessTest, ViewBuiltIndexesMatchAddStagedReference) {
+// Pre-processing builds every index straight from the join-key view. At
+// every width the filtered rows must equal a per-row EvalPredicate scan,
+// every index's postings must equal a brute-force JoinKeyOf map over those
+// rows, and every index must fingerprint equal to its width-1 build.
+TEST(ParallelPreprocessTest, ViewBuiltIndexesMatchBruteForceAtEveryWidth) {
   Database db;
   BuildKeyShapesDb(&db, 9000);
   // A few deleted rows: the filter scan drops them in the same pass.
@@ -420,7 +394,7 @@ TEST(ParallelPreprocessTest, ViewBuiltIndexesMatchAddStagedReference) {
       "AND v0.sparse = v1.sparse AND v0.neg = v1.neg AND v0.nul = v1.nul "
       "AND v0.dbl = v1.dbl AND v0.dense = v1.dbl AND v0.f < 70 "
       "AND (v1.f <> 3 OR v1.nul IS NULL)";
-  Scheduler sched;
+  std::map<std::pair<int, int>, uint64_t> width1_fp;  // by (table, column)
   for (int width : {1, 2, 4, 8}) {
     SCOPED_TRACE("width " + std::to_string(width));
     QueryPipeline pipe(db.catalog(), db.udfs(), db.stats_manager(),
@@ -437,7 +411,6 @@ TEST(ParallelPreprocessTest, ViewBuiltIndexesMatchAddStagedReference) {
     const PreparedQuery& pq = *stage.value().pq;
     int direct = 0;
     int swiss = 0;
-    int partitioned = 0;
     for (int t = 0; t < pq.num_tables(); ++t) {
       const Table& table = *pq.table(t);
       std::vector<int32_t> expect_rows;
@@ -457,27 +430,37 @@ TEST(ParallelPreprocessTest, ViewBuiltIndexesMatchAddStagedReference) {
       for (int col = 0; col < 5; ++col) {
         const HashIndex* idx = pq.index(t, col);
         ASSERT_NE(idx, nullptr) << "table " << t << " column " << col;
+        SCOPED_TRACE("table " + std::to_string(t) + " column " +
+                     std::to_string(col));
         const Column& c = table.column(col);
-        HashIndex ref;
+        std::map<uint64_t, std::vector<int32_t>> truth;
+        size_t pairs = 0;
         for (size_t p = 0; p < rows.size(); ++p) {
           if (c.IsNull(rows[p])) continue;
-          ref.Add(JoinKeyOf(c, rows[p]), static_cast<int32_t>(p));
+          truth[JoinKeyOf(c, rows[p])].push_back(static_cast<int32_t>(p));
+          ++pairs;
         }
-        ref.Build(&sched, width);
-        EXPECT_EQ(idx->Fingerprint(), ref.Fingerprint())
-            << "table " << t << " column " << col;
-        EXPECT_EQ(idx->bytes(), ref.bytes())
-            << "table " << t << " column " << col;
+        EXPECT_EQ(idx->num_keys(), truth.size());
+        EXPECT_EQ(idx->num_postings(), pairs);
+        for (const auto& [key, positions] : truth) {
+          const HashIndex::Postings found = idx->Find(key);
+          EXPECT_EQ(std::vector<int32_t>(found.begin(), found.end()),
+                    positions)
+              << "key " << key;
+        }
+        const auto [it, first] =
+            width1_fp.emplace(std::make_pair(t, col), idx->Fingerprint());
+        if (!first) {
+          EXPECT_EQ(idx->Fingerprint(), it->second);
+        }
         ++(idx->direct() ? direct : swiss);
-        partitioned += idx->num_slots() >= 8192;
       }
     }
     // Both layouts occur: dense, neg and nul are direct; sparse and dbl
-    // (whose fractional values take mixed keys) take the partitioned Swiss
-    // build on both tables.
+    // (whose fractional values take mixed keys) are Swiss tables on both
+    // tables.
     EXPECT_EQ(direct, 6);
     EXPECT_EQ(swiss, 4);
-    EXPECT_EQ(partitioned, 4);
   }
 }
 

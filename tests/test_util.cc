@@ -205,5 +205,11 @@ std::string CanonicalRows(const QueryResult& result) {
   return out;
 }
 
+HashIndex IndexOfColumn(const Column& col) {
+  std::vector<int32_t> rows(static_cast<size_t>(col.size()));
+  for (size_t r = 0; r < rows.size(); ++r) rows[r] = static_cast<int32_t>(r);
+  return HashIndex(JoinKeyView(col), rows);
+}
+
 }  // namespace testing
 }  // namespace skinner

@@ -6,6 +6,8 @@
 
 #include "api/database.h"
 #include "common/rng.h"
+#include "exec/prepared_query.h"
+#include "storage/column.h"
 
 namespace skinner {
 namespace testing {
@@ -55,6 +57,11 @@ int64_t RunCount(Database* db, const std::string& sql, const ExecOptions& opts);
 /// Canonical string rendering of a result (rows sorted), for comparing
 /// engine outputs that may differ in row order.
 std::string CanonicalRows(const QueryResult& result);
+
+/// The HashIndex of column `col` over identity rows: position p carries
+/// row p's join key, and NULL cells are not indexed. Tests build a
+/// standalone index from an int64 column of chosen keys through this.
+HashIndex IndexOfColumn(const Column& col);
 
 }  // namespace testing
 }  // namespace skinner
