@@ -56,8 +56,9 @@ void BM_UctChoose(benchmark::State& state) {
   UctOptions opts;
   JoinOrderUct uct(fx.info.get(), opts);
   Rng rng(7);
+  std::vector<int> order;
   for (auto _ : state) {
-    std::vector<int> order = uct.Choose();
+    uct.Choose(&order);
     benchmark::DoNotOptimize(order);
     uct.RewardUpdate(order, rng.NextDouble());
   }

@@ -45,39 +45,37 @@ std::unique_ptr<Session> Database::CreateSession(const ExecOptions& defaults) {
 }
 
 Status Database::Execute(const std::string& sql) {
-  // Exclusive: catalog mutation, row appends and in-place mutations wait
-  // for running queries (shared holders) and block new ones until done.
-  std::unique_lock<std::shared_mutex> ddl_lock(ddl_mu_);
   SKINNER_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
+  if (stmt.kind == Statement::Kind::kSelect) {
+    return Status::InvalidArgument("use Query() for SELECT statements");
+  }
+  // Writers serialize among themselves; queries keep running on the
+  // versions they pinned and see this statement once it is published.
+  std::lock_guard<std::mutex> writer(writer_mu_);
+  std::shared_ptr<const CatalogVersion> base = catalog_.Current();
   switch (stmt.kind) {
     case Statement::Kind::kCreateTable: {
-      // Keep the column list: a durable database logs it after the create
-      // succeeds (write-ahead of nothing — DDL is its own redo record).
-      std::vector<ColumnDef> defs = stmt.create->columns;
-      auto res = catalog_.CreateTable(stmt.create->name,
-                                      Schema(std::move(stmt.create->columns)));
-      if (!res.ok()) return res.status();
-      if (wal_ != nullptr) {
-        WalRecord rec;
-        rec.type = WalRecordType::kCreateTable;
-        rec.table = stmt.create->name;
-        rec.columns = std::move(defs);
-        SKINNER_RETURN_IF_ERROR(LogRecord(&rec));
-      }
-      return Status::OK();
+      WalRecord rec;
+      rec.type = WalRecordType::kCreateTable;
+      rec.table = stmt.create->name;
+      rec.columns = stmt.create->columns;
+      SKINNER_ASSIGN_OR_RETURN(
+          std::shared_ptr<Table> table,
+          catalog_.NewTable(*base, stmt.create->name,
+                            Schema(std::move(stmt.create->columns))));
+      return Commit(&rec, base->With(std::move(table)));
     }
     case Statement::Kind::kDropTable: {
-      SKINNER_RETURN_IF_ERROR(catalog_.DropTable(stmt.drop->name));
-      if (wal_ != nullptr) {
-        WalRecord rec;
-        rec.type = WalRecordType::kDropTable;
-        rec.table = stmt.drop->name;
-        SKINNER_RETURN_IF_ERROR(LogRecord(&rec));
+      if (base->FindTable(stmt.drop->name) == nullptr) {
+        return Status::NotFound("no such table: " + stmt.drop->name);
       }
-      return Status::OK();
+      WalRecord rec;
+      rec.type = WalRecordType::kDropTable;
+      rec.table = stmt.drop->name;
+      return Commit(&rec, base->Without(stmt.drop->name));
     }
     case Statement::Kind::kInsert: {
-      Table* table = catalog_.FindTable(stmt.insert->table);
+      const Table* table = base->FindTable(stmt.insert->table);
       if (table == nullptr) {
         return Status::NotFound("no such table: " + stmt.insert->table);
       }
@@ -103,23 +101,24 @@ Status Database::Execute(const std::string& sql) {
         }
         rows.push_back(std::move(row));
       }
-      // Apply, then log exactly the appended prefix: a mid-statement type
-      // error leaves the earlier rows in the table, so they must also be
-      // in the log.
+      // Apply to a private clone, then commit exactly the appended prefix:
+      // a mid-statement type error keeps the earlier rows, so they must
+      // also be in the log.
+      std::unique_ptr<Table> next = table->Clone();
       Status st;
       size_t applied = 0;
       for (; applied < rows.size(); ++applied) {
-        st = table->AppendRow(rows[applied]);
+        st = next->AppendRow(rows[applied]);
         if (!st.ok()) break;
       }
-      if (wal_ != nullptr && applied > 0) {
+      if (applied > 0) {
         WalRecord rec;
         rec.type = WalRecordType::kInsertRows;
         rec.table = table->name();
         rec.rows.assign(std::make_move_iterator(rows.begin()),
                         std::make_move_iterator(rows.begin() +
                                                 static_cast<long>(applied)));
-        SKINNER_RETURN_IF_ERROR(LogRecord(&rec));
+        SKINNER_RETURN_IF_ERROR(Commit(&rec, base->With(std::move(next))));
       }
       return st;
     }
@@ -146,7 +145,7 @@ Status Database::Execute(const std::string& sql) {
       return Status::OK();
     }
     case Statement::Kind::kSelect:
-      return Status::InvalidArgument("use Query() for SELECT statements");
+      break;
   }
   return Status::Internal("unreachable");
 }
@@ -155,13 +154,13 @@ Result<QueryOutput> Database::ExecuteMutationLocked(const BoundMutation& m) {
   Stopwatch watch;
   const uint64_t appends_before = wal_ != nullptr ? wal_->appends() : 0;
   const uint64_t bytes_before = wal_ != nullptr ? wal_->bytes() : 0;
-  // Two-phase: the scan sees only pre-mutation state, and a SET type error
+  // Two-phase: the scan sees only the pinned version, and a SET type error
   // surfaces before anything is written.
   SKINNER_ASSIGN_OR_RETURN(MutationPlan plan,
                            ComputeMutation(m, catalog_.string_pool()));
-  SKINNER_RETURN_IF_ERROR(ApplyMutation(m.table, plan));
-  if (wal_ != nullptr &&
-      (!plan.cell_changes.empty() || !plan.deleted_rows.empty())) {
+  if (!plan.cell_changes.empty() || !plan.deleted_rows.empty()) {
+    std::unique_ptr<Table> next = m.table->Clone();
+    SKINNER_RETURN_IF_ERROR(ApplyMutation(next.get(), plan));
     WalRecord rec;
     rec.table = m.table->name();
     if (m.kind == Statement::Kind::kUpdate) {
@@ -174,7 +173,8 @@ Result<QueryOutput> Database::ExecuteMutationLocked(const BoundMutation& m) {
       rec.type = WalRecordType::kDeleteRows;
       rec.deleted_rows = plan.deleted_rows;
     }
-    SKINNER_RETURN_IF_ERROR(LogRecord(&rec));
+    SKINNER_RETURN_IF_ERROR(
+        Commit(&rec, m.catalog_version->With(std::move(next))));
   }
   QueryOutput out;
   out.result.column_names = {"rows_affected"};
@@ -190,10 +190,14 @@ Result<QueryOutput> Database::ExecuteMutationLocked(const BoundMutation& m) {
   return out;
 }
 
-Status Database::LogRecord(WalRecord* record) {
-  SKINNER_RETURN_IF_ERROR(wal_->Append(record));
-  wal_appends_.store(wal_->appends(), std::memory_order_relaxed);
-  wal_bytes_.store(wal_->bytes(), std::memory_order_relaxed);
+Status Database::Commit(WalRecord* record,
+                        std::shared_ptr<const CatalogVersion> next) {
+  if (wal_ != nullptr) {
+    SKINNER_RETURN_IF_ERROR(wal_->Append(record));
+    wal_appends_.store(wal_->appends(), std::memory_order_relaxed);
+    wal_bytes_.store(wal_->bytes(), std::memory_order_relaxed);
+  }
+  catalog_.Publish(std::move(next));
   return Status::OK();
 }
 
@@ -279,26 +283,37 @@ Result<std::unique_ptr<Database>> Database::Open(
 }
 
 Status Database::Checkpoint() {
-  std::unique_lock<std::shared_mutex> ddl_lock(ddl_mu_);
-  // Compaction rewrites masked tables in place (bumping data_version, so
-  // cached artifacts over the old row numbering die with it).
-  for (const std::string& name : catalog_.TableNames()) {
-    catalog_.FindTable(name)->Compact();
+  // Blocks writers only: queries keep running on their pinned versions
+  // while the snapshot is written.
+  std::lock_guard<std::mutex> writer(writer_mu_);
+  // Compaction rewrites masked tables into clones (bumping data_version,
+  // so cached artifacts over the old row numbering die with them).
+  std::shared_ptr<const CatalogVersion> next = catalog_.Current();
+  for (const std::string& name : next->TableNames()) {
+    const Table* table = next->FindTable(name);
+    if (!table->has_deletes()) continue;
+    std::unique_ptr<Table> compacted = table->Clone();
+    compacted->Compact();
+    next = next->With(std::move(compacted));
   }
   if (wal_ != nullptr) {
     // The snapshot commits with the current LSN fence before the log is
     // reset; a crash between the two replays nothing (every logged record
-    // is <= the fence), so the window is idempotent.
+    // is <= the fence), so the window is idempotent. A failed snapshot
+    // publishes nothing: the log still addresses the uncompacted rows.
     SKINNER_RETURN_IF_ERROR(WriteSnapshot(storage_dir_ + "/checkpoint.skdb",
-                                          catalog_, wal_->last_lsn()));
-    SKINNER_RETURN_IF_ERROR(wal_->Reset());
+                                          *next, *catalog_.string_pool(),
+                                          wal_->last_lsn()));
   }
+  // Once the snapshot is in place, later log records address the
+  // compacted rows: publish before the reset, whatever the reset returns.
+  catalog_.Publish(std::move(next));
+  if (wal_ != nullptr) SKINNER_RETURN_IF_ERROR(wal_->Reset());
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
 Result<std::unique_ptr<BoundQuery>> Database::Bind(const std::string& sql) {
-  std::shared_lock<std::shared_mutex> ddl_lock(ddl_mu_);
   QueryPipeline pipeline(&catalog_, &udfs_, &stats_, &cache_,
                          scheduler_.get());
   SKINNER_ASSIGN_OR_RETURN(Statement stmt, pipeline.Parse(sql));
@@ -312,7 +327,6 @@ Result<QueryOutput> Database::Query(const std::string& sql,
 }
 
 Result<PlanResult> Database::OptimizerOrder(const BoundQuery& query) {
-  std::shared_lock<std::shared_mutex> ddl_lock(ddl_mu_);
   SKINNER_ASSIGN_OR_RETURN(QueryInfo info, QueryInfo::Analyze(query));
   Estimator estimator(&stats_);
   return OptimizeWithEstimates(info, query, &estimator);
@@ -320,8 +334,8 @@ Result<PlanResult> Database::OptimizerOrder(const BoundQuery& query) {
 
 Result<QueryOutput> Database::RunSelect(const BoundQuery& query,
                                         const ExecOptions& opts) {
-  std::shared_lock<std::shared_mutex> ddl_lock(ddl_mu_);
-  // The caller keeps its query; a private copy runs uncached.
+  // The caller keeps its query; a private copy (pinning the same catalog
+  // version) runs uncached.
   QueryPipeline pipeline(&catalog_, &udfs_, &stats_, /*cache=*/nullptr,
                          scheduler_.get());
   SKINNER_ASSIGN_OR_RETURN(PreparedStage prep,

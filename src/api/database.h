@@ -4,7 +4,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <shared_mutex>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -227,8 +227,9 @@ class Database {
       const SchedulerOptions& scheduler_opts = {});
 
   /// Compacts every table's validity mask and — for a durable database —
-  /// atomically writes a fresh snapshot and resets the WAL. Serialized
-  /// against queries and DML via the exclusive DDL lock.
+  /// atomically writes a fresh snapshot and resets the WAL. Runs as a
+  /// writer: it waits for and blocks other writers only, and queries keep
+  /// running on the versions they pinned while the snapshot is written.
   Status Checkpoint();
 
   /// Durability counters (this process's appends; lifetime replay count).
@@ -273,8 +274,11 @@ class Database {
 
   /// Executes a DDL/DML statement (CREATE TABLE / INSERT / DROP TABLE /
   /// UPDATE / DELETE). Statements with `?` parameters are rejected — use
-  /// Session::Prepare for parameterized DML. On a durable database every
-  /// applied change is WAL-logged before this returns.
+  /// Session::Prepare for parameterized DML. The change is made on private
+  /// copies of what it touches and becomes visible to queries binding
+  /// after it in one step, once it is WAL-logged (durable database); a
+  /// failed log append publishes nothing. Queries already running never
+  /// see it, and never wait for it.
   Status Execute(const std::string& sql);
 
   /// Executes a SELECT and returns rows plus execution statistics.
@@ -289,13 +293,13 @@ class Database {
   /// (and, with use_prepared_cache, by later queries too), as long as the
   /// artifact fits the cache's byte budget. Results are per item, in item
   /// order, and bit-identical for any worker count. Items must be SELECTs;
-  /// running DML concurrently with a batch is outside the API contract (as
-  /// for Query()).
+  /// each pins the catalog version current when it binds.
   std::vector<Result<QueryOutput>> QueryBatch(
       const std::vector<BatchItem>& items, const BatchOptions& opts = {});
 
   /// Parses and binds a SELECT without running it (for benchmarks that
-  /// re-execute one query under many engines).
+  /// re-execute one query under many engines). The query pins the current
+  /// catalog version, so it runs on the same data however often it runs.
   Result<std::unique_ptr<BoundQuery>> Bind(const std::string& sql);
 
   /// Runs an already-bound SELECT (on a private copy). Never touches the
@@ -315,35 +319,38 @@ class Database {
   std::vector<Result<QueryOutput>> QueryBatchInternal(
       const std::vector<BatchItem>& items, const BatchOptions& opts);
 
-  /// Computes, applies and logs one bound UPDATE/DELETE, returning the
-  /// rows_affected result row + stats. Caller must hold ddl_mu_ exclusive
-  /// (Execute() and PreparedStatement's mutation path do).
+  /// Plans one bound UPDATE/DELETE on its pinned table, applies the plan
+  /// to a clone and commits it, returning the rows_affected result row +
+  /// stats. Caller must hold writer_mu_, and `m` must be bound in the
+  /// current version under it (Execute() binds there; PreparedStatement
+  /// re-resolves its table there).
   Result<QueryOutput> ExecuteMutationLocked(const BoundMutation& m);
   /// Applies one replayed WAL record during Open().
   Status ApplyWalRecord(const WalRecord& record);
-  /// Appends `record` and refreshes the published counters.
-  Status LogRecord(WalRecord* record);
+  /// The commit point of every writer (caller holds writer_mu_): appends
+  /// `record` to the log (durable database; the append fsyncs under
+  /// FsyncPolicy::kAlways), then publishes `next` with one pointer swap.
+  /// A failed append publishes nothing.
+  Status Commit(WalRecord* record, std::shared_ptr<const CatalogVersion> next);
 
   Catalog catalog_;
   UdfRegistry udfs_;
   StatsManager stats_;
   PreparedCache cache_;
   std::unique_ptr<Scheduler> scheduler_;  // constructed in database.cc
-  /// DDL-vs-query serialization: Execute() (CREATE/DROP/INSERT mutate the
-  /// catalog and table data) takes this exclusively; every query path
-  /// (Session::Query/QueryBatch/Prepare/ExecuteBatch, statement Execute,
-  /// Bind/RunSelect/OptimizerOrder) holds it shared for its whole run.
-  /// Queries of any number of sessions therefore run fully concurrently,
-  /// while a DROP waits for the readers of the table to finish instead of
-  /// pulling Table storage out from under them — concurrent DDL yields a
-  /// clean Status (stale statement / no such table), never a race.
-  mutable std::shared_mutex ddl_mu_;
+  /// Serializes writers — Execute(), prepared UPDATE/DELETE executions and
+  /// Checkpoint() — among themselves, which is also the WAL append order.
+  /// Queries never take it: each pins a catalog version when it binds
+  /// (BoundQuery::catalog_version), so a writer neither waits for a
+  /// running query nor changes anything it reads, and a DROP leaves the
+  /// dropped table alive for the queries that still pin it.
+  std::mutex writer_mu_;
   std::atomic<uint64_t> next_session_id_{1};
   std::unique_ptr<Session> default_session_;  // constructed in database.cc
 
   /// Durability (null for in-memory databases). All appends happen under
-  /// ddl_mu_ exclusive; the atomics republish the writer's counters so
-  /// STATS readers never race a DML in flight.
+  /// writer_mu_; the atomics republish the writer's counters so STATS
+  /// readers never race a DML in flight.
   std::unique_ptr<WalWriter> wal_;
   std::string storage_dir_;
   std::atomic<uint64_t> wal_appends_{0};

@@ -1,6 +1,5 @@
 #include "api/prepared_statement.h"
 
-#include <shared_mutex>
 #include <utility>
 
 #include "api/query_pipeline.h"
@@ -71,20 +70,25 @@ bool PreparedStatement::param_type_known(int i) const {
 }
 
 Status PreparedStatement::Init() {
+  // Record each table's identity, then drop the template's own pin: every
+  // execution re-resolves the tables in the version it pins, so a
+  // long-lived statement keeps no old version alive.
   if (mutation_ != nullptr) {
     // DML statements have no template signature or artifact keys — just
     // the target table's identity for staleness detection.
     table_names_.push_back(mutation_->table->name());
-    table_ptrs_.push_back(mutation_->table);
     table_ids_.push_back(mutation_->table->id());
+    mutation_->catalog_version.reset();
+    mutation_->table = nullptr;
     return Status::OK();
   }
   template_sig_ = ComputeQuerySignature(*template_);
-  for (const BoundTable& bt : template_->tables) {
+  for (BoundTable& bt : template_->tables) {
     table_names_.push_back(bt.table->name());
-    table_ptrs_.push_back(bt.table);
     table_ids_.push_back(bt.table->id());
+    bt.table = nullptr;
   }
+  template_->catalog_version.reset();
   return Status::OK();
 }
 
@@ -109,14 +113,17 @@ Status PreparedStatement::CheckParams(const std::vector<Value>& params) const {
   return Status::OK();
 }
 
-Status PreparedStatement::CheckFreshness() const {
+Status PreparedStatement::ResolveTables(
+    const CatalogVersion& version, std::vector<const Table*>* tables) const {
+  tables->clear();
   for (size_t i = 0; i < table_names_.size(); ++i) {
-    const Table* now = db_->catalog()->FindTable(table_names_[i]);
-    if (now != table_ptrs_[i] || now->id() != table_ids_[i]) {
+    const Table* now = version.FindTable(table_names_[i]);
+    if (now == nullptr || now->id() != table_ids_[i]) {
       return Status::InvalidArgument(
           "prepared statement is stale: table " + table_names_[i] +
           " was dropped or re-created since Prepare(); prepare it again");
     }
+    tables->push_back(now);
   }
   return Status::OK();
 }
@@ -124,12 +131,16 @@ Status PreparedStatement::CheckFreshness() const {
 Result<std::unique_ptr<BoundQuery>> PreparedStatement::Instantiate(
     const std::vector<Value>& params) const {
   SKINNER_RETURN_IF_ERROR(CheckParams(params));
-  SKINNER_RETURN_IF_ERROR(CheckFreshness());
+  std::shared_ptr<const CatalogVersion> version = db_->catalog()->Current();
+  std::vector<const Table*> tables;
+  SKINNER_RETURN_IF_ERROR(ResolveTables(*version, &tables));
 
-  // Clone the template, splice the values in as literals and re-run the
-  // binder's type pass so a type-invalid combination errors exactly like
-  // the literal SQL text would.
+  // Clone the template onto the pinned version, splice the values in as
+  // literals and re-run the binder's type pass so a type-invalid
+  // combination errors exactly like the literal SQL text would.
   std::unique_ptr<BoundQuery> query = template_->Clone();
+  query->catalog_version = std::move(version);
+  for (size_t i = 0; i < tables.size(); ++i) query->tables[i].table = tables[i];
   StringPool* pool = db_->catalog()->string_pool();
   if (query->where != nullptr) SubstituteParams(query->where.get(), params, pool);
   for (auto& s : query->select) SubstituteParams(s.expr.get(), params, pool);
@@ -153,12 +164,8 @@ Result<QueryOutput> PreparedStatement::Execute(const std::vector<Value>& params)
 
 Result<QueryOutput> PreparedStatement::ExecuteMutation(
     const std::vector<Value>& params) {
-  // DML mutates table data: exclusive, like Database::Execute — waits for
-  // running queries, blocks new ones for the (tiny) apply+log window.
-  std::unique_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
   auto run = [&]() -> Result<QueryOutput> {
     SKINNER_RETURN_IF_ERROR(CheckParams(params));
-    SKINNER_RETURN_IF_ERROR(CheckFreshness());
     std::unique_ptr<BoundMutation> m = mutation_->Clone();
     StringPool* pool = db_->catalog()->string_pool();
     for (auto& sc : m->sets) SubstituteParams(sc.expr.get(), params, pool);
@@ -170,10 +177,17 @@ Result<QueryOutput> PreparedStatement::ExecuteMutation(
     if (m->where != nullptr) {
       SKINNER_RETURN_IF_ERROR(RebindTypes(m->where.get()));
     }
+    // A writer like Database::Execute: serialized with the other writers,
+    // planned on the current version, never waiting for a query.
+    std::lock_guard<std::mutex> writer(db_->writer_mu_);
+    std::shared_ptr<const CatalogVersion> version = db_->catalog()->Current();
+    std::vector<const Table*> tables;
+    SKINNER_RETURN_IF_ERROR(ResolveTables(*version, &tables));
+    m->catalog_version = std::move(version);
+    m->table = tables[0];
     return db_->ExecuteMutationLocked(*m);
   };
   Result<QueryOutput> out = run();
-  ddl_lock.unlock();
   session_->Roll(out);
   return out;
 }
@@ -186,7 +200,6 @@ Result<QueryOutput> PreparedStatement::Execute(const std::vector<Value>& params,
   // Statements always share prepared state — that is their point — and
   // record their final join order under the template signature.
   eopts.use_prepared_cache = true;
-  std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
   QueryPipeline pipeline(db_->catalog(), db_->udfs(), db_->stats_manager(),
                          db_->prepared_cache(), db_->scheduler());
   auto run = [&]() -> Result<QueryOutput> {
@@ -199,7 +212,6 @@ Result<QueryOutput> PreparedStatement::Execute(const std::vector<Value>& params,
     return pipeline.PostProcess(stage, std::move(exec));
   };
   Result<QueryOutput> out = run();
-  ddl_lock.unlock();
   session_->Roll(out);
   return out;
 }
@@ -209,9 +221,9 @@ std::vector<Result<QueryOutput>> PreparedStatement::ExecuteMany(
     const BatchOptions& bopts, const ExecOptions& base_opts) {
   const size_t n = param_sets.size();
   if (mutation_ != nullptr) {
-    // The batch path holds the DDL lock shared for its whole run; DML
-    // needs it exclusive. Executing mutations one at a time via Execute()
-    // is equivalent anyway (there is nothing to parallelize).
+    // Writers serialize on the database's writer mutex, so a batch of DML
+    // has nothing to run concurrently: execute mutations one at a time
+    // via Execute().
     std::vector<Result<QueryOutput>> rejected;
     rejected.reserve(n);
     for (size_t i = 0; i < n; ++i) {

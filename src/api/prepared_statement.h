@@ -36,9 +36,16 @@ namespace skinner {
 ///
 /// A statement may also wrap a `?`-parameterized UPDATE or DELETE (the
 /// only way to run parameterized DML — Database::Execute rejects `?`).
-/// Mutation executions take the database's DDL lock exclusively, apply
-/// and WAL-log the change, and return one `rows_affected` row; none of
-/// the SELECT-side caching machinery above applies.
+/// Mutation executions are writers like Database::Execute: they serialize
+/// on the database's writer mutex, plan on the current catalog version,
+/// commit a changed copy of the table after WAL-logging it, and return one
+/// `rows_affected` row; none of the SELECT-side caching machinery above
+/// applies.
+///
+/// The statement keeps its tables' names and ids, not the tables: every
+/// execution re-resolves them in the catalog version it pins, so DML on
+/// them since Prepare() is seen and a DROP or re-CREATE makes the
+/// statement stale.
 ///
 /// Thread-safety: like a driver statement handle, one execution at a
 /// time per statement (it belongs to one session); use
@@ -77,18 +84,21 @@ class PreparedStatement {
                     std::unique_ptr<BoundMutation> mutation);
 
   /// Post-bind analysis: template signature and table identities for
-  /// staleness checks.
+  /// staleness checks; releases the template's pinned catalog version.
   Status Init();
 
   /// Arity + inferred-type-class validation of one parameter set.
   Status CheckParams(const std::vector<Value>& params) const;
 
-  /// The template's FROM tables must still exist unchanged (a DROP or
-  /// re-CREATE since Prepare leaves dangling Table pointers otherwise).
-  Status CheckFreshness() const;
+  /// Resolves the template's tables in `version` by name, in template
+  /// order; each must still carry the id it had at Prepare (a DROP or
+  /// re-CREATE since then makes the statement stale).
+  Status ResolveTables(const CatalogVersion& version,
+                       std::vector<const Table*>* tables) const;
 
   /// The executable query for one parameter set: validates the values,
-  /// substitutes them into a clone of the template as literals and
+  /// pins the current catalog version and resolves the tables in it,
+  /// substitutes the values into a clone of the template as literals and
   /// re-typechecks it. Looks string values up in the pool.
   Result<std::unique_ptr<BoundQuery>> Instantiate(
       const std::vector<Value>& params) const;
@@ -111,9 +121,9 @@ class PreparedStatement {
   std::unique_ptr<BoundQuery> template_;
   std::unique_ptr<BoundMutation> mutation_;
   std::string template_sig_;
-  /// Table identities at prepare time, for staleness detection.
+  /// Table identities at prepare time, for re-resolution and staleness
+  /// detection.
   std::vector<std::string> table_names_;
-  std::vector<const Table*> table_ptrs_;
   std::vector<uint64_t> table_ids_;
 };
 

@@ -82,8 +82,10 @@ class QueryPipeline {
   /// Stage 1: SQL text -> parsed statement (must be a SELECT).
   Result<Statement> Parse(const std::string& sql) const;
 
-  /// Stage 2: parsed SELECT -> bound query. Looks string literals up in
-  /// the catalog's pool and never adds to it.
+  /// Stage 2: parsed SELECT -> bound query, pinning the catalog's current
+  /// version for every later stage (no lock is taken anywhere in the
+  /// pipeline). Looks string literals up in the catalog's pool and never
+  /// adds to it.
   Result<BoundStage> Bind(Statement stmt) const;
 
   /// Stage 3: bound literal SELECT -> prepared stage (PrepareCore with

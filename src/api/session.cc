@@ -1,6 +1,5 @@
 #include "api/session.h"
 
-#include <shared_mutex>
 #include <utility>
 
 #include "api/prepared_statement.h"
@@ -55,13 +54,11 @@ Result<QueryOutput> Session::Query(const std::string& sql,
                                    const ExecOptions& opts) {
   ExecOptions eopts = opts;
   eopts.seed = DeriveSeed(opts.seed);
-  // Shared: any number of sessions query concurrently; DDL (exclusive)
-  // waits for them and blocks new ones (see Database::ddl_mu_).
-  std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
+  // No lock: the query pins the catalog version it binds against, and
+  // writers publish new versions beside it (see Database::writer_mu_).
   QueryPipeline pipeline(db_->catalog(), db_->udfs(), db_->stats_manager(),
                          db_->prepared_cache(), db_->scheduler());
   Result<QueryOutput> out = pipeline.Run(sql, eopts);
-  ddl_lock.unlock();
   Roll(out);
   return out;
 }
@@ -70,17 +67,14 @@ std::vector<Result<QueryOutput>> Session::QueryBatch(
     const std::vector<BatchItem>& items, const BatchOptions& opts) {
   BatchOptions bopts = opts;
   bopts.seed = DeriveSeed(opts.seed);
-  std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
   std::vector<Result<QueryOutput>> results =
       db_->QueryBatchInternal(items, bopts);
-  ddl_lock.unlock();
   for (const auto& r : results) Roll(r);
   return results;
 }
 
 Result<std::unique_ptr<PreparedStatement>> Session::Prepare(
     const std::string& sql) {
-  std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
   SKINNER_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
   if (stmt.kind == Statement::Kind::kUpdate ||
       stmt.kind == Statement::Kind::kDelete) {
@@ -110,10 +104,8 @@ std::vector<Result<QueryOutput>> Session::ExecuteBatch(
     const BatchOptions& opts) {
   BatchOptions bopts = opts;
   bopts.seed = DeriveSeed(opts.seed);
-  std::shared_lock<std::shared_mutex> ddl_lock(db_->ddl_mu_);
   std::vector<Result<QueryOutput>> results =
       stmt->ExecuteMany(param_sets, bopts, defaults_);
-  ddl_lock.unlock();
   for (const auto& r : results) Roll(r);
   return results;
 }

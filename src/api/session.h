@@ -51,11 +51,12 @@ struct SessionStats {
 /// Thread-safety: a session may be used from one thread at a time (like a
 /// driver connection); distinct sessions over one Database run queries,
 /// prepares, and statement executions fully concurrently — the string
-/// pool is internally locked, and every query path holds the database's
-/// DDL lock shared, so concurrent Database::Execute (CREATE/INSERT/DROP)
-/// serializes against running queries and fails cleanly (stale statement,
-/// unknown table) instead of racing them. Stats roll-ups are internally
-/// locked (batch workers update them concurrently).
+/// pool is internally locked, and every query pins the catalog version it
+/// binds against, so concurrent writers (Database::Execute, prepared DML,
+/// Checkpoint) neither wait for it nor change what it reads; a later
+/// query sees their effects, and a statement whose table was dropped or
+/// re-created fails cleanly as stale. Stats roll-ups are internally locked
+/// (batch workers update them concurrently).
 class Session {
  public:
   Session(const Session&) = delete;
@@ -68,7 +69,8 @@ class Session {
   const ExecOptions& defaults() const { return defaults_; }
   ExecOptions* mutable_defaults() { return &defaults_; }
 
-  /// Executes a SELECT under the session's default options.
+  /// Executes a SELECT under the session's default options, on the
+  /// catalog version current when it binds. Takes no lock.
   Result<QueryOutput> Query(const std::string& sql);
   /// Executes a SELECT under explicit options (the session id is still
   /// folded into the seed).

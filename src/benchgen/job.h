@@ -30,7 +30,8 @@ struct JobWorkload {
 ///     co-occurs with genre 'action', recent years and kind 'movie'),
 /// so that an independence-assuming estimator is off by orders of
 /// magnitude on exactly a few queries — which then dominate total time,
-/// as in the paper's Figure 6.
+/// as in the paper's Figure 6. Fills the tables in place (Table::
+/// mutable_column's loading contract): only while `db` serves nothing.
 Status GenerateJob(Database* db, const JobSpec& spec);
 
 /// Thirty queries (ten families x three variants) of 4-12 tables.

@@ -65,7 +65,8 @@ JoinCursor::JoinCursor(const PreparedQuery* pq, std::vector<JoinStep> steps)
     : pq_(pq),
       steps_(std::move(steps)),
       binding_(static_cast<size_t>(pq->num_tables()), 0),
-      windows_(steps_.size()) {}
+      windows_(steps_.size()),
+      tuple_(static_cast<size_t>(pq->num_tables()), -1) {}
 
 bool JoinCursor::CheckResidual(int depth) const {
   const JoinStep& s = steps_[static_cast<size_t>(depth)];

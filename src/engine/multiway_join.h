@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "exec/prepared_query.h"
@@ -143,6 +144,10 @@ class JoinCursor {
   /// cursors at per-worker clocks so charging stays race-free.
   void SetClock(VirtualClock* clock) { clock_override_ = clock; }
 
+  /// The table-indexed tuple MultiwayJoinLoop fills and emits: one per
+  /// cursor, so a loop run allocates nothing.
+  PosTuple* emit_tuple() { return &tuple_; }
+
  private:
   /// One depth's open postings window: [cur, end) is a suffix of the
   /// driving key's postings run for the driver's other table's base row
@@ -195,6 +200,7 @@ class JoinCursor {
   std::vector<int64_t> binding_;        // base row per table
   mutable std::vector<Window> windows_;  // per depth
   VirtualClock* clock_override_ = nullptr;
+  PosTuple tuple_;  // see emit_tuple()
 };
 
 /// Read-only view of one table's published completed offsets. Parallel
@@ -316,7 +322,9 @@ JoinLoopExit MultiwayJoinLoop(JoinCursor* cursor, const std::vector<int>& order,
   int i = state->depth;
   for (int d = 0; d < i; ++d) cursor->Bind(d, pos[static_cast<size_t>(d)]);
 
-  PosTuple tuple(static_cast<size_t>(m), -1);
+  // Borrowed from the cursor for the run (a local keeps it out of the
+  // cursor's aliasing); every entry is set before each emit.
+  PosTuple tuple = std::move(*cursor->emit_tuple());
   // Bumps a depth-d candidate past published fully-joined ranges: every
   // result tuple using such a position was already emitted when its table
   // ran as a leftmost, so re-enumerating it can only produce duplicates.
@@ -419,6 +427,7 @@ JoinLoopExit MultiwayJoinLoop(JoinCursor* cursor, const std::vector<int>& order,
       if (i == 0) left_advanced(old + 1);
     }
   }
+  *cursor->emit_tuple() = std::move(tuple);
   stats->steps += static_cast<uint64_t>(steps);
   state->depth = std::max(i, 0);
   return done ? JoinLoopExit::kCompleted : exit;

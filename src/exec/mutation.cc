@@ -9,7 +9,7 @@ namespace skinner {
 Result<MutationPlan> ComputeMutation(const BoundMutation& m,
                                      const StringPool* pool) {
   MutationPlan plan;
-  Table* tab = m.table;
+  const Table* tab = m.table;
   const std::vector<const Table*> tables = {tab};
   std::vector<int64_t> binding(1, 0);
   VirtualClock clock;
@@ -29,17 +29,9 @@ Result<MutationPlan> ComputeMutation(const BoundMutation& m,
     }
     for (const auto& sc : m.sets) {
       Value v = EvalExpr(*sc.expr, ctx);
-      // Surface storage type errors now, before any cell is written: the
-      // coercion check mirrors Column::AppendValue.
-      const DataType col_type = tab->schema().column(sc.column_idx).type;
-      if (!v.is_null()) {
-        const bool v_str = v.type() == DataType::kString;
-        if (v_str != (col_type == DataType::kString)) {
-          return Status::TypeError(
-              v_str ? "cannot store string in numeric column"
-                    : "cannot store numeric in STRING column");
-        }
-      }
+      // Surface storage type errors now, before any cell is written.
+      SKINNER_RETURN_IF_ERROR(Column::CheckStorable(
+          tab->schema().column(sc.column_idx).type, v));
       plan.cell_changes.push_back(
           MutationPlan::CellChange{r, sc.column_idx, std::move(v)});
     }

@@ -40,8 +40,8 @@ Result<MutationPlan> ComputeMutation(const BoundMutation& m,
                                      const StringPool* pool);
 
 /// Applies a plan to the table (bumps data_version via UpdateCell /
-/// DeleteRow). Also used by WAL replay, which reconstructs plans from
-/// logged records.
+/// DeleteRow). A served database applies it to a writer's private
+/// Table::Clone() of the planned table, never to a published table.
 Status ApplyMutation(Table* table, const MutationPlan& plan);
 
 }  // namespace skinner

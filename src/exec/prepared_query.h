@@ -50,8 +50,8 @@ uint64_t JoinKeyOf(const Column& col, int64_t base_row);
 /// columns JoinKeyOf's key is the raw payload (the value, the dictionary
 /// code), so the view reads the column's int64 array directly; a double
 /// column keeps calling JoinKeyOf, the one definition of the key contract.
-/// Valid while the column is not appended to (a query holds the catalog's
-/// shared lock for its whole run).
+/// Valid as long as the column lives unchanged: a query's pinned catalog
+/// version keeps its tables' columns alive, and writers change copies.
 class JoinKeyView {
  public:
   JoinKeyView() = default;

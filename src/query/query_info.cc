@@ -48,27 +48,25 @@ Result<QueryInfo> QueryInfo::Analyze(const BoundQuery& query) {
   return info;
 }
 
-std::vector<int> QueryInfo::EligibleTables(TableSet chosen) const {
-  std::vector<int> out;
-  if (chosen == 0) {
-    for (int t = 0; t < num_tables_; ++t) out.push_back(t);
-    return out;
-  }
+TableSet QueryInfo::EligibleMask(TableSet chosen) const {
+  const TableSet all = num_tables_ == 32 ? ~static_cast<TableSet>(0)
+                                         : TableBit(num_tables_) - 1;
+  if (chosen == 0) return all;
   // Tables connected to the chosen set.
   TableSet frontier = 0;
   for (int t = 0; t < num_tables_; ++t) {
     if (Contains(chosen, t)) frontier |= adjacency_[static_cast<size_t>(t)];
   }
   frontier &= ~chosen;
-  if (frontier != 0) {
-    for (int t = 0; t < num_tables_; ++t) {
-      if (Contains(frontier, t)) out.push_back(t);
-    }
-    return out;
-  }
   // No connected table left: Cartesian product unavoidable.
+  return frontier != 0 ? frontier : all & ~chosen;
+}
+
+std::vector<int> QueryInfo::EligibleTables(TableSet chosen) const {
+  std::vector<int> out;
+  const TableSet mask = EligibleMask(chosen);
   for (int t = 0; t < num_tables_; ++t) {
-    if (!Contains(chosen, t)) out.push_back(t);
+    if (Contains(mask, t)) out.push_back(t);
   }
   return out;
 }

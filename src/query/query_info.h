@@ -15,6 +15,12 @@ using TableSet = uint32_t;
 
 inline TableSet TableBit(int t) { return static_cast<TableSet>(1u) << t; }
 inline bool Contains(TableSet s, int t) { return (s & TableBit(t)) != 0; }
+/// The table of the r-th set bit of `s` (r counted from 0, ascending);
+/// `s` must have more than r bits set.
+inline int NthTable(TableSet s, uint64_t r) {
+  for (; r > 0; --r) s &= s - 1;  // drop the lowest set bit
+  return __builtin_ctz(s);
+}
 
 /// An equality join predicate `left.col = right.col` between two distinct
 /// tables; eligible for hash-index acceleration.
@@ -63,6 +69,9 @@ class QueryInfo {
   /// remaining tables if none is connected (forced Cartesian product) or if
   /// `chosen` is empty.
   std::vector<int> EligibleTables(TableSet chosen) const;
+  /// EligibleTables as a bitmask: its set bits, in ascending order, are
+  /// exactly EligibleTables(chosen). Allocation-free.
+  TableSet EligibleMask(TableSet chosen) const;
 
   /// Join predicates that become checkable exactly when `table` joins a
   /// prefix covering `prefix_with_table` (i.e. pred tables ⊆ prefix and

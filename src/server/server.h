@@ -92,8 +92,9 @@ class ServerConnection;
 /// Protocol (line-oriented; see HandleLine):
 ///   Q <select sql>          -> ROW <v1>\t<v2>... lines, then OK rows=N cost=C
 ///   X <ddl/dml sql>         -> OK (CREATE/INSERT/DROP/UPDATE/DELETE; DML
-///                              runs under the exclusive DDL lock and is
-///                              WAL-logged on a durable database)
+///                              serializes with other writers only, is
+///                              WAL-logged on a durable database, and is
+///                              visible to queries that start after the OK)
 ///   P <name> <sql with ?>   -> OK params=K (SELECT, UPDATE or DELETE)
 ///   E <name> <literals>     -> ROW lines, then OK rows=N cost=C
 ///   CHECKPOINT              -> OK checkpoints=N (compact + snapshot + WAL reset)

@@ -1,6 +1,7 @@
 #include "skinner/skinner_c.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace skinner {
 
@@ -85,16 +86,16 @@ JoinCursor* SkinnerCEngine::CursorFor(Worker* w,
   return ptr;
 }
 
-JoinState SkinnerCEngine::RestoreState(Worker* w, const std::vector<int>& order,
-                                       JoinCursor* cursor) {
-  JoinState state;
+void SkinnerCEngine::RestoreState(Worker* w, const std::vector<int>& order,
+                                  JoinCursor* cursor, JoinState* out) {
+  JoinState& state = *out;
   state.pos.assign(order.size(), -1);
   const int t0 = order[0];
   if (!w->progress.Restore(order, &state)) {
     state.depth = 0;
     state.pos[0] = w->offset[static_cast<size_t>(t0)];
     if (state.pos[0] >= pq_->cardinality(t0)) state.pos[0] = -1;
-    return state;
+    return;
   }
   // Fast-forward past offsets: tuples below offset[t] are fully joined
   // already. Walk depths in order; at the first position that fell behind
@@ -109,7 +110,6 @@ JoinState SkinnerCEngine::RestoreState(Worker* w, const std::vector<int>& order,
     }
     cursor->Bind(d, state.pos[static_cast<size_t>(d)]);
   }
-  return state;
 }
 
 double SkinnerCEngine::ProgressValue(const std::vector<int>& order,
@@ -145,7 +145,10 @@ double SkinnerCEngine::RewardPotential(const std::vector<int>& order,
 void SkinnerCEngine::RunWorkerSlice(Worker* w, const std::vector<int>& order) {
   const int t0 = order[0];
   JoinCursor* cursor = CursorFor(w, order);
-  JoinState state = RestoreState(w, order, cursor);
+  // A local state (the join loop's registers stay its own) that borrows
+  // the worker's position buffer, so the slice allocates nothing.
+  JoinState state = std::move(w->state);
+  RestoreState(w, order, cursor, &state);
 
   double before = RewardPotential(order, state);
 
@@ -168,6 +171,7 @@ void SkinnerCEngine::RunWorkerSlice(Worker* w, const std::vector<int>& order) {
   w->slice_reward = std::clamp(after - before, 0.0, 1.0);
   w->slice_done = done;
   if (!done) w->progress.Backup(order, state);
+  w->state = std::move(state);
 }
 
 void SkinnerCEngine::AdaptiveSplit(int leftmost_table) {
@@ -257,18 +261,18 @@ int SkinnerCEngine::ClaimChunk(Worker* w) {
   return -1;
 }
 
-JoinState SkinnerCEngine::RestoreChunkState(int chunk_id,
-                                            const std::vector<int>& order,
-                                            JoinCursor* cursor) {
+void SkinnerCEngine::RestoreChunkState(int chunk_id,
+                                       const std::vector<int>& order,
+                                       JoinCursor* cursor, JoinState* out) {
   const int t0 = order[0];
-  JoinState state;
+  JoinState& state = *out;
   state.pos.assign(order.size(), -1);
   const int64_t off = shared_->chunk_offset(t0, chunk_id);
   ProgressTree* progress = shared_->chunk_progress(t0, chunk_id);
   if (!progress->Restore(order, &state)) {
     state.depth = 0;
     state.pos[0] = off;  // the claim guarantees off < chunk_hi
-    return state;
+    return;
   }
   // Fast-forward: at depth 0 past the chunk's published offset; deeper,
   // past any published fully-joined range of that depth's table (possibly
@@ -287,14 +291,14 @@ JoinState SkinnerCEngine::RestoreChunkState(int chunk_id,
     }
     cursor->Bind(d, p);
   }
-  return state;
 }
 
 double SkinnerCEngine::RunChunk(Worker* w, const std::vector<int>& order,
                                 int chunk_id, int64_t* budget_left) {
   const int t0 = order[0];
   JoinCursor* cursor = CursorFor(w, order);
-  JoinState state = RestoreChunkState(chunk_id, order, cursor);
+  JoinState state = std::move(w->state);  // borrowed, as in RunWorkerSlice
+  RestoreChunkState(chunk_id, order, cursor, &state);
   const double before = RewardPotential(order, state);
 
   MultiwayJoinSpec spec;
@@ -316,15 +320,16 @@ double SkinnerCEngine::RunChunk(Worker* w, const std::vector<int>& order,
 
   double after;
   if (exit == JoinLoopExit::kCompleted) {
-    JoinState end_state;
-    end_state.depth = 0;
-    end_state.pos.assign(order.size(), -1);
-    end_state.pos[0] = spec.left_to;
-    after = RewardPotential(order, end_state);
+    // The chunk is done and its state dead: reuse it as the end state
+    // (depth 0 at the range end; deeper positions are not read).
+    state.depth = 0;
+    state.pos[0] = spec.left_to;
+    after = RewardPotential(order, state);
   } else {
     after = RewardPotential(order, state);
     shared_->chunk_progress(t0, chunk_id)->Backup(order, state);
   }
+  w->state = std::move(state);
   return std::max(0.0, after - before);
 }
 
@@ -382,6 +387,7 @@ Status SkinnerCEngine::Run(ResultSet* out) {
   VirtualClock* clock = pq_->clock();
   const size_t T = workers_.size();
 
+  std::vector<int> order;  // reused across slices
   while (!finished_) {
     if (clock->now() >= opts_.deadline) {
       stats_.timed_out = true;
@@ -393,7 +399,7 @@ Status SkinnerCEngine::Run(ResultSet* out) {
       break;
     }
 
-    std::vector<int> order = uct_.Choose();
+    uct_.Choose(&order);
     if (T == 1) {
       RunWorkerSlice(workers_[0].get(), order);
     } else {

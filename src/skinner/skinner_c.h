@@ -133,12 +133,16 @@ class SkinnerCEngine {
   /// One search worker. Sequential execution (T=1) is a single worker
   /// owning every table's full range, with its offsets and progress tree
   /// here; with T>1 that state lives per chunk in the shared board and
-  /// workers keep only cursors, clock, and the private result buffer.
+  /// workers keep only cursors, state, clock, and the private result
+  /// buffer. Everything a slice touches is reused: a slice allocates
+  /// nothing unless it meets a new join order (cursor) or grows a progress
+  /// tree.
   struct Worker {
     int id = 0;
     std::vector<int64_t> offset;  // T=1, per table: first not-fully-joined
     ProgressTree progress;        // T=1
     std::map<std::vector<int>, std::unique_ptr<JoinCursor>> cursors;
+    JoinState state;  // position buffer a slice (or chunk) borrows
     VirtualClock clock;         // local; merged into the shared clock
     uint64_t merged_clock = 0;  // portion of `clock` already merged
     JoinLoopStats loop_stats;
@@ -157,10 +161,10 @@ class SkinnerCEngine {
   void InitWorkers(const ResultSet& out);
   JoinCursor* CursorFor(Worker* w, const std::vector<int>& order);
 
-  /// Resume state for `order` on the sequential worker: stored progress
-  /// fast-forwarded past its offsets, or a fresh start.
-  JoinState RestoreState(Worker* w, const std::vector<int>& order,
-                         JoinCursor* cursor);
+  /// Resume state for `order` on the sequential worker, into `*state`:
+  /// stored progress fast-forwarded past its offsets, or a fresh start.
+  void RestoreState(Worker* w, const std::vector<int>& order,
+                    JoinCursor* cursor, JoinState* state);
 
   /// Executes one budgeted slice of `order` on the sequential worker (T=1)
   /// via the shared multiway-join loop; records the slice reward and
@@ -194,12 +198,12 @@ class SkinnerCEngine {
   double RunChunk(Worker* w, const std::vector<int>& order, int chunk_id,
                   int64_t* budget_left);
 
-  /// Resume state for `order` on one shared chunk: the chunk's stored
-  /// progress fast-forwarded past its published offset and all published
-  /// completed ranges of the deeper tables, or a fresh start at the
-  /// chunk's offset.
-  JoinState RestoreChunkState(int chunk_id, const std::vector<int>& order,
-                              JoinCursor* cursor);
+  /// Resume state for `order` on one shared chunk, into `*state`: the
+  /// chunk's stored progress fast-forwarded past its published offset and
+  /// all published completed ranges of the deeper tables, or a fresh start
+  /// at the chunk's offset.
+  void RestoreChunkState(int chunk_id, const std::vector<int>& order,
+                         JoinCursor* cursor, JoinState* state);
 
   /// Worker slice under stealing: claim chunks (own block, then steal)
   /// until the slice budget is spent or no work remains.

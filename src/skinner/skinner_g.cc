@@ -79,7 +79,8 @@ bool SkinnerGEngine::Step(uint64_t until, ResultSet* out) {
   uint64_t iter_deadline = std::min(clock->now() + timeout, until);
 
   JoinOrderUct* tree = TreeFor(level);
-  std::vector<int> order = tree->Choose();
+  std::vector<int> order;
+  tree->Choose(&order);
   int leftmost = order[0];
 
   ForcedExecOptions fo;

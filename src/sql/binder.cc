@@ -9,7 +9,7 @@ namespace {
 class Binder {
  public:
   Binder(Catalog* catalog, const UdfRegistry* udfs)
-      : catalog_(catalog), udfs_(udfs) {}
+      : catalog_(catalog), version_(catalog->Current()), udfs_(udfs) {}
 
   Result<BoundQuery> Bind(SelectStmt* stmt);
   Result<BoundMutation> BindUpdateStmt(UpdateStmt* stmt);
@@ -18,7 +18,7 @@ class Binder {
  private:
   /// Resolves the single target table of a mutation into out_.tables so
   /// the SELECT column-resolution machinery applies unchanged.
-  Result<Table*> BindMutationTarget(const std::string& name);
+  Result<const Table*> BindMutationTarget(const std::string& name);
   /// Moves the shared parameter-inference state into `m`.
   void FinishMutation(BoundMutation* m);
   Status BindExpr(Expr* e);
@@ -33,6 +33,7 @@ class Binder {
   Status SetParamType(Expr* e, DataType t);
 
   Catalog* catalog_;
+  std::shared_ptr<const CatalogVersion> version_;  // pinned at construction
   const UdfRegistry* udfs_;
   BoundQuery out_;
 };
@@ -284,9 +285,10 @@ Status Binder::BindExpr(Expr* e) {
 }
 
 Result<BoundQuery> Binder::Bind(SelectStmt* stmt) {
+  out_.catalog_version = version_;
   // FROM.
   for (const auto& ref : stmt->from) {
-    Table* t = catalog_->FindTable(ref.table_name);
+    const Table* t = version_->FindTable(ref.table_name);
     if (t == nullptr) {
       return Status::BindError("unknown table: " + ref.table_name);
     }
@@ -392,8 +394,8 @@ Result<BoundQuery> Binder::Bind(SelectStmt* stmt) {
   return std::move(out_);
 }
 
-Result<Table*> Binder::BindMutationTarget(const std::string& name) {
-  Table* t = catalog_->FindTable(name);
+Result<const Table*> Binder::BindMutationTarget(const std::string& name) {
+  const Table* t = version_->FindTable(name);
   if (t == nullptr) {
     return Status::BindError("unknown table: " + name);
   }
@@ -410,6 +412,7 @@ void Binder::FinishMutation(BoundMutation* m) {
 Result<BoundMutation> Binder::BindUpdateStmt(UpdateStmt* stmt) {
   BoundMutation m;
   m.kind = Statement::Kind::kUpdate;
+  m.catalog_version = version_;
   m.table_name = stmt->table;
   SKINNER_ASSIGN_OR_RETURN(m.table, BindMutationTarget(stmt->table));
   for (auto& [col_name, expr] : stmt->sets) {
@@ -456,6 +459,7 @@ Result<BoundMutation> Binder::BindUpdateStmt(UpdateStmt* stmt) {
 Result<BoundMutation> Binder::BindDeleteStmt(DeleteStmt* stmt) {
   BoundMutation m;
   m.kind = Statement::Kind::kDelete;
+  m.catalog_version = version_;
   m.table_name = stmt->table;
   SKINNER_ASSIGN_OR_RETURN(m.table, BindMutationTarget(stmt->table));
   if (stmt->where != nullptr) {
@@ -492,6 +496,7 @@ Result<BoundMutation> BindDelete(DeleteStmt* stmt, Catalog* catalog,
 std::unique_ptr<BoundMutation> BoundMutation::Clone() const {
   auto m = std::make_unique<BoundMutation>();
   m->kind = kind;
+  m->catalog_version = catalog_version;
   m->table = table;
   m->table_name = table_name;
   m->sets.reserve(sets.size());
@@ -507,6 +512,7 @@ std::unique_ptr<BoundMutation> BoundMutation::Clone() const {
 
 std::unique_ptr<BoundQuery> BoundQuery::Clone() const {
   auto q = std::make_unique<BoundQuery>();
+  q->catalog_version = catalog_version;
   q->tables = tables;
   if (where != nullptr) q->where = where->Clone();
   q->select.reserve(select.size());

@@ -31,6 +31,10 @@ struct BoundOrderItem {
 /// indices, every function points at its UDF, every node has a type.
 /// This is the input to query-info analysis and all execution engines.
 struct BoundQuery {
+  /// The catalog version the tables were resolved in, pinned for as long
+  /// as the query (or any Clone of it) lives: every `tables[i].table`
+  /// stays valid and unchanged while writers publish newer versions.
+  std::shared_ptr<const CatalogVersion> catalog_version;
   std::vector<BoundTable> tables;
   std::unique_ptr<Expr> where;  // may be null
   std::vector<BoundSelectItem> select;
@@ -52,8 +56,9 @@ struct BoundQuery {
 
   int num_tables() const { return static_cast<int>(tables.size()); }
 
-  /// Deep copy (expression trees cloned; Table pointers shared). Used by
-  /// PreparedStatement to instantiate a template per execution.
+  /// Deep copy (expression trees cloned; Table pointers and the pinned
+  /// version shared). Used by PreparedStatement to instantiate a template
+  /// per execution.
   std::unique_ptr<BoundQuery> Clone() const;
   std::vector<const Table*> TablePtrs() const {
     std::vector<const Table*> out;
@@ -70,7 +75,10 @@ struct BoundQuery {
 /// through PreparedStatement.
 struct BoundMutation {
   Statement::Kind kind = Statement::Kind::kUpdate;
-  Table* table = nullptr;
+  /// The version `table` was resolved in (see BoundQuery). A writer plans
+  /// on this table and publishes a changed clone of it.
+  std::shared_ptr<const CatalogVersion> catalog_version;
+  const Table* table = nullptr;
   std::string table_name;  // as written (for freshness re-lookup)
 
   struct SetClause {
@@ -84,18 +92,21 @@ struct BoundMutation {
   std::vector<DataType> param_types;
   std::vector<bool> param_known;
 
-  /// Deep copy (expression trees cloned; the Table pointer shared). Used
-  /// by PreparedStatement to instantiate the template per execution.
+  /// Deep copy (expression trees cloned; the Table pointer and the pinned
+  /// version shared). Used by PreparedStatement to instantiate the
+  /// template per execution.
   std::unique_ptr<BoundMutation> Clone() const;
 };
 
-/// Binds a parsed SELECT against the catalog. `stmt` is consumed. String
-/// literals are interned into the catalog's pool so engines can compare
-/// dictionary codes instead of strings.
+/// Binds a parsed SELECT against the catalog's current version, which the
+/// result pins. `stmt` is consumed. String literals are looked up in the
+/// catalog's pool so engines can compare dictionary codes instead of
+/// strings.
 Result<BoundQuery> BindSelect(SelectStmt* stmt, Catalog* catalog,
                               const UdfRegistry* udfs);
 
-/// Binds UPDATE / DELETE against the catalog (`stmt` consumed). SET
+/// Binds UPDATE / DELETE against the catalog's current version, which the
+/// result pins (`stmt` consumed). SET
 /// expressions and WHERE may reference the target table's columns; a bare
 /// `?` in `SET col = ?` takes the column's type.
 Result<BoundMutation> BindUpdate(UpdateStmt* stmt, Catalog* catalog,

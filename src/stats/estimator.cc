@@ -11,7 +11,8 @@ double Clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 
 double Estimator::PredicateSelectivity(const Table& table,
                                        const Expr& pred) const {
-  const TableStats& ts = stats_->Get(&table);
+  const std::shared_ptr<const TableStats> stats = stats_->Get(&table);
+  const TableStats& ts = *stats;
   switch (pred.kind) {
     case ExprKind::kBinaryOp: {
       const Expr& l = *pred.children[0];
@@ -123,8 +124,8 @@ double Estimator::JoinSelectivity(const BoundQuery& query,
     const Expr& b = *e->children[1];
     const Table* ta = query.tables[static_cast<size_t>(a.table_idx)].table;
     const Table* tb = query.tables[static_cast<size_t>(b.table_idx)].table;
-    int64_t ndv_a = stats_->Get(ta).columns[static_cast<size_t>(a.column_idx)].num_distinct;
-    int64_t ndv_b = stats_->Get(tb).columns[static_cast<size_t>(b.column_idx)].num_distinct;
+    int64_t ndv_a = stats_->Get(ta)->columns[static_cast<size_t>(a.column_idx)].num_distinct;
+    int64_t ndv_b = stats_->Get(tb)->columns[static_cast<size_t>(b.column_idx)].num_distinct;
     int64_t ndv = std::max<int64_t>({ndv_a, ndv_b, 1});
     return 1.0 / static_cast<double>(ndv);
   }

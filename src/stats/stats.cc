@@ -48,18 +48,27 @@ TableStats ComputeTableStats(const Table& table) {
   return stats;
 }
 
-const TableStats& StatsManager::Get(const Table* table) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(table);
-  if (it != cache_.end() &&
-      it->second.data_version == table->data_version()) {
-    return it->second.stats;
+std::shared_ptr<const TableStats> StatsManager::Get(const Table* table) {
+  const uint64_t version = table->data_version();
+  if (table->id() == 0) {  // not from a catalog: no identity to key on
+    return std::make_shared<const TableStats>(ComputeTableStats(*table));
   }
-  Entry entry;
-  entry.data_version = table->data_version();
-  entry.stats = ComputeTableStats(*table);
-  auto [pos, inserted] = cache_.insert_or_assign(table, std::move(entry));
-  return pos->second.stats;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = cache_.find(table->id());
+    if (it != cache_.end() && it->second.data_version == version) {
+      return it->second.stats;
+    }
+  }
+  // Computed outside the lock: a scan of one table must not stall
+  // estimators planning over other tables.
+  auto stats = std::make_shared<const TableStats>(ComputeTableStats(*table));
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& entry = cache_[table->id()];
+  if (entry.stats == nullptr || entry.data_version < version) {
+    entry = Entry{version, stats};
+  }
+  return stats;
 }
 
 }  // namespace skinner

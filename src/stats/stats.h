@@ -33,26 +33,30 @@ struct TableStats {
 /// statistic.
 TableStats ComputeTableStats(const Table& table);
 
-/// Cache of per-table statistics, keyed on the table's data_version like
-/// every other piece of cached derived state — any DML (append, UPDATE,
-/// DELETE) bumps the version and invalidates on next lookup (a row-count
-/// comparison would miss in-place updates and mask-only deletes).
-/// Thread-safe: concurrent batch-execution items plan with estimators over
-/// one shared manager. The returned reference stays valid while no DML
-/// touches the table (map references survive rehashing; an entry is only
-/// replaced when the version moved, and DML concurrent with query
-/// execution is outside the API contract anyway).
+/// Cache of per-table statistics, keyed on the table's id and validated by
+/// its data_version like every other piece of cached derived state — any
+/// DML (append, UPDATE, DELETE) bumps the version and invalidates on next
+/// lookup (a row-count comparison would miss in-place updates and
+/// mask-only deletes).
+///
+/// Thread-safe, and safe while catalog versions coexist: a reader pinned
+/// to an old version and one on the newest may ask for the same table id
+/// at different data versions at once. Each gets its own stats, returned
+/// by shared_ptr so they outlive any cache replacement. The cache keeps one
+/// entry per id, the newest data version it was asked for: an old reader
+/// never evicts newer stats, it computes its own. A table built outside a
+/// catalog (id 0) is computed on every call.
 class StatsManager {
  public:
-  const TableStats& Get(const Table* table);
+  std::shared_ptr<const TableStats> Get(const Table* table);
 
  private:
   struct Entry {
     uint64_t data_version;
-    TableStats stats;
+    std::shared_ptr<const TableStats> stats;
   };
   std::mutex mu_;
-  std::unordered_map<const Table*, Entry> cache_;
+  std::unordered_map<uint64_t, Entry> cache_;  // by Table::id()
 };
 
 }  // namespace skinner

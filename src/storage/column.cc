@@ -15,29 +15,42 @@ void Column::AppendNull() {
   nulls_.push_back(1);
 }
 
+Status Column::CheckStorable(DataType type, const Value& v) {
+  if (v.is_null()) return Status::OK();
+  const bool v_str = v.type() == DataType::kString;
+  switch (type) {
+    case DataType::kInt64:
+      if (v_str) return Status::TypeError("cannot store string in INT column");
+      break;
+    case DataType::kDouble:
+      if (v_str) {
+        return Status::TypeError("cannot store string in DOUBLE column");
+      }
+      break;
+    case DataType::kString:
+      if (!v_str) {
+        return Status::TypeError("cannot store numeric in STRING column");
+      }
+      break;
+  }
+  return Status::OK();
+}
+
 Status Column::AppendValue(const Value& v, StringPool* pool) {
+  SKINNER_RETURN_IF_ERROR(CheckStorable(type_, v));
   if (v.is_null()) {
     AppendNull();
     return Status::OK();
   }
   switch (type_) {
     case DataType::kInt64:
-      if (v.type() == DataType::kString) {
-        return Status::TypeError("cannot store string in INT column");
-      }
       AppendInt(v.type() == DataType::kDouble ? static_cast<int64_t>(v.AsDouble())
                                               : v.AsInt());
       break;
     case DataType::kDouble:
-      if (v.type() == DataType::kString) {
-        return Status::TypeError("cannot store string in DOUBLE column");
-      }
       AppendDouble(v.AsDouble());
       break;
     case DataType::kString:
-      if (v.type() != DataType::kString) {
-        return Status::TypeError("cannot store numeric in STRING column");
-      }
       AppendString(v.AsString(), pool);
       break;
   }
@@ -45,6 +58,7 @@ Status Column::AppendValue(const Value& v, StringPool* pool) {
 }
 
 Status Column::SetValue(int64_t row, const Value& v, StringPool* pool) {
+  SKINNER_RETURN_IF_ERROR(CheckStorable(type_, v));
   size_t r = static_cast<size_t>(row);
   if (v.is_null()) {
     if (nulls_.empty()) nulls_.assign(static_cast<size_t>(size()), 0);
@@ -58,23 +72,14 @@ Status Column::SetValue(int64_t row, const Value& v, StringPool* pool) {
   }
   switch (type_) {
     case DataType::kInt64:
-      if (v.type() == DataType::kString) {
-        return Status::TypeError("cannot store string in INT column");
-      }
       ints_[r] = v.type() == DataType::kDouble
                      ? static_cast<int64_t>(v.AsDouble())
                      : v.AsInt();
       break;
     case DataType::kDouble:
-      if (v.type() == DataType::kString) {
-        return Status::TypeError("cannot store string in DOUBLE column");
-      }
       doubles_[r] = v.AsDouble();
       break;
     case DataType::kString:
-      if (v.type() != DataType::kString) {
-        return Status::TypeError("cannot store numeric in STRING column");
-      }
       ints_[r] = pool->Intern(v.AsString());
       break;
   }

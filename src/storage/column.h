@@ -42,6 +42,10 @@ class Column {
   /// Appends a NULL of this column's type.
   void AppendNull();
 
+  /// OK if a column of `type` can store `v` (NULL, or the same
+  /// string-vs-numeric class); the TypeError AppendValue/SetValue return.
+  static Status CheckStorable(DataType type, const Value& v);
+
   /// Appends `v`, coercing numeric types; returns TypeError on mismatch.
   Status AppendValue(const Value& v, StringPool* pool);
 

@@ -19,6 +19,8 @@ struct CsvOptions {
 
 /// Loads `path` into an existing table (schema must match field count).
 /// Fields are coerced to the column types; unparsable numerics are errors.
+/// Appends in place (Table::mutable_column's loading contract): only while
+/// the database serves nothing.
 Status LoadCsv(const std::string& path, Table* table, const CsvOptions& opts);
 
 /// Parses one CSV line into fields (handles double-quoted fields with

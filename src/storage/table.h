@@ -14,6 +14,11 @@ namespace skinner {
 
 /// An in-memory, column-store table. Rows are identified by their 0-based
 /// position; execution engines pass row ids around instead of tuples.
+///
+/// A table published in a catalog version is immutable while anything may
+/// read it (storage/catalog.h). Writers change a private Clone() instead:
+/// the clone shares every column with its source, and the first write to a
+/// column (UpdateCell, AppendRow, Compact) copies that column only.
 class Table {
  public:
   Table(std::string name, Schema schema, StringPool* pool);
@@ -21,10 +26,18 @@ class Table {
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
+  /// A private copy for a writer: same id and data_version, columns shared
+  /// with this table until written, the delete mask copied.
+  std::unique_ptr<Table> Clone() const;
+
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
   int64_t num_rows() const { return num_rows_; }
   const Column& column(int i) const { return *cols_[static_cast<size_t>(i)]; }
+  /// In-place access for loaders (generators, CSV, the snapshot loader).
+  /// Legal only while nothing is served from the database: it writes the
+  /// published version, and its columns may be shared with older versions
+  /// a reader still holds. Served writes go through Clone().
   Column* mutable_column(int i) { return cols_[static_cast<size_t>(i)].get(); }
 
   /// Identity stamp assigned by the catalog at creation, unique across the
@@ -44,6 +57,7 @@ class Table {
 
   /// Fast typed appends for generators (one call per column, then
   /// CommitRow). The caller must append to every column exactly once.
+  /// Loading only, like mutable_column().
   void CommitRow() {
     if (!valid_.empty()) valid_.push_back(1);
     ++num_rows_;
@@ -84,10 +98,17 @@ class Table {
   }
 
  private:
+  /// Column `i`, copied first if it is still shared with the table this
+  /// one was cloned from.
+  Column* WritableColumn(int i);
+
   std::string name_;
   Schema schema_;
   StringPool* pool_;
-  std::vector<std::unique_ptr<Column>> cols_;
+  std::vector<std::shared_ptr<Column>> cols_;
+  /// Per column: 1 while shared with the Clone() source (copy before the
+  /// first write). All 0 for a table built by the constructor.
+  std::vector<uint8_t> shared_;
   std::vector<uint8_t> valid_;  // lazily allocated; 0 = deleted
   int64_t num_rows_ = 0;
   int64_t num_deleted_ = 0;

@@ -121,25 +121,24 @@ Status WriteFileAtomic(const std::string& path, const std::string& data) {
 
 }  // namespace
 
-Status WriteSnapshot(const std::string& path, const Catalog& catalog,
-                     uint64_t last_lsn) {
+Status WriteSnapshot(const std::string& path, const CatalogVersion& version,
+                     const StringPool& pool, uint64_t last_lsn) {
   std::string out;
   PutU32(&out, kSnapshotMagic);
   PutU32(&out, kSnapshotVersion);
   PutU64(&out, last_lsn);
 
   // String pool, in id order (reload re-interns to identical ids).
-  const StringPool& pool = catalog.string_pool();
   const uint32_t n_strings = static_cast<uint32_t>(pool.size());
   PutU32(&out, n_strings);
   for (uint32_t i = 0; i < n_strings; ++i) {
     PutStr(&out, pool.Get(static_cast<int32_t>(i)));
   }
 
-  const std::vector<std::string> names = catalog.TableNames();
+  const std::vector<std::string> names = version.TableNames();
   PutU32(&out, static_cast<uint32_t>(names.size()));
   for (const std::string& name : names) {
-    const Table* t = catalog.FindTable(name);
+    const Table* t = version.FindTable(name);
     PutStr(&out, t->name());
     const Schema& schema = t->schema();
     PutU32(&out, static_cast<uint32_t>(schema.num_columns()));

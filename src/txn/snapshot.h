@@ -27,11 +27,13 @@ namespace skinner {
 /// inserts would double-apply and update/delete row ids would address the
 /// wrong rows of the compacted snapshot.
 
-/// Serializes every table reachable from `catalog` to `path` atomically.
-/// `last_lsn` is the highest WAL LSN already applied to `catalog`
-/// (WalWriter::last_lsn at checkpoint time; 0 for a fresh database).
-Status WriteSnapshot(const std::string& path, const Catalog& catalog,
-                     uint64_t last_lsn);
+/// Serializes every table of `version`, plus the string pool it codes its
+/// strings in, to `path` atomically. `last_lsn` is the highest WAL LSN
+/// whose effects `version` contains (WalWriter::last_lsn at checkpoint
+/// time; 0 for a fresh database). The caller keeps writers out of the pool
+/// and the log meanwhile; readers may run.
+Status WriteSnapshot(const std::string& path, const CatalogVersion& version,
+                     const StringPool& pool, uint64_t last_lsn);
 
 /// Restores `catalog` (which must be empty) from `path`. A missing file is
 /// OK — the database is fresh. Returns the snapshot's LSN fence via

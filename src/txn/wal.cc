@@ -410,8 +410,16 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
     return Status::IoError(
         StrFormat("open %s: %s", path.c_str(), std::strerror(errno)));
   }
+  const off_t size = ::lseek(fd, 0, SEEK_END);
+  if (size < 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::IoError(
+        StrFormat("seek %s: %s", path.c_str(), std::strerror(err)));
+  }
   return std::unique_ptr<WalWriter>(
-      new WalWriter(fd, path, policy, next_lsn == 0 ? 1 : next_lsn));
+      new WalWriter(fd, path, policy, next_lsn == 0 ? 1 : next_lsn,
+                    static_cast<uint64_t>(size)));
 }
 
 WalWriter::~WalWriter() {
@@ -419,6 +427,7 @@ WalWriter::~WalWriter() {
 }
 
 Status WalWriter::Append(WalRecord* record) {
+  SKINNER_RETURN_IF_ERROR(broken_);
   record->lsn = next_lsn_++;
   std::string payload = wal_codec::EncodePayload(*record);
   std::string frame;
@@ -429,19 +438,30 @@ Status WalWriter::Append(WalRecord* record) {
   wal_codec::PutU32(&frame, static_cast<uint32_t>(payload.size()));
   frame += payload;
 
+  Status st;
   size_t written = 0;
-  while (written < frame.size()) {
+  while (st.ok() && written < frame.size()) {
     ssize_t n = ::write(fd_, frame.data() + written, frame.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::IoError(
+      st = Status::IoError(
           StrFormat("wal append %s: %s", path_.c_str(), std::strerror(errno)));
+    } else {
+      written += static_cast<size_t>(n);
     }
-    written += static_cast<size_t>(n);
   }
+  if (st.ok() && policy_ == FsyncPolicy::kAlways) st = Sync();
+  if (!st.ok()) {
+    // A failed append leaves no frame behind: a torn one would end replay
+    // there and drop every later (acknowledged) record, and an unsynced
+    // one would replay a statement reported as failed. If the log cannot
+    // be cut back to its last whole frame, it takes no further appends.
+    if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) broken_ = st;
+    return st;
+  }
+  size_ += frame.size();
   ++appends_;
   bytes_ += frame.size();
-  if (policy_ == FsyncPolicy::kAlways) return Sync();
   return Status::OK();
 }
 
@@ -450,6 +470,7 @@ Status WalWriter::Reset() {
     return Status::IoError(
         StrFormat("wal reset %s: %s", path_.c_str(), std::strerror(errno)));
   }
+  size_ = 0;
   return Sync();
 }
 

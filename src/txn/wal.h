@@ -27,8 +27,9 @@ namespace skinner {
 /// text, not dictionary ids, so the log stays valid across string-pool
 /// rebuilds.
 ///
-/// Records are physical redo: the database applies a mutation in memory
-/// first, then appends the exact deltas. Replay therefore never
+/// Records are physical redo: the database applies a mutation to a private
+/// copy of the table first, then appends the exact deltas, and publishes
+/// the copy only once the append (and its fsync) succeeded. Replay therefore never
 /// re-evaluates SQL and is idempotent over a prefix (recovery_test pins
 /// this).
 
@@ -92,7 +93,7 @@ Result<WalReplay> ReplayWal(const std::string& path);
 Status FsyncParentDir(const std::string& file_path);
 
 /// Append-side handle. Not thread-safe: the database serializes all DML
-/// under its exclusive DDL lock, which is also the WAL append order.
+/// under its writer mutex, which is also the WAL append order.
 class WalWriter {
  public:
   ~WalWriter();
@@ -106,8 +107,9 @@ class WalWriter {
                                                  uint64_t next_lsn);
 
   /// Assigns the record's LSN, appends one frame and applies the fsync
-  /// policy. On an I/O error the log is no longer trusted for further
-  /// appends.
+  /// policy. On an I/O error (write or fsync) the frame is cut off the log
+  /// again, so the log still ends at its last whole frame; if that cut
+  /// fails too, every later append returns the error.
   Status Append(WalRecord* record);
 
   /// Truncates the log to empty (checkpoint: the snapshot now carries the
@@ -126,8 +128,13 @@ class WalWriter {
   FsyncPolicy policy() const { return policy_; }
 
  private:
-  WalWriter(int fd, std::string path, FsyncPolicy policy, uint64_t next_lsn)
-      : fd_(fd), path_(std::move(path)), policy_(policy), next_lsn_(next_lsn) {}
+  WalWriter(int fd, std::string path, FsyncPolicy policy, uint64_t next_lsn,
+            uint64_t size)
+      : fd_(fd),
+        path_(std::move(path)),
+        policy_(policy),
+        next_lsn_(next_lsn),
+        size_(size) {}
 
   int fd_ = -1;
   std::string path_;
@@ -135,6 +142,8 @@ class WalWriter {
   uint64_t next_lsn_ = 1;
   uint64_t appends_ = 0;
   uint64_t bytes_ = 0;
+  uint64_t size_ = 0;  // file bytes: whole frames only
+  Status broken_;      // set when a failed frame could not be cut off
 };
 
 // Byte-codec helpers shared with the snapshot writer (src/txn/snapshot.cc)

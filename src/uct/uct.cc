@@ -53,33 +53,37 @@ int JoinOrderUct::SelectAction(const Node& node) {
   return best_a;
 }
 
-std::vector<int> JoinOrderUct::Choose() {
+int JoinOrderUct::RandomEligible(TableSet chosen) {
+  const TableSet elig = info_->EligibleMask(chosen);
+  return NthTable(elig, rng_.Uniform(
+                            static_cast<uint64_t>(__builtin_popcount(elig))));
+}
+
+void JoinOrderUct::Choose(std::vector<int>* order) {
   const int m = info_->num_tables();
-  std::vector<int> order;
-  order.reserve(static_cast<size_t>(m));
+  order->clear();
   TableSet chosen = 0;
 
   if (opts_.policy == SelectionPolicy::kRandom) {
-    while (static_cast<int>(order.size()) < m) {
-      std::vector<int> elig = info_->EligibleTables(chosen);
-      int t = elig[rng_.Uniform(elig.size())];
-      order.push_back(t);
+    while (static_cast<int>(order->size()) < m) {
+      const int t = RandomEligible(chosen);
+      order->push_back(t);
       chosen |= TableBit(t);
     }
-    return order;
+    return;
   }
 
   Node* node = root_.get();
   bool expanded = false;
-  while (static_cast<int>(order.size()) < m) {
+  while (static_cast<int>(order->size()) < m) {
     if (node != nullptr) {
       size_t a = static_cast<size_t>(SelectAction(*node));
       int t = node->actions[a];
-      order.push_back(t);
+      order->push_back(t);
       chosen |= TableBit(t);
       Node* child = node->children[a].get();
       if (child == nullptr && !expanded &&
-          static_cast<int>(order.size()) < m) {
+          static_cast<int>(order->size()) < m) {
         // Materialize at most one new node per round (paper Section 4.1).
         node->children[a].reset(MakeNode(chosen));
         child = node->children[a].get();
@@ -88,13 +92,11 @@ std::vector<int> JoinOrderUct::Choose() {
       node = child;
     } else {
       // Below the materialized frontier: random completion.
-      std::vector<int> elig = info_->EligibleTables(chosen);
-      int t = elig[rng_.Uniform(elig.size())];
-      order.push_back(t);
+      const int t = RandomEligible(chosen);
+      order->push_back(t);
       chosen |= TableBit(t);
     }
   }
-  return order;
 }
 
 void JoinOrderUct::RewardUpdate(const std::vector<int>& order, double reward) {

@@ -40,8 +40,10 @@ class JoinOrderUct {
   JoinOrderUct& operator=(const JoinOrderUct&) = delete;
 
   /// Selects the join order for the next time slice (UctChoice in the
-  /// paper's pseudo-code). Expands at most one tree node.
-  std::vector<int> Choose();
+  /// paper's pseudo-code) into `order`, reusing its capacity: a choice
+  /// that expands no tree node allocates nothing. Expands at most one tree
+  /// node.
+  void Choose(std::vector<int>* order);
 
   /// Registers `reward` (in [0,1]) for `order`: updates visit counts and
   /// average rewards in all materialized nodes along the path
@@ -87,6 +89,9 @@ class JoinOrderUct {
 
   Node* MakeNode(TableSet chosen);
   int SelectAction(const Node& node);
+  /// A uniformly random eligible extension of `chosen`: the r-th eligible
+  /// table for r = rng_.Uniform(#eligible).
+  int RandomEligible(TableSet chosen);
 
   const QueryInfo* info_;
   UctOptions opts_;

@@ -106,6 +106,25 @@ TEST_F(QueryInfoTest, StarShapeEligibility) {
   EXPECT_EQ(qi.EligibleTables(TableBit(1)), (std::vector<int>{0}));
 }
 
+TEST_F(QueryInfoTest, NthTableIndexesEligibleTablesInOrder) {
+  // UCT's random completion draws r and takes NthTable(EligibleMask, r):
+  // the same table EligibleTables()[r] named before the mask existed.
+  BoundQuery q = Bind(
+      "SELECT COUNT(*) FROM a, b, c, d WHERE a.x = b.x AND a.x = c.x AND "
+      "a.y = d.y");
+  QueryInfo qi = QueryInfo::Analyze(q).MoveValue();
+  for (TableSet chosen : {TableSet{0}, TableBit(0), TableBit(1),
+                          TableBit(0) | TableBit(2)}) {
+    const std::vector<int> elig = qi.EligibleTables(chosen);
+    const TableSet mask = qi.EligibleMask(chosen);
+    ASSERT_EQ(static_cast<size_t>(__builtin_popcount(mask)), elig.size());
+    for (size_t r = 0; r < elig.size(); ++r) {
+      EXPECT_EQ(NthTable(mask, r), elig[r]) << "chosen " << chosen;
+    }
+  }
+  EXPECT_EQ(NthTable(TableBit(3) | TableBit(31), 1), 31);
+}
+
 TEST_F(QueryInfoTest, UdfJoinPredicateCreatesAdjacency) {
   BoundQuery q = Bind("SELECT COUNT(*) FROM a, b WHERE f(a.x, b.x)");
   QueryInfo qi = QueryInfo::Analyze(q).MoveValue();

@@ -1,5 +1,7 @@
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -313,6 +315,36 @@ TEST_F(RecoveryTest, FsyncAlwaysRoundTrips) {
   auto db = Open(FsyncPolicy::kAlways);
   ASSERT_NE(db, nullptr);
   EXPECT_EQ(Count(db.get(), "accounts"), 3);
+}
+
+TEST_F(RecoveryTest, FailedLogAppendPublishesAndLogsNothing) {
+  auto db = Open();
+  ASSERT_NE(db, nullptr);
+  SeedAccounts(db.get(), 3);
+  // Cap this process's file size 5 bytes past the log's end: the next
+  // frame is torn (write() stores 5 bytes, then fails with EFBIG).
+  const rlim_t wal_size = ReadFile(dir_ + "/wal.log").size();
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  ASSERT_TRUE(saved.rlim_max == RLIM_INFINITY || saved.rlim_max > wal_size + 5);
+  rlimit cap = saved;
+  cap.rlim_cur = wal_size + 5;
+  auto* saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &cap), 0);
+  Status failed = db->Execute("UPDATE accounts SET balance = 0 WHERE id = 1");
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, saved_handler);
+  EXPECT_FALSE(failed.ok());
+
+  // Nothing was published...
+  EXPECT_EQ(Count(db.get(), "accounts", "balance = 0"), 0);
+  // ...and nothing stayed in the log: a later write survives replay.
+  ASSERT_TRUE(db->Execute("DELETE FROM accounts WHERE id = 2").ok());
+  db.reset();
+  db = Open();
+  ASSERT_NE(db, nullptr);
+  EXPECT_EQ(Count(db.get(), "accounts"), 2);
+  EXPECT_EQ(Count(db.get(), "accounts", "balance = 0"), 0);
 }
 
 TEST_F(RecoveryTest, InMemoryDatabaseHasNoWal) {

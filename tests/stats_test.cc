@@ -62,30 +62,61 @@ TEST_F(StatsTest, ComputeTableStats) {
 
 TEST_F(StatsTest, StatsManagerCachesUntilDataVersionChanges) {
   StatsManager mgr;
-  const TableStats& s1 = mgr.Get(table_);
-  const TableStats& s2 = mgr.Get(table_);
-  EXPECT_EQ(&s1, &s2);
+  std::shared_ptr<const TableStats> s1 = mgr.Get(table_);
+  std::shared_ptr<const TableStats> s2 = mgr.Get(table_);
+  EXPECT_EQ(s1.get(), s2.get());
   ASSERT_TRUE(table_->AppendRow({Value::Int(1), Value::String("z"),
                                  Value::Double(1)}).ok());
-  const TableStats& s3 = mgr.Get(table_);
-  EXPECT_EQ(s3.row_count, 101);
+  std::shared_ptr<const TableStats> s3 = mgr.Get(table_);
+  EXPECT_EQ(s3->row_count, 101);
+  EXPECT_EQ(s1->row_count, 100);  // the replaced entry is still alive
 }
 
 TEST_F(StatsTest, DmlInvalidatesCachedStatsAndSkipsDeletedRows) {
   StatsManager mgr;
-  EXPECT_EQ(mgr.Get(table_).row_count, 100);
+  EXPECT_EQ(mgr.Get(table_)->row_count, 100);
   // An in-place UPDATE leaves num_rows unchanged but must invalidate.
   ASSERT_TRUE(table_->UpdateCell(0, 0, Value::Int(1234)).ok());
-  const TableStats& s2 = mgr.Get(table_);
-  EXPECT_EQ(s2.columns[0].num_distinct, 11);  // 0..9 plus the new 1234
-  EXPECT_DOUBLE_EQ(s2.columns[0].max_val, 1234);
+  std::shared_ptr<const TableStats> s2 = mgr.Get(table_);
+  EXPECT_EQ(s2->columns[0].num_distinct, 11);  // 0..9 plus the new 1234
+  EXPECT_DOUBLE_EQ(s2->columns[0].max_val, 1234);
   // A mask-only DELETE likewise, and the deleted row drops out of every
   // statistic (1234 lived only in row 0).
   table_->DeleteRow(0);
-  const TableStats& s3 = mgr.Get(table_);
-  EXPECT_EQ(s3.row_count, 99);
-  EXPECT_EQ(s3.columns[0].num_distinct, 10);
-  EXPECT_DOUBLE_EQ(s3.columns[0].max_val, 9);
+  std::shared_ptr<const TableStats> s3 = mgr.Get(table_);
+  EXPECT_EQ(s3->row_count, 99);
+  EXPECT_EQ(s3->columns[0].num_distinct, 10);
+  EXPECT_DOUBLE_EQ(s3->columns[0].max_val, 9);
+}
+
+TEST_F(StatsTest, StatsOfTwoCoexistingVersionsStayApart) {
+  // A writer's clone and the published table share an id and differ in
+  // data_version; readers of both hold their stats at the same time.
+  StatsManager mgr;
+  std::unique_ptr<Table> next = table_->Clone();
+  ASSERT_EQ(next->id(), table_->id());
+  ASSERT_TRUE(next->UpdateCell(0, 0, Value::Int(1234)).ok());
+  next->DeleteRow(1);
+
+  std::shared_ptr<const TableStats> old_stats = mgr.Get(table_);
+  std::shared_ptr<const TableStats> new_stats = mgr.Get(next.get());
+  // The old reader asks again after the newer version was cached: it must
+  // get its own version's stats, and must not evict the newer entry.
+  std::shared_ptr<const TableStats> old_again = mgr.Get(table_);
+  EXPECT_EQ(mgr.Get(next.get()).get(), new_stats.get());
+
+  EXPECT_EQ(old_stats->row_count, 100);
+  EXPECT_EQ(old_stats->columns[0].num_distinct, 10);
+  EXPECT_DOUBLE_EQ(old_stats->columns[0].max_val, 9);
+  EXPECT_EQ(old_again->row_count, 100);
+  EXPECT_DOUBLE_EQ(old_again->columns[0].max_val, 9);
+  EXPECT_EQ(new_stats->row_count, 99);
+  EXPECT_EQ(new_stats->columns[0].num_distinct, 11);
+  EXPECT_DOUBLE_EQ(new_stats->columns[0].max_val, 1234);
+
+  // The writer's clone goes away; the stats a reader holds stay valid.
+  next.reset();
+  EXPECT_EQ(new_stats->row_count, 99);
 }
 
 TEST_F(StatsTest, EqualitySelectivityUsesNdv) {

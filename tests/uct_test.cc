@@ -48,7 +48,8 @@ TEST_F(UctTest, ChoosesValidOrders) {
   UctOptions opts;
   JoinOrderUct uct(info_.get(), opts);
   for (int i = 0; i < 50; ++i) {
-    std::vector<int> order = uct.Choose();
+    std::vector<int> order;
+    uct.Choose(&order);
     ASSERT_EQ(order.size(), 5u);
     std::vector<bool> seen(5, false);
     TableSet chosen = 0;
@@ -76,7 +77,8 @@ TEST_F(UctTest, ExpandsAtMostOneNodePerRound) {
   JoinOrderUct uct(info_.get(), opts);
   size_t prev = uct.num_nodes();
   for (int i = 0; i < 30; ++i) {
-    std::vector<int> order = uct.Choose();
+    std::vector<int> order;
+    uct.Choose(&order);
     size_t now = uct.num_nodes();
     EXPECT_LE(now, prev + 1) << "round " << i;
     prev = now;
@@ -91,14 +93,16 @@ TEST_F(UctTest, ConvergesToBestArm) {
   opts.explore_weight = 1.0;
   JoinOrderUct uct(info_.get(), opts);
   for (int i = 0; i < 600; ++i) {
-    std::vector<int> order = uct.Choose();
+    std::vector<int> order;
+    uct.Choose(&order);
     uct.RewardUpdate(order, order[0] == 2 ? 1.0 : 0.0);
   }
   // Final policy and recent choices should favor table 2 first.
   EXPECT_EQ(uct.BestOrder()[0], 2);
   int hits = 0;
   for (int i = 0; i < 100; ++i) {
-    std::vector<int> order = uct.Choose();
+    std::vector<int> order;
+    uct.Choose(&order);
     if (order[0] == 2) ++hits;
     uct.RewardUpdate(order, order[0] == 2 ? 1.0 : 0.0);
   }
@@ -116,7 +120,8 @@ TEST_F(UctTest, CumulativeRegretSublinear) {
   double first_quarter = 0;
   double last_quarter = 0;
   for (int i = 0; i < kRounds; ++i) {
-    std::vector<int> order = uct.Choose();
+    std::vector<int> order;
+    uct.Choose(&order);
     double r = order[0] == 1 ? 0.9 : 0.2;
     uct.RewardUpdate(order, r);
     if (i < kRounds / 4) first_quarter += r;
@@ -136,7 +141,8 @@ TEST_F(UctTest, RandomPolicySelectsUniformly) {
   JoinOrderUct uct(info_.get(), opts);
   std::vector<int> first_counts(3, 0);
   for (int i = 0; i < 900; ++i) {
-    std::vector<int> order = uct.Choose();
+    std::vector<int> order;
+    uct.Choose(&order);
     first_counts[static_cast<size_t>(order[0])]++;
   }
   for (int t = 0; t < 3; ++t) {
@@ -150,8 +156,10 @@ TEST_F(UctTest, VisitsAccumulate) {
   MakeChain(3);
   UctOptions opts;
   JoinOrderUct uct(info_.get(), opts);
+  std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    uct.RewardUpdate(uct.Choose(), 0.3);
+    uct.Choose(&order);
+    uct.RewardUpdate(order, 0.3);
   }
   EXPECT_EQ(uct.total_visits(), 10);
 }
@@ -160,7 +168,9 @@ TEST_F(UctTest, SingleTableQuery) {
   MakeChain(1);
   UctOptions opts;
   JoinOrderUct uct(info_.get(), opts);
-  EXPECT_EQ(uct.Choose(), (std::vector<int>{0}));
+  std::vector<int> order;
+  uct.Choose(&order);
+  EXPECT_EQ(order, (std::vector<int>{0}));
   EXPECT_EQ(uct.BestOrder(), (std::vector<int>{0}));
 }
 
