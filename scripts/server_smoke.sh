@@ -91,6 +91,7 @@ expect 'ROW 3'
 expect 'ERR BIND'
 expect 'OK checkpoints=1'
 expect 'STAT sched_workers='
+expect 'STAT cache_table_hits='
 expect 'STAT wal_appends='
 expect 'STAT wal_bytes='
 expect 'STAT recovery_replayed_records='

@@ -88,13 +88,6 @@ struct ExecOptions {
   uint64_t seed = 42;
   /// Global virtual-clock deadline (units); censors runaway executions.
   uint64_t deadline = UINT64_MAX;
-
-  /// Serve reads from the PreparedCache but never publish new artifacts
-  /// into it (warm-start orders are still recorded — they are a few
-  /// ints). The server flips this once a session exhausts its cache
-  /// byte-share quota, so one greedy session cannot evict everyone else's
-  /// artifacts; results are unchanged, repeated work just stays unshared.
-  bool cache_read_only = false;
 };
 
 /// Everything measured about one query execution.
@@ -114,10 +107,6 @@ struct ExecutionStats {
   /// built for this execution on a miss.
   int tables_prepared_from_cache = 0;
   int tables_reprepared = 0;
-  /// Bytes of freshly built artifacts this execution published into the
-  /// PreparedCache (0 on hits and under ExecOptions::cache_read_only);
-  /// what the server charges against a session's cache byte share.
-  uint64_t cache_bytes_published = 0;
   uint64_t join_result_tuples = 0;
   /// Accumulated intermediate result cardinality actually produced (the
   /// engine-independent optimizer-quality metric of paper Tables 1/2).

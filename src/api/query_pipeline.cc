@@ -62,7 +62,6 @@ Result<PreparedStage> QueryPipeline::PrepareCore(
   popts.width = opts.parallel_preprocess ? opts.num_threads : 1;
   popts.scheduler = scheduler_;
   popts.cache = caching ? cache_ : nullptr;
-  popts.cache_read_only = opts.cache_read_only;
   SKINNER_ASSIGN_OR_RETURN(
       stage.pq,
       PreparedQuery::Prepare(stage.query.get(), stage.info.get(),
@@ -223,7 +222,6 @@ Result<QueryOutput> QueryPipeline::PostProcess(const PreparedStage& prep,
   out.stats.template_signature_hit = !prep.warm_order.empty();
   out.stats.tables_prepared_from_cache = data.tables_from_cache;
   out.stats.tables_reprepared = data.tables_reprepared;
-  out.stats.cache_bytes_published = data.bytes_published;
   out.stats.join_result_tuples = exec.join_result->size();
   SKINNER_ASSIGN_OR_RETURN(out.result,
                            skinner::PostProcess(*prep.pq, *exec.join_result));

@@ -182,13 +182,18 @@ void PreparedCache::InsertLocked(const std::string& key,
 }
 
 PreparedCache::TableArtifactPtr PreparedCache::HitLocked(
-    const std::string& key, const TableStamp& stamp) {
+    const std::string& key, const TableStamp& stamp, StaleArtifact* stale) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
   if (it->second.stamp != stamp) {
     // Same filter, different data (DML since the build): the artifact is
-    // stale — drop it so the re-prepare can take its slot.
+    // stale — drop it so the re-prepare can take its slot, and let the
+    // builder try to revalidate it when it predates the builder's data.
     ++table_invalidations_;
+    if (stale != nullptr &&
+        it->second.stamp.data_version < stamp.data_version) {
+      *stale = StaleArtifact{it->second.artifact, it->second.stamp.data_version};
+    }
     EvictLocked(key);
     return nullptr;
   }
@@ -209,13 +214,14 @@ PreparedCache::TableClaim PreparedCache::AcquireTable(const std::string& key,
                                                       const TableStamp& stamp) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    TableArtifactPtr hit = HitLocked(key, stamp);
-    if (hit != nullptr) return TableClaim{std::move(hit), false};
+    StaleArtifact stale;
+    TableArtifactPtr hit = HitLocked(key, stamp, &stale);
+    if (hit != nullptr) return TableClaim{std::move(hit), false, {}};
     auto inf = inflight_.find(key);
     if (inf == inflight_.end()) {
       ++table_misses_;
       inflight_.emplace(key, std::make_shared<Inflight>());
-      return TableClaim{nullptr, true};
+      return TableClaim{nullptr, true, std::move(stale)};
     }
     // Block on the owner's build instead of re-preparing. The payload
     // travels through the token so an eviction racing between Publish and
@@ -224,7 +230,7 @@ PreparedCache::TableClaim PreparedCache::AcquireTable(const std::string& key,
     ++inflight_waits_;
     token->cv.wait(lock, [&] { return token->done; });
     if (token->artifact != nullptr && token->stamp == stamp) {
-      return TableClaim{token->artifact, false};
+      return TableClaim{token->artifact, false, {}};
     }
     // Abandoned, or built against a different stamp: retry (and possibly
     // become the builder ourselves).
@@ -234,18 +240,19 @@ PreparedCache::TableClaim PreparedCache::AcquireTable(const std::string& key,
 PreparedCache::TableTryClaim PreparedCache::TryAcquireTable(
     const std::string& key, const TableStamp& stamp) {
   std::lock_guard<std::mutex> lock(mu_);
-  TableArtifactPtr hit = HitLocked(key, stamp);
-  if (hit != nullptr) return TableTryClaim{std::move(hit), false, nullptr};
+  StaleArtifact stale;
+  TableArtifactPtr hit = HitLocked(key, stamp, &stale);
+  if (hit != nullptr) return TableTryClaim{std::move(hit), false, nullptr, {}};
   auto inf = inflight_.find(key);
   if (inf == inflight_.end()) {
     ++table_misses_;
     inflight_.emplace(key, std::make_shared<Inflight>());
-    return TableTryClaim{nullptr, true, nullptr};
+    return TableTryClaim{nullptr, true, nullptr, std::move(stale)};
   }
   // Someone else is building: hand out their token WITHOUT blocking — the
   // claim-all caller publishes its own claims first and redeems the token
   // via WaitTable afterwards.
-  return TableTryClaim{nullptr, false, inf->second};
+  return TableTryClaim{nullptr, false, inf->second, {}};
 }
 
 PreparedCache::TableClaim PreparedCache::WaitTable(
@@ -257,7 +264,7 @@ PreparedCache::TableClaim PreparedCache::WaitTable(
     ++inflight_waits_;
     token->cv.wait(lock, [&] { return token->done; });
     if (token->artifact != nullptr && token->stamp == stamp) {
-      return TableClaim{token->artifact, false};
+      return TableClaim{token->artifact, false, {}};
     }
   }
   // Abandoned, or published under a different stamp: fall back to the
@@ -267,8 +274,14 @@ PreparedCache::TableClaim PreparedCache::WaitTable(
 
 void PreparedCache::PublishTable(const std::string& key,
                                  const TableStamp& stamp,
-                                 TableArtifactPtr artifact) {
+                                 TableArtifactPtr artifact, bool revalidated) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (revalidated) {
+    // The claim counted a miss; it was served from the cache after all.
+    --table_misses_;
+    ++table_hits_;
+    ++table_revalidations_;
+  }
   auto inf = inflight_.find(key);
   if (inf != inflight_.end()) {
     inf->second->done = true;
@@ -322,6 +335,7 @@ PreparedCache::Stats PreparedCache::stats() const {
   s.table_hits = table_hits_;
   s.table_misses = table_misses_;
   s.table_invalidations = table_invalidations_;
+  s.table_revalidations = table_revalidations_;
   s.inflight_waits = inflight_waits_;
   s.admission_rejected = admission_rejected_;
   s.size_evictions = size_evictions_;

@@ -65,9 +65,11 @@ std::string TableArtifactKey(const Table& table,
 /// TableArtifactKey and validated by the table's TableStamp.
 ///
 /// A key match with a stale stamp (DML since the build) evicts the entry
-/// and counts as an invalidation; entries for dropped tables become
-/// unreachable (a re-created table has a new id, hence new keys) and age
-/// out of the LRU ring.
+/// and counts as an invalidation; the builder claim it turns into carries
+/// the evicted artifact along, so the builder can revalidate it against
+/// the table's change log instead of rebuilding (PreparedQuery::Prepare).
+/// Entries for dropped tables become unreachable (a re-created table has
+/// a new id, hence new keys) and age out of the LRU ring.
 ///
 /// Admission/eviction is size-aware: every entry is charged its artifact
 /// bytes (TableArtifact::bytes plus a fixed per-entry overhead), and the
@@ -105,12 +107,20 @@ class PreparedCache {
   PreparedCache& operator=(const PreparedCache&) = delete;
 
   /// The artifact for (key, stamp), or null on a miss. Never blocks on
-  /// in-flight builds and never claims one (the read-only path).
+  /// in-flight builds and never claims one.
   TableArtifactPtr LookupTable(const std::string& key, const TableStamp& stamp);
 
+  /// A builder claim's evicted artifact of an older data version of the
+  /// same table (null when there is none): exact under the claim's stamp
+  /// too if no row change since `data_version` touched it.
+  struct StaleArtifact {
+    TableArtifactPtr artifact;
+    uint64_t data_version = 0;
+  };
   struct TableClaim {
     TableArtifactPtr artifact;
     bool builder = false;  // true: the caller must PublishTable/AbandonTable
+    StaleArtifact stale;   // builder only
   };
   /// Returns a ready artifact, or makes the first caller to miss the
   /// builder (builder=true), who MUST later PublishTable (success) or
@@ -119,9 +129,11 @@ class PreparedCache {
   /// claim-all protocol (below) instead.
   TableClaim AcquireTable(const std::string& key, const TableStamp& stamp);
   /// Inserts the artifact (replacing any entry under `key`) and hands it
-  /// to every waiter of the key's in-flight build.
+  /// to every waiter of the key's in-flight build. `revalidated`: the
+  /// artifact is the claim's stale one, proven exact under `stamp` — the
+  /// claim counts as a hit and a revalidation instead of a miss.
   void PublishTable(const std::string& key, const TableStamp& stamp,
-                    TableArtifactPtr artifact);
+                    TableArtifactPtr artifact, bool revalidated = false);
   /// Releases the builder claim without a result; one waiter (or the next
   /// caller) becomes the builder instead.
   void AbandonTable(const std::string& key);
@@ -147,6 +159,7 @@ class PreparedCache {
     /// Another caller's in-flight build token (artifact and builder both
     /// unset); redeem with WaitTable after publishing every owned claim.
     std::shared_ptr<void> pending;
+    StaleArtifact stale;  // builder only
   };
   TableTryClaim TryAcquireTable(const std::string& key,
                                 const TableStamp& stamp);
@@ -176,6 +189,9 @@ class PreparedCache {
     uint64_t table_hits = 0;
     uint64_t table_misses = 0;
     uint64_t table_invalidations = 0;  // key hits discarded on stale stamps
+    /// Stale artifacts proven exact under the new stamp and republished
+    /// instead of rebuilt (counted in table_hits, not table_misses).
+    uint64_t table_revalidations = 0;
     /// Lookups served by blocking on another caller's in-flight build
     /// instead of re-preparing.
     uint64_t inflight_waits = 0;
@@ -213,8 +229,10 @@ class PreparedCache {
     std::condition_variable cv;
   };
 
-  /// Serves a fresh hit (LRU bump) or evicts a stale entry; null on miss.
-  TableArtifactPtr HitLocked(const std::string& key, const TableStamp& stamp);
+  /// Serves a fresh hit (LRU bump) or evicts a stale entry (handing it to
+  /// `stale` when it is older than `stamp`); null on miss.
+  TableArtifactPtr HitLocked(const std::string& key, const TableStamp& stamp,
+                             StaleArtifact* stale = nullptr);
   void EvictLocked(const std::string& key);
   /// Evicts LRU entries until `bytes` more fit the budget; returns false
   /// (admission rejected) if they never can.
@@ -233,6 +251,7 @@ class PreparedCache {
   uint64_t table_hits_ = 0;
   uint64_t table_misses_ = 0;
   uint64_t table_invalidations_ = 0;
+  uint64_t table_revalidations_ = 0;
   uint64_t inflight_waits_ = 0;
   uint64_t admission_rejected_ = 0;
   uint64_t size_evictions_ = 0;

@@ -383,6 +383,42 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
          ListScheduleMakespan(index_costs, width);
 }
 
+/// Proves the stale artifact of table `t` exact under the table's current
+/// data. An artifact is a pure function of which rows pass the filter and
+/// of those rows' join keys, so it still holds when every row changed
+/// since its data version keeps its membership of `filtered`, and no
+/// filtered row had an indexed column updated. Charges one cost unit per
+/// change checked (plus the UDF ticks of fallback filter nodes) to *cost;
+/// false when the table's change log no longer reaches back to the stale
+/// version or some change breaks the artifact.
+bool Revalidate(const std::vector<const Table*>& tables, const StringPool* pool,
+                const QueryInfo& info, int t,
+                const PreparedCache::StaleArtifact& stale, uint64_t* cost) {
+  const Table& table = *tables[static_cast<size_t>(t)];
+  const Table::RowChange* begin = nullptr;
+  const Table::RowChange* end = nullptr;
+  if (stale.artifact == nullptr ||
+      !table.ChangesSince(stale.data_version, &begin, &end)) {
+    return false;
+  }
+  const TableArtifact& a = *stale.artifact;
+  const FilterProgram program(info.unary_preds(t), table, t);
+  VirtualClock local;
+  std::vector<int32_t> passed;
+  bool exact = true;
+  for (const Table::RowChange* c = begin; exact && c != end; ++c) {
+    ++*cost;
+    passed.clear();
+    program.Filter(c->row, c->row + 1, tables, pool, &local, &passed);
+    const bool was_in = std::binary_search(
+        a.filtered.begin(), a.filtered.end(), static_cast<int32_t>(c->row));
+    exact = was_in == !passed.empty() &&
+            !(was_in && a.indexes.count(c->col) > 0);
+  }
+  *cost += local.now();
+  return exact;
+}
+
 }  // namespace
 
 size_t TableArtifact::bytes() const {
@@ -486,6 +522,8 @@ Result<std::unique_ptr<PreparedQuery>> PreparedQuery::Prepare(
   // every owned claim, and only then wait on other executions' in-flight
   // builds. Deadlock-free because no execution blocks while holding an
   // unpublished claim, and a full miss still builds all m tables at once.
+  // A claim whose stale artifact survives the table's row changes since
+  // its stamp republishes it under the new stamp instead of building.
   PreparedCache* cache = opts.cache;
   struct Claim {
     std::string key;
@@ -493,6 +531,16 @@ Result<std::unique_ptr<PreparedQuery>> PreparedQuery::Prepare(
     std::shared_ptr<void> pending;  // another execution's in-flight build
   };
   std::vector<Claim> claims(cache != nullptr ? static_cast<size_t>(m) : 0);
+  auto revalidate = [&](int t, const PreparedCache::StaleArtifact& stale)
+      -> std::shared_ptr<const TableArtifact> {
+    if (!Revalidate(data->tables, pool, *info, t, stale,
+                    &data->preprocess_cost)) {
+      return nullptr;
+    }
+    const Claim& c = claims[static_cast<size_t>(t)];
+    cache->PublishTable(c.key, c.stamp, stale.artifact, /*revalidated=*/true);
+    return stale.artifact;
+  };
   std::vector<int> fresh;  // built here: owned claims or private builds
   for (int t = 0; t < m; ++t) {
     if (cache == nullptr) {
@@ -507,13 +555,10 @@ Result<std::unique_ptr<PreparedQuery>> PreparedQuery::Prepare(
     c.stamp = TableStamp{table->id(), table->data_version()};
     std::shared_ptr<const TableArtifact>& slot =
         data->artifacts[static_cast<size_t>(t)];
-    if (opts.cache_read_only) {
-      slot = cache->LookupTable(c.key, c.stamp);
-    } else {
-      PreparedCache::TableTryClaim claim = cache->TryAcquireTable(c.key, c.stamp);
-      slot = std::move(claim.artifact);
-      c.pending = std::move(claim.pending);
-    }
+    PreparedCache::TableTryClaim claim = cache->TryAcquireTable(c.key, c.stamp);
+    slot = std::move(claim.artifact);
+    c.pending = std::move(claim.pending);
+    if (claim.builder) slot = revalidate(t, claim.stale);
     if (slot != nullptr) {
       ++data->tables_from_cache;
     } else if (c.pending == nullptr) {
@@ -525,12 +570,9 @@ Result<std::unique_ptr<PreparedQuery>> PreparedQuery::Prepare(
         BuildArtifacts(data->tables, pool, *info, ts, opts, &data->artifacts);
     if (cache == nullptr) return;
     data->tables_reprepared += static_cast<int>(ts.size());
-    if (opts.cache_read_only) return;
     for (int t : ts) {
       const Claim& c = claims[static_cast<size_t>(t)];
-      const auto& artifact = data->artifacts[static_cast<size_t>(t)];
-      cache->PublishTable(c.key, c.stamp, artifact);
-      data->bytes_published += artifact->bytes();
+      cache->PublishTable(c.key, c.stamp, data->artifacts[static_cast<size_t>(t)]);
     }
   };
   build(fresh);
@@ -542,6 +584,7 @@ Result<std::unique_ptr<PreparedQuery>> PreparedQuery::Prepare(
     Claim& c = claims[static_cast<size_t>(t)];
     if (c.pending == nullptr) continue;
     PreparedCache::TableClaim claim = cache->WaitTable(c.key, c.stamp, c.pending);
+    if (claim.builder) claim.artifact = revalidate(t, claim.stale);
     if (claim.artifact != nullptr) {
       data->artifacts[static_cast<size_t>(t)] = std::move(claim.artifact);
       ++data->tables_from_cache;

@@ -293,11 +293,10 @@ struct PrepareOptions {
   /// Null: every table builds fresh, and no key is computed and no cache
   /// lock taken. Otherwise each table's artifact is keyed by
   /// TableArtifactKey and acquired through the cache's claim-all
-  /// protocol; a cached table costs nothing.
+  /// protocol; a cached table costs nothing, and a stale one that still
+  /// holds under the table's logged row changes (Table::ChangesSince)
+  /// costs one unit per change checked.
   PreparedCache* cache = nullptr;
-  /// With `cache`: serve hits, but build misses privately and publish
-  /// nothing (see ExecOptions::cache_read_only).
-  bool cache_read_only = false;
 };
 
 /// Output of the pre-processor (paper Figure 2): per-table lists of base
@@ -323,13 +322,11 @@ class PreparedQuery {
     /// predicates plus the artifacts actually built for it (cached tables
     /// contribute nothing).
     uint64_t preprocess_cost = 0;
-    /// Cache provenance (all 0 without a cache): tables served by the
-    /// PreparedCache, tables built here on a cache miss, and the artifact
-    /// bytes published into the cache. A false constant predicate builds
-    /// and fetches nothing.
+    /// Cache provenance (both 0 without a cache): tables served by the
+    /// PreparedCache and tables built here on a cache miss. A false
+    /// constant predicate builds and fetches nothing.
     int tables_from_cache = 0;
     int tables_reprepared = 0;
-    uint64_t bytes_published = 0;
   };
 
   /// The one pre-processing core: evaluates the constant predicates, then

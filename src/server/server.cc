@@ -248,7 +248,6 @@ ServerStats ServerCore::stats() const {
     s.queries_error = queries_error_;
     s.queries_shed = queries_shed_;
     s.statements_prepared = statements_prepared_;
-    s.cache_publish_throttled = cache_publish_throttled_;
     for (const auto& [sid, h] : latency_) {
       ServerStats::SessionLatency out;
       out.count = h.count;
@@ -277,16 +276,6 @@ ServerConnection::ServerConnection(ServerCore* core,
 ServerConnection::~ServerConnection() {
   std::lock_guard<std::mutex> lock(core_->mu_);
   --core_->active_;
-}
-
-ExecOptions ServerConnection::EffectiveOptions() {
-  ExecOptions eopts = session_->defaults();
-  if (cache_bytes_used_ >= core_->opts_.quota.cache_bytes_share) {
-    eopts.cache_read_only = true;
-    std::lock_guard<std::mutex> lock(core_->mu_);
-    ++core_->cache_publish_throttled_;
-  }
-  return eopts;
 }
 
 ServerResponse ServerConnection::HandleLine(const std::string& raw) {
@@ -324,7 +313,7 @@ ServerResponse ServerConnection::HandleLine(const std::string& raw) {
     if (rest.empty()) {
       return ErrorResponse(Status::InvalidArgument("Q needs a SELECT"));
     }
-    return RunQuery(rest);
+    return RunRead([&] { return session_->Query(rest); });
   }
   if (cmd == "X") {
     if (rest.empty()) {
@@ -361,12 +350,12 @@ ServerResponse ServerConnection::HandleLine(const std::string& raw) {
       Status::Unsupported("unknown command: " + Flatten(cmd)));
 }
 
-ServerResponse ServerConnection::RunQuery(const std::string& sql) {
-  const ExecOptions eopts = EffectiveOptions();
+ServerResponse ServerConnection::RunRead(
+    const std::function<Result<QueryOutput>()>& run) {
   std::optional<Result<QueryOutput>> out;
   const auto start = std::chrono::steady_clock::now();
   Status admitted = core_->db_->scheduler()->SubmitAndWait(
-      session_->id(), [&] { out.emplace(session_->Query(sql, eopts)); });
+      session_->id(), [&] { out.emplace(run()); });
   if (!admitted.ok()) {
     std::lock_guard<std::mutex> lock(core_->mu_);
     ++core_->queries_shed_;
@@ -375,16 +364,11 @@ ServerResponse ServerConnection::RunQuery(const std::string& sql) {
   // Latency covers queueing + execution of every admitted query (errors
   // included — the client waited either way); shed queries never ran.
   core_->RecordLatency(session_->id(), ElapsedMicros(start));
-  if (!out->ok()) {
-    std::lock_guard<std::mutex> lock(core_->mu_);
-    ++core_->queries_error_;
-    return ErrorResponse(out->status());
-  }
-  cache_bytes_used_ += out->value().stats.cache_bytes_published;
   {
     std::lock_guard<std::mutex> lock(core_->mu_);
-    ++core_->queries_ok_;
+    ++(out->ok() ? core_->queries_ok_ : core_->queries_error_);
   }
+  if (!out->ok()) return ErrorResponse(out->status());
   ServerResponse r;
   AppendResultLines(out->value(), &r.text);
   return r;
@@ -438,36 +422,13 @@ ServerResponse ServerConnection::RunExecute(const std::string& rest) {
   if (!params.ok()) {
     return ErrorResponse(params.status());
   }
-  const ExecOptions eopts = EffectiveOptions();
   PreparedStatement* stmt = it->second.get();
-  std::optional<Result<QueryOutput>> out;
-  const auto start = std::chrono::steady_clock::now();
-  Status admitted = core_->db_->scheduler()->SubmitAndWait(
-      session_->id(),
-      [&] { out.emplace(stmt->Execute(params.value(), eopts)); });
-  if (!admitted.ok()) {
-    std::lock_guard<std::mutex> lock(core_->mu_);
-    ++core_->queries_shed_;
-    return ErrorResponse(admitted);
-  }
-  core_->RecordLatency(session_->id(), ElapsedMicros(start));
-  if (!out->ok()) {
-    std::lock_guard<std::mutex> lock(core_->mu_);
-    ++core_->queries_error_;
-    return ErrorResponse(out->status());
-  }
-  cache_bytes_used_ += out->value().stats.cache_bytes_published;
-  {
-    std::lock_guard<std::mutex> lock(core_->mu_);
-    ++core_->queries_ok_;
-  }
-  ServerResponse r;
-  AppendResultLines(out->value(), &r.text);
-  return r;
+  return RunRead([&] { return stmt->Execute(params.value()); });
 }
 
 ServerResponse ServerConnection::RunStats() {
   const ServerStats s = core_->stats();
+  const PreparedCache::Stats c = core_->db_->prepared_cache()->stats();
   std::ostringstream os;
   os << "STAT connections_accepted=" << s.connections_accepted << "\n"
      << "STAT connections_shed=" << s.connections_shed << "\n"
@@ -476,8 +437,14 @@ ServerResponse ServerConnection::RunStats() {
      << "STAT queries_error=" << s.queries_error << "\n"
      << "STAT queries_shed=" << s.queries_shed << "\n"
      << "STAT statements_prepared=" << s.statements_prepared << "\n"
-     << "STAT cache_publish_throttled=" << s.cache_publish_throttled << "\n"
-     << "STAT cache_bytes_used=" << cache_bytes_used_ << "\n"
+     << "STAT cache_table_hits=" << c.table_hits << "\n"
+     << "STAT cache_table_misses=" << c.table_misses << "\n"
+     << "STAT cache_invalidations=" << c.table_invalidations << "\n"
+     << "STAT cache_revalidations=" << c.table_revalidations << "\n"
+     << "STAT cache_evictions=" << c.size_evictions << "\n"
+     << "STAT cache_inflight_waits=" << c.inflight_waits << "\n"
+     << "STAT cache_bytes_used=" << c.bytes_used << "\n"
+     << "STAT cache_max_bytes=" << c.max_bytes << "\n"
      << "STAT wal_appends=" << s.wal_appends << "\n"
      << "STAT wal_bytes=" << s.wal_bytes << "\n"
      << "STAT recovery_replayed_records=" << s.recovery_replayed_records

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -17,16 +18,12 @@
 namespace skinner {
 
 /// Per-connection resource quotas (see ServerOptions). A connection past a
-/// quota gets a clean `ERR QUOTA` (statements) or silently stops publishing
-/// into the shared PreparedCache (cache byte share) — it never degrades
-/// other sessions.
+/// quota gets a clean `ERR QUOTA` — it never degrades other sessions. The
+/// shared PreparedCache needs no per-connection share: every execution
+/// publishes into it, and its global LRU byte budget bounds its memory.
 struct SessionQuota {
   /// Prepared statements a connection may hold at once (P command).
   int max_prepared_statements = 64;
-  /// Bytes of pre-processing artifacts one connection may publish into the
-  /// shared PreparedCache before its executions turn cache_read_only
-  /// (reads still served; its repeated work just stays unshared).
-  uint64_t cache_bytes_share = 16ull << 20;
 };
 
 struct ServerOptions {
@@ -48,7 +45,9 @@ struct ServerStats {
   uint64_t queries_error = 0;   // parse/bind/execution errors
   uint64_t queries_shed = 0;    // scheduler admission: overload/quota/drain
   uint64_t statements_prepared = 0;
-  /// Executions forced cache_read_only by an exhausted byte share.
+  /// Always 0: the per-connection publish throttle it counted is gone.
+  /// Kept declared because the end-to-end benchmark reads it; a
+  /// benchmark-scoped change drops it.
   uint64_t cache_publish_throttled = 0;
   /// Durability counters mirrored from Database::wal_stats() (all zero for
   /// an in-memory database).
@@ -83,8 +82,8 @@ class ServerConnection;
 /// The transport-agnostic core of skinner_serve: multiplexes N client
 /// connections onto one shared Database through its one global Scheduler.
 /// Each Connect() yields a ServerConnection owning a Session (independent
-/// seed stream, stats roll-up) plus its prepared-statement namespace and
-/// cache byte-share accounting; every query a connection runs is submitted
+/// seed stream, stats roll-up) plus its prepared-statement namespace;
+/// every query a connection runs is submitted
 /// to the scheduler under the session's id, so admission control
 /// (OVERLOADED), per-session fairness (weighted FIFO, inflight caps) and
 /// graceful drain apply uniformly whatever the transport.
@@ -98,7 +97,8 @@ class ServerConnection;
 ///   P <name> <sql with ?>   -> OK params=K (SELECT, UPDATE or DELETE)
 ///   E <name> <literals>     -> ROW lines, then OK rows=N cost=C
 ///   CHECKPOINT              -> OK checkpoints=N (compact + snapshot + WAL reset)
-///   STATS                   -> STAT key=value lines, then OK
+///   STATS                   -> STAT key=value lines (server, shared
+///                              PreparedCache, WAL, scheduler), then OK
 ///   PING                    -> OK
 ///   QUIT                    -> OK bye (connection closes)
 ///   SHUTDOWN                -> OK draining (server drains, then exits)
@@ -160,7 +160,6 @@ class ServerCore {
   uint64_t queries_error_ = 0;
   uint64_t queries_shed_ = 0;
   uint64_t statements_prepared_ = 0;
-  uint64_t cache_publish_throttled_ = 0;
   std::map<uint64_t, LatencyHist> latency_;  // by session id; guarded by mu_
 };
 
@@ -178,27 +177,22 @@ class ServerConnection {
 
   uint64_t session_id() const { return session_->id(); }
   Session* session() { return session_.get(); }
-  /// Cache bytes this connection has published so far (quota accounting).
-  uint64_t cache_bytes_used() const { return cache_bytes_used_; }
 
  private:
   friend class ServerCore;
   ServerConnection(ServerCore* core, std::unique_ptr<Session> session);
 
-  /// Runs one SELECT/statement execution through the scheduler under this
-  /// connection's session id and formats ROW + OK lines.
-  ServerResponse RunQuery(const std::string& sql);
+  /// Runs one Q or E execution (`run`) through the scheduler under this
+  /// connection's session id, records its latency and counts it, and
+  /// formats ROW + OK lines.
+  ServerResponse RunRead(const std::function<Result<QueryOutput>()>& run);
   ServerResponse RunPrepare(const std::string& rest);
   ServerResponse RunExecute(const std::string& rest);
   ServerResponse RunStats();
 
-  /// Session defaults with the cache byte-share quota applied.
-  ExecOptions EffectiveOptions();
-
   ServerCore* const core_;
   std::unique_ptr<Session> session_;
   std::map<std::string, std::unique_ptr<PreparedStatement>> statements_;
-  uint64_t cache_bytes_used_ = 0;
 };
 
 /// Parses a space-separated literal list of the E command: integers,

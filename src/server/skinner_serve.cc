@@ -232,8 +232,9 @@ int main(int argc, char** argv) {
 
   skinner::ServerOptions opts;
   opts.max_sessions = max_sessions;
-  // A server exists to share: cross-query caching on by default (bounded
-  // per session by the cache byte-share quota).
+  // A server exists to share: cross-query caching on by default. Every
+  // connection publishes into the one cache, whose LRU byte budget bounds
+  // its memory.
   opts.defaults.use_prepared_cache = true;
 
   skinner::ServerCore core(db.get(), opts);

@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 
 namespace skinner {
@@ -22,6 +24,8 @@ std::unique_ptr<Table> Table::Clone() const {
   t->num_deleted_ = num_deleted_;
   t->id_ = id_;
   t->data_version_ = data_version_;
+  t->change_log_ = change_log_;
+  t->change_floor_ = change_floor_;
   return t;
 }
 
@@ -51,8 +55,7 @@ Status Table::AppendRow(const std::vector<Value>& values) {
         WritableColumn(i)->AppendValue(values[static_cast<size_t>(i)], pool_));
   }
   if (!valid_.empty()) valid_.push_back(1);
-  ++num_rows_;
-  ++data_version_;
+  LogChange(num_rows_++, kRowAppended);
   return Status::OK();
 }
 
@@ -62,12 +65,12 @@ void Table::DeleteRow(int64_t row) {
   if (slot == 0) return;
   slot = 0;
   ++num_deleted_;
-  ++data_version_;
+  LogChange(row, kRowDeleted);
 }
 
 Status Table::UpdateCell(int64_t row, int col, const Value& v) {
   SKINNER_RETURN_IF_ERROR(WritableColumn(col)->SetValue(row, v, pool_));
-  ++data_version_;
+  LogChange(row, col);
   return Status::OK();
 }
 
@@ -79,7 +82,29 @@ void Table::Compact() {
   num_rows_ -= num_deleted_;
   num_deleted_ = 0;
   valid_.clear();
+  change_floor_ = ++data_version_;
+}
+
+void Table::LogChange(int64_t row, int col) {
   ++data_version_;
+  if (change_log_.size() == kChangeLogCapacity) {
+    const auto half = change_log_.begin() + kChangeLogCapacity / 2;
+    change_floor_ = (half - 1)->version;
+    change_log_.erase(change_log_.begin(), half);
+  }
+  change_log_.push_back(RowChange{data_version_, row, col});
+}
+
+bool Table::ChangesSince(uint64_t since, const RowChange** begin,
+                         const RowChange** end) const {
+  if (since < change_floor_ || since > data_version_) return false;
+  const RowChange* first = change_log_.data();
+  const RowChange* last = first + change_log_.size();
+  *begin = std::upper_bound(
+      first, last, since,
+      [](uint64_t v, const RowChange& c) { return v < c.version; });
+  *end = last;
+  return true;
 }
 
 std::vector<Value> Table::GetRow(int64_t row) const {

@@ -52,6 +52,26 @@ class Table {
   /// keyed on (id, data_version) is invalidated by any DML on the table.
   uint64_t data_version() const { return data_version_; }
 
+  /// One logged row change: the data version it produced, the row, and the
+  /// updated column or kRowDeleted / kRowAppended.
+  struct RowChange {
+    uint64_t version = 0;
+    int64_t row = 0;
+    int col = 0;
+  };
+  static constexpr int kRowDeleted = -1;
+  static constexpr int kRowAppended = -2;
+  /// Changes the log holds at most; a full log drops its older half.
+  static constexpr size_t kChangeLogCapacity = 1024;
+
+  /// The changes since data version `since` (oldest first) in
+  /// [*begin, *end), when the log holds every one of them. False when it
+  /// cannot: the log dropped some, or a bulk load (CommitRow), Compact or
+  /// RestoreRowCount happened since `since` — their row changes are not
+  /// logged, so the log's floor moves up to the version they produced.
+  bool ChangesSince(uint64_t since, const RowChange** begin,
+                    const RowChange** end) const;
+
   /// Appends one row; values.size() must equal the column count.
   Status AppendRow(const std::vector<Value>& values);
 
@@ -61,7 +81,7 @@ class Table {
   void CommitRow() {
     if (!valid_.empty()) valid_.push_back(1);
     ++num_rows_;
-    ++data_version_;
+    change_floor_ = ++data_version_;
   }
 
   /// Deleted-row tracking: a lazy byte-per-row validity mask, allocated on
@@ -94,13 +114,15 @@ class Table {
   // so no validity mask is ever restored.
   void RestoreRowCount(int64_t rows) {
     num_rows_ = rows;
-    ++data_version_;
+    change_floor_ = ++data_version_;
   }
 
  private:
   /// Column `i`, copied first if it is still shared with the table this
   /// one was cloned from.
   Column* WritableColumn(int i);
+  /// Bumps data_version and logs the change it made.
+  void LogChange(int64_t row, int col);
 
   std::string name_;
   Schema schema_;
@@ -114,6 +136,10 @@ class Table {
   int64_t num_deleted_ = 0;
   uint64_t id_ = 0;
   uint64_t data_version_ = 0;
+  /// Every change after version change_floor_ is in change_log_ (entries
+  /// at or below the floor are dead).
+  std::vector<RowChange> change_log_;
+  uint64_t change_floor_ = 0;
 };
 
 }  // namespace skinner

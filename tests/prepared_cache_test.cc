@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <random>
 #include <thread>
 
 #include "api/database.h"
 #include "api/prepared_statement.h"
 #include "api/session.h"
+#include "common/str_util.h"
+#include "query/query_info.h"
 #include "test_util.h"
 
 namespace skinner {
@@ -393,6 +396,237 @@ TEST_F(PreparedCacheTest, WarmStartedRunStaysCorrect) {
     EXPECT_EQ(got, expect) << "run " << run;
   }
   EXPECT_GT(expect, 0);
+}
+
+// ---- revalidation of DML-stale artifacts --------------------------------
+
+/// Table r (id, g, k, v) joined to u on k, with r filtered on g < 5: r's
+/// artifact is its g < 5 rows plus an index on k, so v is neither filtered
+/// nor indexed.
+class ArtifactRevalidationTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kSql =
+      "SELECT r.id, r.v, u.w FROM r, u WHERE r.k = u.k AND r.g < 5";
+
+  void SetUp() override {
+    ASSERT_TRUE(db_.Execute("CREATE TABLE r (id INT, g INT, k INT, v INT)").ok());
+    ASSERT_TRUE(db_.Execute("CREATE TABLE u (k INT, w INT)").ok());
+    ASSERT_TRUE(db_.Execute("INSERT INTO u VALUES (0, 1), (1, 2), (2, 3), "
+                            "(3, 4), (3, 5)")
+                    .ok());
+    InsertRows(0, 40);
+  }
+
+  void InsertRows(int from, int to) {
+    std::string sql = "INSERT INTO r VALUES ";
+    for (int i = from; i < to; ++i) {
+      sql += StrFormat("%s(%d, %d, %d, %d)", i == from ? "" : ", ", i, i % 10,
+                       i % 4, i);
+    }
+    ASSERT_TRUE(db_.Execute(sql).ok());
+  }
+
+  /// One pre-processing of kSql on the current catalog version, through
+  /// `cache` (null: a fresh build).
+  struct Prepared {
+    std::unique_ptr<BoundQuery> query;
+    std::unique_ptr<QueryInfo> info;
+    VirtualClock clock;
+    std::unique_ptr<PreparedQuery> pq;
+  };
+  std::unique_ptr<Prepared> Prepare(PreparedCache* cache) {
+    auto p = std::make_unique<Prepared>();
+    auto bound = db_.Bind(kSql);
+    EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+    p->query = bound.MoveValue();
+    p->info = std::make_unique<QueryInfo>(
+        QueryInfo::Analyze(*p->query).MoveValue());
+    PrepareOptions opts;
+    opts.cache = cache;
+    auto pq = PreparedQuery::Prepare(p->query.get(), p->info.get(),
+                                     db_.catalog()->string_pool(), &p->clock,
+                                     opts);
+    EXPECT_TRUE(pq.ok()) << pq.status().ToString();
+    p->pq = pq.MoveValue();
+    return p;
+  }
+
+  /// The next cached execution's artifacts must equal a fresh build on the
+  /// same version, and its rows a cache-off query's.
+  void ExpectExactAfterWrite(const std::string& context) {
+    std::unique_ptr<Prepared> cached = Prepare(db_.prepared_cache());
+    std::unique_ptr<Prepared> fresh = Prepare(nullptr);
+    for (int t = 0; t < 2; ++t) {
+      EXPECT_EQ(cached->pq->filtered_rows(t), fresh->pq->filtered_rows(t))
+          << context << " table " << t;
+      for (int col = 0; col < 4; ++col) {
+        const HashIndex* a = cached->pq->index(t, col);
+        const HashIndex* b = fresh->pq->index(t, col);
+        ASSERT_EQ(a == nullptr, b == nullptr) << context;
+        if (a != nullptr) {
+          EXPECT_EQ(a->Fingerprint(), b->Fingerprint())
+              << context << " table " << t << " column " << col;
+        }
+      }
+    }
+    ExecOptions on;
+    on.use_prepared_cache = true;
+    auto with_cache = db_.Query(kSql, on);
+    auto without = db_.Query(kSql);
+    ASSERT_TRUE(with_cache.ok() && without.ok()) << context;
+    EXPECT_EQ(testing::CanonicalRows(with_cache.value().result),
+              testing::CanonicalRows(without.value().result))
+        << context;
+  }
+
+  /// Runs kSql through the cache after `write` and returns how r's
+  /// artifact was obtained: 'h' hit, 'r' revalidated, 'b' rebuilt.
+  char ArtifactSourceAfter(const std::string& write) {
+    ExecOptions on;
+    on.use_prepared_cache = true;
+    EXPECT_TRUE(db_.Query(kSql, on).ok());  // warm both artifacts
+    if (!write.empty()) {
+      Status st = write == "CHECKPOINT" ? db_.Checkpoint() : db_.Execute(write);
+      EXPECT_TRUE(st.ok()) << write << ": " << st.ToString();
+    }
+    const uint64_t revalidations =
+        db_.prepared_cache()->stats().table_revalidations;
+    auto out = db_.Query(kSql, on);
+    EXPECT_TRUE(out.ok());
+    ExpectExactAfterWrite(write);
+    if (out.value().stats.tables_reprepared > 0) return 'b';
+    return db_.prepared_cache()->stats().table_revalidations > revalidations
+               ? 'r'
+               : 'h';
+  }
+
+  Database db_;
+};
+
+TEST_F(ArtifactRevalidationTest, RandomSingleRowWritesMatchAFreshBuild) {
+  std::mt19937 rng(20261021);
+  int next_id = 40;
+  int revalidated = 0;
+  int rebuilt = 0;
+  ExecOptions on;
+  on.use_prepared_cache = true;
+  ASSERT_TRUE(db_.Query(kSql, on).ok());
+  for (int step = 0; step < 120; ++step) {
+    const int id = static_cast<int>(rng() % static_cast<unsigned>(next_id));
+    std::string write;
+    switch (rng() % 5) {
+      case 0:  // filter column: membership may flip
+        write = StrFormat("UPDATE r SET g = %d WHERE id = %d",
+                          static_cast<int>(rng() % 10), id);
+        break;
+      case 1:  // indexed column
+        write = StrFormat("UPDATE r SET k = %d WHERE id = %d",
+                          static_cast<int>(rng() % 4), id);
+        break;
+      case 2:  // neither filtered nor indexed
+        write = StrFormat("UPDATE r SET v = %d WHERE id = %d",
+                          static_cast<int>(rng() % 1000), id);
+        break;
+      case 3:
+        write = StrFormat("DELETE FROM r WHERE id = %d", id);
+        break;
+      default:
+        write = StrFormat("INSERT INTO r VALUES (%d, %d, %d, %d)", next_id,
+                          static_cast<int>(rng() % 10),
+                          static_cast<int>(rng() % 4), next_id);
+        ++next_id;
+        break;
+    }
+    ASSERT_TRUE(db_.Execute(write).ok()) << write;
+    const PreparedCache::Stats before = db_.prepared_cache()->stats();
+    ExpectExactAfterWrite(StrFormat("step %d: ", step) + write);
+    const PreparedCache::Stats after = db_.prepared_cache()->stats();
+    revalidated += static_cast<int>(after.table_revalidations -
+                                    before.table_revalidations);
+    rebuilt += static_cast<int>(after.table_misses - before.table_misses);
+  }
+  // Both outcomes occur, so both paths were compared against fresh builds.
+  EXPECT_GT(revalidated, 10);
+  EXPECT_GT(rebuilt, 10);
+}
+
+TEST_F(ArtifactRevalidationTest, WritesThatKeepTheArtifactRevalidate) {
+  // Row 1 (g = 1) is filtered, row 7 (g = 7) is not.
+  EXPECT_EQ(ArtifactSourceAfter(""), 'h');
+  EXPECT_EQ(ArtifactSourceAfter("UPDATE r SET v = 99 WHERE id = 1"), 'r');
+  EXPECT_EQ(ArtifactSourceAfter("UPDATE r SET g = 2 WHERE id = 1"), 'r');
+  EXPECT_EQ(ArtifactSourceAfter("UPDATE r SET k = 0 WHERE id = 7"), 'r');
+  EXPECT_EQ(ArtifactSourceAfter("DELETE FROM r WHERE id = 7"), 'r');
+  EXPECT_EQ(ArtifactSourceAfter("INSERT INTO r VALUES (50, 9, 0, 0)"), 'r');
+}
+
+TEST_F(ArtifactRevalidationTest, MembershipFlipRebuilds) {
+  EXPECT_EQ(ArtifactSourceAfter("UPDATE r SET g = 9 WHERE id = 1"), 'b');
+  EXPECT_EQ(ArtifactSourceAfter("UPDATE r SET g = 0 WHERE id = 7"), 'b');
+  EXPECT_EQ(ArtifactSourceAfter("DELETE FROM r WHERE id = 2"), 'b');
+  EXPECT_EQ(ArtifactSourceAfter("INSERT INTO r VALUES (50, 0, 0, 0)"), 'b');
+}
+
+TEST_F(ArtifactRevalidationTest, KeyColumnUpdateOfAFilteredRowRebuilds) {
+  EXPECT_EQ(ArtifactSourceAfter("UPDATE r SET k = 3 WHERE id = 1"), 'b');
+}
+
+TEST_F(ArtifactRevalidationTest, CheckpointCompactionLeavesALogGap) {
+  // A delete of an unfiltered row alone revalidates; compaction renumbers
+  // rows without logging them, so after a CHECKPOINT the artifact rebuilds.
+  EXPECT_EQ(ArtifactSourceAfter("DELETE FROM r WHERE id = 7"), 'r');
+  EXPECT_EQ(ArtifactSourceAfter("CHECKPOINT"), 'b');
+}
+
+TEST_F(ArtifactRevalidationTest, BulkUpdateBeyondTheLogCapacityRebuilds) {
+  InsertRows(40, static_cast<int>(Table::kChangeLogCapacity) + 40);
+  // Every row changes an unfiltered, unindexed column: each change alone
+  // would revalidate, but the log dropped the oldest of them.
+  EXPECT_EQ(ArtifactSourceAfter("UPDATE r SET v = v + 1"), 'b');
+  EXPECT_EQ(ArtifactSourceAfter("UPDATE r SET v = v + 1 WHERE id < 8"), 'r');
+}
+
+TEST(TableChangeLogTest, ChangesSinceCoversExactlyTheLoggedWindow) {
+  StringPool pool;
+  Table t("t", Schema({{"a", DataType::kInt64}}), &pool);
+  t.mutable_column(0)->AppendInt(5);
+  t.CommitRow();  // a load: not logged, the floor moves to version 1
+  const Table::RowChange* b = nullptr;
+  const Table::RowChange* e = nullptr;
+  EXPECT_FALSE(t.ChangesSince(0, &b, &e));
+  ASSERT_TRUE(t.ChangesSince(1, &b, &e));
+  EXPECT_EQ(b, e);
+
+  ASSERT_TRUE(t.AppendRow({Value::Int(6)}).ok());          // version 2
+  ASSERT_TRUE(t.UpdateCell(0, 0, Value::Int(7)).ok());     // version 3
+  t.DeleteRow(1);                                          // version 4
+  t.DeleteRow(1);  // idempotent: no version, no entry
+  ASSERT_TRUE(t.ChangesSince(1, &b, &e));
+  ASSERT_EQ(e - b, 3);
+  EXPECT_EQ(b[0].row, 1);
+  EXPECT_EQ(b[0].col, Table::kRowAppended);
+  EXPECT_EQ(b[1].row, 0);
+  EXPECT_EQ(b[1].col, 0);
+  EXPECT_EQ(b[2].col, Table::kRowDeleted);
+  EXPECT_EQ(b[2].version, t.data_version());
+  ASSERT_TRUE(t.ChangesSince(3, &b, &e));
+  EXPECT_EQ(e - b, 1);
+
+  // A clone carries the log; compaction moves the floor past it.
+  std::unique_ptr<Table> c = t.Clone();
+  ASSERT_TRUE(c->ChangesSince(1, &b, &e));
+  EXPECT_EQ(e - b, 3);
+  c->Compact();
+  EXPECT_FALSE(c->ChangesSince(4, &b, &e));
+  EXPECT_TRUE(c->ChangesSince(c->data_version(), &b, &e));
+
+  // A full log drops its older half.
+  for (size_t i = 0; i < Table::kChangeLogCapacity; ++i) {
+    ASSERT_TRUE(t.UpdateCell(0, 0, Value::Int(static_cast<int64_t>(i))).ok());
+  }
+  EXPECT_FALSE(t.ChangesSince(1, &b, &e));
+  ASSERT_TRUE(t.ChangesSince(t.data_version() - 10, &b, &e));
+  EXPECT_EQ(e - b, 10);
 }
 
 }  // namespace

@@ -254,13 +254,16 @@ TEST(ServerProtocolTest, StatsSurface) {
   ASSERT_GE(lines.size(), 2u);
   EXPECT_EQ(lines.back(), "OK");
   bool saw_sched = false;
+  bool saw_cache = false;
   for (const std::string& line : lines) {
     if (line != "OK") {
       EXPECT_EQ(line.rfind("STAT ", 0), 0u) << line;
     }
     if (line.rfind("STAT sched_workers=", 0) == 0) saw_sched = true;
+    if (line.rfind("STAT cache_max_bytes=", 0) == 0) saw_cache = true;
   }
   EXPECT_TRUE(saw_sched);
+  EXPECT_TRUE(saw_cache);
 }
 
 // Per-session latency accounting: admitted Q/E executions land in the
@@ -417,30 +420,64 @@ TEST(ServerQuotaTest, PreparedStatementQuota) {
             0u);
 }
 
-TEST(ServerQuotaTest, CacheByteShareThrottlesPublishing) {
+// Every connection publishes into the one shared PreparedCache: after a
+// write invalidates an artifact, whichever connection executes next
+// rebuilds and publishes it, and every other connection hits it.
+TEST(ServerCacheTest, ConnectionsShareRepublishedArtifacts) {
   Database db;
   SetupTinyDb(&db);
   ServerOptions opts;
-  opts.quota.cache_bytes_share = 1;  // exhausted by the first publish
+  opts.defaults.use_prepared_cache = true;
   ServerCore core(&db, opts);
-  auto conn = core.Connect();
-  ASSERT_TRUE(conn.ok());
+  auto a = core.Connect();
+  auto b = core.Connect();
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  for (auto* conn : {&a, &b}) {
+    ASSERT_EQ(conn->value()
+                  ->HandleLine("P s SELECT a FROM t WHERE b = ? ORDER BY a")
+                  .text.rfind("OK", 0),
+              0u);
+  }
+  auto rebuilt = [](const std::unique_ptr<ServerConnection>& conn) {
+    return conn->session()->stats().tables_reprepared;
+  };
 
-  ASSERT_EQ(conn.value()
-                ->HandleLine("P s SELECT a FROM t WHERE b = ? ORDER BY a")
-                .text.rfind("OK", 0),
-            0u);
-  ServerResponse first = conn.value()->HandleLine("E s 'x'");
-  EXPECT_EQ(Lines(first.text).back().rfind("OK", 0), 0u);
-  EXPECT_GT(conn.value()->cache_bytes_used(), 0u);
+  std::vector<std::string> lines = Lines(a.value()->HandleLine("E s 'x'").text);
+  ASSERT_EQ(lines.size(), 3u);  // rows 1 and 3, then OK
+  EXPECT_EQ(rebuilt(a.value()), 1u);
 
-  // Past the share: executions run cache_read_only — same rows, but the
-  // throttle counter moves and no further bytes are charged.
-  const uint64_t used = conn.value()->cache_bytes_used();
-  ServerResponse second = conn.value()->HandleLine("E s 'zzz'");
-  EXPECT_EQ(Lines(second.text).back().rfind("OK", 0), 0u);
-  EXPECT_EQ(conn.value()->cache_bytes_used(), used);
-  EXPECT_GE(core.stats().cache_publish_throttled, 1u);
+  // Row 2 joins the filtered set: the artifact must be rebuilt.
+  ASSERT_EQ(a.value()->HandleLine("X UPDATE t SET b = 'x' WHERE a = 2").text,
+            "OK\n");
+  lines = Lines(b.value()->HandleLine("E s 'x'").text);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[0], "ROW 1");
+  EXPECT_EQ(lines[1], "ROW 2");
+  EXPECT_EQ(lines[2], "ROW 3");
+  EXPECT_EQ(rebuilt(b.value()), 1u);
+
+  // A hits what B published.
+  lines = Lines(a.value()->HandleLine("E s 'x'").text);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[1], "ROW 2");
+  EXPECT_EQ(rebuilt(a.value()), 1u);
+  EXPECT_EQ(core.stats().cache_publish_throttled, 0u);
+
+  // STATS reports the shared cache, not a per-connection share.
+  const PreparedCache::Stats cs = db.prepared_cache()->stats();
+  bool saw_hits = false;
+  for (const std::string& line : Lines(a.value()->HandleLine("STATS").text)) {
+    if (line == "STAT cache_table_hits=" + std::to_string(cs.table_hits)) {
+      saw_hits = true;
+    }
+    EXPECT_NE(line.rfind("STAT cache_publish_throttled=", 0), 0u);
+  }
+  EXPECT_TRUE(saw_hits);
+  EXPECT_EQ(cs.table_hits, 1u);    // A's last execution
+  EXPECT_EQ(cs.table_misses, 2u);  // A's first, B's after the write
+  EXPECT_EQ(cs.table_invalidations, 1u);
+  EXPECT_EQ(cs.table_revalidations, 0u);  // the write changed membership
 }
 
 TEST(ServerAdmissionTest, MaxSessionsSheds) {
