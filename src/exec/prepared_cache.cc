@@ -202,14 +202,6 @@ PreparedCache::TableArtifactPtr PreparedCache::HitLocked(
   return it->second.artifact;
 }
 
-PreparedCache::TableArtifactPtr PreparedCache::LookupTable(
-    const std::string& key, const TableStamp& stamp) {
-  std::lock_guard<std::mutex> lock(mu_);
-  TableArtifactPtr hit = HitLocked(key, stamp);
-  if (hit == nullptr) ++table_misses_;
-  return hit;
-}
-
 PreparedCache::TableClaim PreparedCache::AcquireTable(const std::string& key,
                                                       const TableStamp& stamp) {
   std::unique_lock<std::mutex> lock(mu_);

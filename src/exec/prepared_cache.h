@@ -106,10 +106,6 @@ class PreparedCache {
   PreparedCache(const PreparedCache&) = delete;
   PreparedCache& operator=(const PreparedCache&) = delete;
 
-  /// The artifact for (key, stamp), or null on a miss. Never blocks on
-  /// in-flight builds and never claims one.
-  TableArtifactPtr LookupTable(const std::string& key, const TableStamp& stamp);
-
   /// A builder claim's evicted artifact of an older data version of the
   /// same table (null when there is none): exact under the claim's stamp
   /// too if no row change since `data_version` touched it.

@@ -390,7 +390,9 @@ uint64_t BuildArtifacts(const std::vector<const Table*>& tables,
 /// filtered row had an indexed column updated. Charges one cost unit per
 /// change checked (plus the UDF ticks of fallback filter nodes) to *cost;
 /// false when the table's change log no longer reaches back to the stale
-/// version or some change breaks the artifact.
+/// version, when it holds as many changes as the table has rows (checking
+/// would cost about what a rebuild does), or some change breaks the
+/// artifact.
 bool Revalidate(const std::vector<const Table*>& tables, const StringPool* pool,
                 const QueryInfo& info, int t,
                 const PreparedCache::StaleArtifact& stale, uint64_t* cost) {
@@ -398,7 +400,8 @@ bool Revalidate(const std::vector<const Table*>& tables, const StringPool* pool,
   const Table::RowChange* begin = nullptr;
   const Table::RowChange* end = nullptr;
   if (stale.artifact == nullptr ||
-      !table.ChangesSince(stale.data_version, &begin, &end)) {
+      !table.ChangesSince(stale.data_version, &begin, &end) ||
+      end - begin >= table.num_rows()) {
     return false;
   }
   const TableArtifact& a = *stale.artifact;

@@ -82,7 +82,7 @@ void Table::Compact() {
   num_rows_ -= num_deleted_;
   num_deleted_ = 0;
   valid_.clear();
-  change_floor_ = ++data_version_;
+  ResetChangeLog();
 }
 
 void Table::LogChange(int64_t row, int col) {

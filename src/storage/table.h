@@ -81,7 +81,7 @@ class Table {
   void CommitRow() {
     if (!valid_.empty()) valid_.push_back(1);
     ++num_rows_;
-    change_floor_ = ++data_version_;
+    ResetChangeLog();
   }
 
   /// Deleted-row tracking: a lazy byte-per-row validity mask, allocated on
@@ -114,7 +114,7 @@ class Table {
   // so no validity mask is ever restored.
   void RestoreRowCount(int64_t rows) {
     num_rows_ = rows;
-    change_floor_ = ++data_version_;
+    ResetChangeLog();
   }
 
  private:
@@ -123,6 +123,12 @@ class Table {
   Column* WritableColumn(int i);
   /// Bumps data_version and logs the change it made.
   void LogChange(int64_t row, int col);
+  /// Bumps data_version for a change the log does not record: empties the
+  /// log and moves its floor up to the new version.
+  void ResetChangeLog() {
+    change_log_.clear();
+    change_floor_ = ++data_version_;
+  }
 
   std::string name_;
   Schema schema_;
@@ -136,8 +142,8 @@ class Table {
   int64_t num_deleted_ = 0;
   uint64_t id_ = 0;
   uint64_t data_version_ = 0;
-  /// Every change after version change_floor_ is in change_log_ (entries
-  /// at or below the floor are dead).
+  /// Every change after version change_floor_ is in change_log_, and
+  /// nothing else is.
   std::vector<RowChange> change_log_;
   uint64_t change_floor_ = 0;
 };

@@ -271,6 +271,15 @@ std::shared_ptr<TableArtifact> SizedArtifact(size_t n_rows) {
   return artifact;
 }
 
+/// True when the cache serves (key, stamp) as a hit; the builder claim a
+/// miss takes is released again.
+bool Serves(PreparedCache* cache, const std::string& key,
+            const TableStamp& stamp) {
+  PreparedCache::TableTryClaim claim = cache->TryAcquireTable(key, stamp);
+  if (claim.builder) cache->AbandonTable(key);
+  return claim.artifact != nullptr;
+}
+
 }  // namespace
 
 TEST_F(PreparedCacheTest, SizeAwareLruEvictionAndStats) {
@@ -286,24 +295,24 @@ TEST_F(PreparedCacheTest, SizeAwareLruEvictionAndStats) {
   EXPECT_GT(cache.stats().bytes_used, 8000u);
   EXPECT_LE(cache.stats().bytes_used, cache.stats().max_bytes);
 
-  EXPECT_NE(cache.LookupTable("a", stamp), nullptr);   // a is now most recent
+  EXPECT_TRUE(Serves(&cache, "a", stamp));  // a is now most recent
   cache.PublishTable("c", stamp, SizedArtifact(1000));  // evicts b (LRU)
-  EXPECT_NE(cache.LookupTable("a", stamp), nullptr);
-  EXPECT_EQ(cache.LookupTable("b", stamp), nullptr);
-  EXPECT_NE(cache.LookupTable("c", stamp), nullptr);
+  EXPECT_TRUE(Serves(&cache, "a", stamp));
+  EXPECT_FALSE(Serves(&cache, "b", stamp));
+  EXPECT_TRUE(Serves(&cache, "c", stamp));
   EXPECT_EQ(cache.stats().size_evictions, 1u);
 
   // An entry larger than the whole budget is never admitted (the caller
   // keeps its artifact; the cache does not thrash itself empty for it).
   cache.PublishTable("huge", stamp, SizedArtifact(10000));
-  EXPECT_EQ(cache.LookupTable("huge", stamp), nullptr);
+  EXPECT_FALSE(Serves(&cache, "huge", stamp));
   EXPECT_EQ(cache.stats().admission_rejected, 1u);
-  EXPECT_NE(cache.LookupTable("a", stamp), nullptr);  // survivors untouched
+  EXPECT_TRUE(Serves(&cache, "a", stamp));  // survivors untouched
 
   // A stale stamp evicts and counts as an invalidation.
   const TableStamp newer{1, 2};
-  EXPECT_EQ(cache.LookupTable("a", newer), nullptr);
-  EXPECT_EQ(cache.LookupTable("a", stamp), nullptr);  // gone
+  EXPECT_FALSE(Serves(&cache, "a", newer));
+  EXPECT_FALSE(Serves(&cache, "a", stamp));  // gone
 
   PreparedCache::Stats s = cache.stats();
   EXPECT_EQ(s.table_invalidations, 1u);
@@ -366,7 +375,7 @@ TEST_F(PreparedCacheTest, AbandonWakesWaitersIntoBuilding) {
   cache.AbandonTable("t");  // the original builder failed
   waiter.join();
   EXPECT_TRUE(waiter_became_builder);
-  EXPECT_NE(cache.LookupTable("t", stamp), nullptr);
+  EXPECT_TRUE(Serves(&cache, "t", stamp));
 }
 
 TEST_F(PreparedCacheTest, WarmOrderSurvivesInvalidation) {
@@ -586,6 +595,32 @@ TEST_F(ArtifactRevalidationTest, BulkUpdateBeyondTheLogCapacityRebuilds) {
   EXPECT_EQ(ArtifactSourceAfter("UPDATE r SET v = v + 1 WHERE id < 8"), 'r');
 }
 
+TEST_F(ArtifactRevalidationTest, AsManyChangesAsRowsRebuilds) {
+  // Each change alone would revalidate, but checking 40 changes of a
+  // 40-row table costs about what a rebuild does.
+  EXPECT_EQ(ArtifactSourceAfter("UPDATE r SET v = v + 1"), 'b');
+  EXPECT_EQ(ArtifactSourceAfter("UPDATE r SET v = v + 1 WHERE id < 39"), 'r');
+}
+
+TEST_F(ArtifactRevalidationTest, LogOverflowAfterCheckpointRebuilds) {
+  // The artifact goes unqueried from before a CHECKPOINT until the log has
+  // overflowed after it. The changes logged before the compaction must not
+  // come back into the log's window: they miss its renumbering of rows.
+  InsertRows(40, 600);
+  EXPECT_EQ(ArtifactSourceAfter(""), 'h');
+  ASSERT_TRUE(db_.Execute("DELETE FROM r WHERE id = 7").ok());
+  ASSERT_TRUE(db_.Checkpoint().ok());
+  for (int i = 0; i < 110; ++i) {  // 550 changes of rows the delete kept
+    ASSERT_TRUE(db_.Execute("UPDATE r SET v = v + 1 WHERE id < 5").ok());
+  }
+  ExecOptions on;
+  on.use_prepared_cache = true;
+  auto out = db_.Query(kSql, on);
+  ASSERT_TRUE(out.ok());
+  EXPECT_GT(out.value().stats.tables_reprepared, 0);
+  ExpectExactAfterWrite("log overflow after CHECKPOINT");
+}
+
 TEST(TableChangeLogTest, ChangesSinceCoversExactlyTheLoggedWindow) {
   StringPool pool;
   Table t("t", Schema({{"a", DataType::kInt64}}), &pool);
@@ -625,6 +660,35 @@ TEST(TableChangeLogTest, ChangesSinceCoversExactlyTheLoggedWindow) {
     ASSERT_TRUE(t.UpdateCell(0, 0, Value::Int(static_cast<int64_t>(i))).ok());
   }
   EXPECT_FALSE(t.ChangesSince(1, &b, &e));
+  ASSERT_TRUE(t.ChangesSince(t.data_version() - 10, &b, &e));
+  EXPECT_EQ(e - b, 10);
+}
+
+TEST(TableChangeLogTest, CompactionEmptiesTheLog) {
+  StringPool pool;
+  Table t("t", Schema({{"a", DataType::kInt64}}), &pool);
+  for (int64_t i = 0; i < 2; ++i) {
+    t.mutable_column(0)->AppendInt(i);
+    t.CommitRow();
+  }
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(t.UpdateCell(0, 0, Value::Int(i)).ok());
+  }
+  t.DeleteRow(1);
+  const uint64_t before = t.data_version();
+  t.Compact();
+  const Table::RowChange* b = nullptr;
+  const Table::RowChange* e = nullptr;
+  EXPECT_FALSE(t.ChangesSince(before, &b, &e));
+  ASSERT_TRUE(t.ChangesSince(t.data_version(), &b, &e));
+  EXPECT_EQ(b, e);
+  // No later change, up to and past an overflow of the log, may bring the
+  // pre-compaction changes back into its window (a log that kept them
+  // would overflow after 424 changes and drop its floor below `before`).
+  for (size_t i = 0; i <= Table::kChangeLogCapacity; ++i) {
+    ASSERT_TRUE(t.UpdateCell(0, 0, Value::Int(static_cast<int64_t>(i))).ok());
+    ASSERT_FALSE(t.ChangesSince(before, &b, &e)) << "after change " << i;
+  }
   ASSERT_TRUE(t.ChangesSince(t.data_version() - 10, &b, &e));
   EXPECT_EQ(e - b, 10);
 }

@@ -532,7 +532,7 @@ TEST(ClaimAllProtocolTest, WaitAfterAbandonFallsBackToBuilder) {
   // The abandon promoted the waiter: it must now build and publish.
   ASSERT_TRUE(got.builder);
   cache.PublishTable("k", stamp, std::make_shared<TableArtifact>());
-  EXPECT_NE(cache.LookupTable("k", stamp), nullptr);
+  EXPECT_NE(cache.TryAcquireTable("k", stamp).artifact, nullptr);
 }
 
 // Contention end-to-end: N sessions execute the same parameterized
